@@ -16,9 +16,9 @@ import sys
 from . import __version__
 from .detection import DetectionParams, ScrutinyPlan, detect_exact, simulate
 from .graph import (
+    UNREACHABLE,
     Graph,
     GraphError,
-    community,
     diameter,
     geodesic_distances,
     is_connected,
@@ -72,12 +72,13 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         "exposure": list(report.exposure),
     }
     if args.community is not None:
-        dm = geodesic_distances(graph, hop_mode)
-        deltas = sorted({float(d) for d in dm.dist[args.community] if d != float("inf")})
-        doc["communities"] = {
-            _number_key(delta): sorted(community(graph, args.community, delta, hop_mode))
-            for delta in deltas
-        }
+        graph._check_vertex(args.community)
+        row = geodesic_distances(graph, hop_mode).dist[args.community]
+        rings: dict[float, list[int]] = {}
+        for j, delta in enumerate(row.tolist()):
+            if delta != UNREACHABLE:
+                rings.setdefault(delta, []).append(j)
+        doc["communities"] = {_number_key(delta): rings[delta] for delta in sorted(rings)}
     _emit(doc)
     return EXIT_OK
 
@@ -87,6 +88,8 @@ def _number_key(x: float) -> str:
 
 
 def _cmd_optimal(args: argparse.Namespace) -> int:
+    if args.max_maximizers < 0:
+        raise ValueError(f"--max-maximizers must be nonnegative, got {args.max_maximizers}")
     result = find_optimal(
         args.n,
         SecrecyParams(p=args.p),

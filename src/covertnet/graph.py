@@ -1,14 +1,16 @@
 """Immutable graph representation and geodesic distance metrics.
 
 The graph model is deliberately small: a fixed vertex set labeled 0..n-1,
-optional direction, and nonnegative edge weights. Everything downstream
-(secrecy measures, structure search, detection simulation) reads from this
-representation and never mutates it.
+optional direction, and finite nonnegative edge weights. Everything
+downstream (secrecy measures, structure search, detection simulation)
+reads from this representation and never mutates it.
 
 Distances come in two flavours controlled by ``hop_mode``: unit hops (every
 edge counts 1, the default) or the stored edge weights. Unreachable pairs
 are marked with ``UNREACHABLE`` (infinity) rather than a large finite
 number, so a disconnected pair can never silently corrupt a distance sum.
+Each graph computes its distance matrix once per flavour; every
+distance-derived quantity reads that one matrix.
 """
 
 from __future__ import annotations
@@ -32,9 +34,6 @@ class GraphError(ValueError):
 
 class DisconnectedGraphError(GraphError):
     """Raised when a metric is undefined because the graph is disconnected."""
-
-
-EdgeInput = Sequence  # (source, target) or (source, target, weight)
 
 
 def _is_int(x) -> bool:
@@ -72,23 +71,9 @@ class Graph:
         return tuple(tuple(sorted(a)) for a in adj)
 
     @cached_property
-    def _in_adj(self) -> tuple[tuple[tuple[int, float], ...], ...]:
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
-        for s, t, w in self.edges:
-            adj[t].append((s, w))
-            if not self.directed:
-                adj[s].append((t, w))
-        return tuple(tuple(sorted(a)) for a in adj)
-
-    def out_neighbors(self, i: int) -> tuple[int, ...]:
-        """Vertices reachable from i along one edge (all neighbors if undirected)."""
-        self._check_vertex(i)
-        return tuple(t for t, _ in self._out_adj[i])
-
-    def in_neighbors(self, i: int) -> tuple[int, ...]:
-        """Vertices with an edge pointing at i (all neighbors if undirected)."""
-        self._check_vertex(i)
-        return tuple(s for s, _ in self._in_adj[i])
+    def _distances(self) -> dict[bool, DistanceMatrix]:
+        """Distance matrices by ``hop_mode``, filled by :func:`geodesic_distances`."""
+        return {}
 
     def degree_sequence(self) -> tuple[int, ...]:
         """Undirected degrees d_0..d_{n-1}.
@@ -108,7 +93,7 @@ class Graph:
 def build_graph(
     n: int,
     directed: bool = False,
-    edges: Iterable[EdgeInput] = (),
+    edges: Iterable[Sequence] = (),
 ) -> Graph:
     """Validate and canonicalize an edge list into an immutable Graph.
 
@@ -117,13 +102,14 @@ def build_graph(
     n : vertex count, at least 1; vertices are labeled 0..n-1.
     directed : whether edges are ordered pairs.
     edges : iterable of (source, target) or (source, target, weight) with
-        weight a nonnegative real (default 1.0).
+        weight a finite nonnegative real (default 1.0).
 
     Raises
     ------
     GraphError
         On an endpoint out of range, a self-loop, a duplicate edge, or a
-        negative weight; the offending edge is named in the message.
+        negative or non-finite weight; the offending edge is named in the
+        message.
     """
     if not _is_int(n) or n < 1:
         raise GraphError(f"vertex count must be a positive integer, got {n!r}")
@@ -144,7 +130,9 @@ def build_graph(
         if s == t:
             raise GraphError(f"edge {raw!r} is a self-loop")
         w = float(w)
-        if math.isnan(w) or w < 0:
+        if not math.isfinite(w):
+            raise GraphError(f"edge {raw!r} has a non-finite weight")
+        if w < 0:
             raise GraphError(f"edge {raw!r} has a negative weight")
         key = (s, t) if directed else (min(s, t), max(s, t))
         if key in canon:
@@ -216,46 +204,29 @@ def geodesic_distances(g: Graph, hop_mode: bool = True) -> DistanceMatrix:
     With ``hop_mode`` every edge counts one step; otherwise path length is
     the sum of stored edge weights. Entries for unreachable pairs are
     ``UNREACHABLE``; the matrix is asymmetric only when ``g`` is directed.
+
+    The matrix is computed once per graph and mode and kept on the graph;
+    later calls return the same read-only object. Total distance,
+    diameter, communities and connectivity are all read from it.
     """
-    dist = np.full((g.n, g.n), UNREACHABLE, dtype=float)
-    for source in range(g.n):
-        if hop_mode:
-            _hop_distances_from(g, source, dist[source])
-        else:
-            _weighted_distances_from(g, source, dist[source])
-    return DistanceMatrix(n=g.n, dist=dist, hop_mode=hop_mode)
+    dm = g._distances.get(hop_mode)
+    if dm is None:
+        dist = np.full((g.n, g.n), UNREACHABLE, dtype=float)
+        from_source = _hop_distances_from if hop_mode else _weighted_distances_from
+        for source in range(g.n):
+            from_source(g, source, dist[source])
+        dm = g._distances[hop_mode] = DistanceMatrix(n=g.n, dist=dist, hop_mode=hop_mode)
+    return dm
 
 
 def is_connected(g: Graph) -> bool:
     """True iff every ordered vertex pair is reachable.
 
-    For directed graphs this is strong connectivity: vertex 0 must reach
-    everything along out-edges and be reached by everything (checked via
-    in-edges).
+    Read from the hop distance matrix: no entry is ``UNREACHABLE``. For
+    directed graphs this is strong connectivity. Edge weights are finite,
+    so weighted distances have the same reachable pairs.
     """
-    if g.n == 1:
-        return True
-    if not _reaches_all(g, forward=True):
-        return False
-    if g.directed:
-        return _reaches_all(g, forward=False)
-    return True
-
-
-def _reaches_all(g: Graph, forward: bool) -> bool:
-    adj = g._out_adj if forward else g._in_adj
-    seen = [False] * g.n
-    seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for v, _ in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                queue.append(v)
-    return count == g.n
+    return geodesic_distances(g).all_reachable()
 
 
 def total_distance(g: Graph, hop_mode: bool = True) -> float:

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Graph, GraphError, build_graph, is_connected, total_distance
+from .graph import DisconnectedGraphError, Graph, GraphError, build_graph, total_distance
 
 _WEIGHT_SUM_TOL = 1e-12
 
@@ -80,21 +80,24 @@ class MeasureReport:
 
 
 def exposure_from_degrees(n: int, degrees: np.ndarray, p: float) -> np.ndarray:
-    """Exposure fractions (p * d_i + 1) / n from a degree vector."""
+    """Exposure fractions (p * d_i + 1) / n from a degree vector or a stack of them."""
     return (p * degrees + 1.0) / n
 
 
 def secrecy_components(
     n: int, degrees: np.ndarray, p: float, weights: np.ndarray
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray | float]:
     """Exposure fractions and hidden-knowledge value from degree data.
 
-    Shared between the graph-level API and the exhaustive structure search
-    so that both produce bit-identical values for the same inputs.
+    ``degrees`` is one degree vector, giving a scalar hidden value, or a
+    stack of them (one row per graph), giving one hidden value per row.
+    ``balance``, ``hidden_knowledge`` and the structure search all take H
+    from here. The formula is the same, but numpy sums a stacked product
+    in another order than a single one, so a stacked row may differ from
+    the single-graph value by one unit in the last place.
     """
     exposure = exposure_from_degrees(n, degrees, p)
-    hidden = float(weights @ (1.0 - exposure))
-    return exposure, hidden
+    return exposure, (1.0 - exposure) @ weights
 
 
 def information_measure(g: Graph) -> float:
@@ -104,9 +107,10 @@ def information_measure(g: Graph) -> float:
     (where the total distance diverges).
     """
     _require_measurable(g)
-    if not is_connected(g):
+    try:
+        return g.n * (g.n - 1) / total_distance(g)
+    except DisconnectedGraphError:
         return 0.0
-    return g.n * (g.n - 1) / total_distance(g)
 
 
 def exposure_fractions(g: Graph, params: SecrecyParams) -> np.ndarray:
@@ -136,7 +140,7 @@ def hidden_knowledge(g: Graph, params: SecrecyParams) -> float:
     weights = params.weights_for(g.n)
     degrees = np.asarray(g.degree_sequence())
     _, hidden = secrecy_components(g.n, degrees, params.p, weights)
-    return hidden
+    return float(hidden)
 
 
 def balance(g: Graph, params: SecrecyParams) -> MeasureReport:
@@ -151,6 +155,7 @@ def balance(g: Graph, params: SecrecyParams) -> MeasureReport:
     degrees = np.asarray(g.degree_sequence())
     exposure, hidden = secrecy_components(g.n, degrees, params.p, weights)
     assert np.all(exposure >= 0.0) and np.all(exposure <= 1.0)
+    hidden = float(hidden)
     info = information_measure(g)
     return MeasureReport(
         K=info,

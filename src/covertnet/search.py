@@ -22,7 +22,7 @@ import numpy as np
 
 from ._parallel import run_chunks
 from .graph import Graph, build_graph
-from .measures import SecrecyParams, balance, make_structure
+from .measures import SecrecyParams, balance, make_structure, secrecy_components
 
 #: Orders above this need allow_large=True; 8 is the hard cap (2^28 subsets).
 DEFAULT_MAX_ORDER = 7
@@ -157,8 +157,8 @@ def _chunk_stats(n: int, lo: int, hi: int):
 
 
 def _mu_vector(n: int, totals: np.ndarray, degrees: np.ndarray, p: float, weights: np.ndarray) -> np.ndarray:
-    """Balance for each stats row; mirrors the per-graph measure arithmetic."""
-    hidden = (1.0 - (p * degrees + 1.0) / n) @ weights
+    """Balance for each stats row, with H from the per-graph measure code."""
+    _, hidden = secrecy_components(n, degrees, p, weights)
     return (n * (n - 1) / totals) * hidden
 
 
@@ -167,15 +167,61 @@ def _chunk_ranges(n: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + _CHUNK_MASKS, space)) for lo in range(0, space, _CHUNK_MASKS)]
 
 
-def _scan_optimal_chunk(args) -> tuple[int, float | None, list[int], list[float]]:
-    n, lo, hi, p, weights, tolerance = args
+def _scan_optimal_chunk(args) -> tuple[int, list[tuple[float, list[int], list[float]] | None]]:
+    """Connected masks in [lo, hi), then per grid p the chunk's best balance.
+
+    Each per-p entry is (best mu, masks within tolerance of it, their mu),
+    or None when the chunk has no candidate. ``skip_mask`` is counted as
+    connected but is never a candidate.
+    """
+    n, lo, hi, p_grid, weights, skip_mask, tolerance = args
     masks, totals, degrees = _chunk_stats(n, lo, hi)
+    count = len(masks)
+    other = masks != skip_mask
+    masks, totals, degrees = masks[other], totals[other], degrees[other]
     if len(masks) == 0:
-        return 0, None, [], []
-    mu = _mu_vector(n, totals, degrees, p, np.asarray(weights))
-    local_best = float(mu.max())
-    keep = mu >= local_best - tolerance
-    return len(masks), local_best, masks[keep].tolist(), mu[keep].tolist()
+        return count, [None] * len(p_grid)
+    w = np.asarray(weights)
+    out = []
+    for p in p_grid:
+        mu = _mu_vector(n, totals, degrees, p, w)
+        local_best = float(mu.max())
+        keep = mu >= local_best - tolerance
+        out.append((local_best, masks[keep].tolist(), mu[keep].tolist()))
+    return count, out
+
+
+def _check_tolerance(tolerance: float) -> None:
+    if not tolerance >= 0:  # also rejects NaN
+        raise ValueError(f"tolerance must be nonnegative, got {tolerance}")
+
+
+def _scan(
+    n: int,
+    p_grid: tuple[float, ...],
+    weights: tuple[float, ...],
+    tolerance: float,
+    workers: int,
+    skip_mask: int = -1,
+) -> tuple[int, list[tuple[float, list[int]]]]:
+    """Connected-graph count, then per p the best mu and the masks within tolerance.
+
+    Masks come in ascending order; with no candidate the best is -inf.
+    """
+    jobs = [(n, lo, hi, p_grid, weights, skip_mask, tolerance) for lo, hi in _chunk_ranges(n)]
+    results = run_chunks(_scan_optimal_chunk, jobs, workers)
+    per_p = []
+    for idx in range(len(p_grid)):
+        entries = [per[idx] for _, per in results if per[idx] is not None]
+        best = max((entry[0] for entry in entries), default=float("-inf"))
+        near = [
+            mask
+            for _, masks, mus in entries
+            for mask, mu in zip(masks, mus)
+            if mu >= best - tolerance
+        ]
+        per_p.append((best, near))
+    return sum(count for count, _ in results), per_p
 
 
 def find_optimal(
@@ -192,22 +238,11 @@ def find_optimal(
     between the complete graph and the star is genuine.
     """
     _check_order(n, allow_large)
-    if tolerance < 0:
-        raise ValueError(f"tolerance must be nonnegative, got {tolerance}")
+    _check_tolerance(tolerance)
     weights = tuple(params.weights_for(n))
-    jobs = [(n, lo, hi, params.p, weights, tolerance) for lo, hi in _chunk_ranges(n)]
-    results = run_chunks(_scan_optimal_chunk, jobs, workers)
-
-    enumerated = sum(r[0] for r in results)
-    bests = [r[1] for r in results if r[1] is not None]
-    best = max(bests)
+    enumerated, [(best, masks)] = _scan(n, (params.p,), weights, tolerance, workers)
     slots = _edge_slots(n)
-    argmax = [
-        _graph_from_mask(mask, n, slots)
-        for _, _, masks, mus in results
-        for mask, mu in zip(masks, mus)
-        if mu >= best - tolerance
-    ]
+    argmax = [_graph_from_mask(mask, n, slots) for mask in masks]
     return SearchResult(
         n=n,
         p=params.p,
@@ -222,25 +257,6 @@ _LEMMA_INTERVALS = {
     "complete_optimal": (0.0, 0.5),
     "star_optimal": (0.5, 1.0),
 }
-
-
-def _scan_lemma_chunk(args) -> tuple[int, list[tuple[float, int] | None]]:
-    n, lo, hi, p_grid, claimed_mask, weights = args
-    masks, totals, degrees = _chunk_stats(n, lo, hi)
-    count = len(masks)
-    if count == 0:
-        return 0, [None] * len(p_grid)
-    other = masks != claimed_mask
-    if not other.any():
-        return count, [None] * len(p_grid)
-    masks, totals, degrees = masks[other], totals[other], degrees[other]
-    w = np.asarray(weights)
-    out: list[tuple[float, int] | None] = []
-    for p in p_grid:
-        mu = _mu_vector(n, totals, degrees, p, w)
-        top = int(np.argmax(mu))
-        out.append((float(mu[top]), int(masks[top])))
-    return count, out
 
 
 def verify_lemma(
@@ -265,8 +281,7 @@ def verify_lemma(
             f"unknown claim {which!r}; expected 'complete_optimal' or 'star_optimal'"
         )
     _check_order(n, allow_large)
-    if tolerance < 0:
-        raise ValueError(f"tolerance must be nonnegative, got {tolerance}")
+    _check_tolerance(tolerance)
     lo_p, hi_p = _LEMMA_INTERVALS[which]
     p_grid = [float(p) for p in p_grid]
     for p in p_grid:
@@ -283,26 +298,16 @@ def verify_lemma(
     # the optimality claims are stated for uniform sharing weights
     weights = tuple(np.full(n, 1.0 / n))
 
-    jobs = [(n, lo, hi, tuple(p_grid), claimed_mask, weights) for lo, hi in _chunk_ranges(n)]
-    results = run_chunks(_scan_lemma_chunk, jobs, workers)
-
-    best_other: list[tuple[float, int] | None] = [None] * len(p_grid)
-    for _, per_p in results:
-        for idx, entry in enumerate(per_p):
-            if entry is None:
-                continue
-            if best_other[idx] is None or entry[0] > best_other[idx][0]:
-                best_other[idx] = entry
+    # tolerance 0 keeps exactly the strongest rivals; the first is the counterexample
+    _, best_other = _scan(n, tuple(p_grid), weights, 0.0, workers, skip_mask=claimed_mask)
 
     rows = []
-    for idx, p in enumerate(p_grid):
+    for p, (max_other, rivals) in zip(p_grid, best_other):
         mu_claimed = balance(claimed, SecrecyParams(p)).mu
-        entry = best_other[idx]
-        max_other = entry[0] if entry is not None else float("-inf")
         passed = mu_claimed >= max_other - tolerance
         counterexample = None
         if not passed:
-            counterexample = _graph_from_mask(entry[1], n, slots)
+            counterexample = _graph_from_mask(rivals[0], n, slots)
         rows.append(
             LemmaCheckRow(
                 p=p,

@@ -1,8 +1,8 @@
 """Hypothesis strategies for random graphs.
 
 Connectivity is guaranteed structurally (a random spanning tree is
-overlaid on the drawn edge set) rather than by filtering through the
-library's own connectivity check.
+overlaid on the drawn edge set, in both directions when directed) rather
+than by filtering through the library's own connectivity check.
 """
 
 from __future__ import annotations
@@ -23,9 +23,11 @@ def graphs(
     max_n: int = 8,
     weighted: bool = False,
     connected: bool = False,
+    directed: bool = False,
 ) -> Graph:
     n = draw(st.integers(min_n, max_n))
-    pairs = list(itertools.combinations(range(n), 2))
+    pair_maker = itertools.permutations if directed else itertools.combinations
+    pairs = list(pair_maker(range(n), 2))
     mask = draw(st.integers(0, (1 << len(pairs)) - 1))
     chosen = {pairs[k] for k in range(len(pairs)) if mask >> k & 1}
     if connected and n > 1:
@@ -33,9 +35,12 @@ def graphs(
         for i in range(1, n):
             a = order[i]
             b = order[draw(st.integers(0, i - 1))]
-            chosen.add((min(a, b), max(a, b)))
+            if directed:
+                chosen.update({(a, b), (b, a)})
+            else:
+                chosen.add((min(a, b), max(a, b)))
     edges = []
     for i, j in sorted(chosen):
         w = draw(st.sampled_from(WEIGHT_GRID)) if weighted else 1.0
         edges.append((i, j, w))
-    return build_graph(n, directed=False, edges=edges)
+    return build_graph(n, directed=directed, edges=edges)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import covertnet.graph
 from covertnet.cli import main
 from covertnet.io import load_graph_file
 
@@ -67,6 +68,41 @@ class TestMetrics:
         doc = run_json(capsys, "metrics", star4_csv, "--p", "0.5", "--community", "1")
         assert doc["communities"] == {"0": [1], "1": [0], "2": [2, 3]}
 
+    @pytest.mark.parametrize("vertex", ["99", "-1"])
+    def test_community_vertex_out_of_range_exits_2(self, capsys, tmp_path, vertex):
+        path = tmp_path / "path4.json"
+        path.write_text('{"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}')
+        code, out, err = run(capsys, "metrics", str(path), "--p", "0.3", "--community", vertex)
+        assert code == 2 and out == ""
+        assert f"vertex {vertex} out of range" in err
+
+    @pytest.mark.parametrize(
+        "extra,hop_passes,weighted_passes",
+        [([], 1, 0), (["--community", "2"], 1, 0), (["--edge-weighted"], 1, 1)],
+    )
+    def test_one_distance_pass_per_mode(
+        self, capsys, tmp_path, monkeypatch, extra, hop_passes, weighted_passes
+    ):
+        path = tmp_path / "weighted5.json"
+        path.write_text('{"n": 5, "edges": [[0, 1, 2.0], [1, 2], [2, 3, 0.5], [3, 4], [0, 4]]}')
+        sources = {"hop": 0, "weighted": 0}
+        for mode, name in (("hop", "_hop_distances_from"), ("weighted", "_weighted_distances_from")):
+            kernel = getattr(covertnet.graph, name)
+
+            def counted(g, source, out, kernel=kernel, mode=mode):
+                sources[mode] += 1
+                kernel(g, source, out)
+
+            monkeypatch.setattr(covertnet.graph, name, counted)
+        run_json(capsys, "metrics", str(path), "--p", "0.3", *extra)
+        assert sources == {"hop": 5 * hop_passes, "weighted": 5 * weighted_passes}
+
+    def test_non_finite_csv_weight_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "inf.csv"
+        path.write_text("source,target,weight\na,b,1\nb,c,inf\n")
+        code, out, err = run(capsys, "metrics", str(path), "--p", "0.3", "--edge-weighted")
+        assert code == 1 and out == "" and "non-finite weight" in err
+
     def test_sharing_weights_inline(self, capsys, star4_csv):
         doc = run_json(
             capsys, "metrics", star4_csv, "--p", "0.5", "--sharing-weights", "1,0,0,0"
@@ -127,6 +163,14 @@ class TestOptimal:
     def test_out_of_range_exits_2(self, capsys):
         code, _, _ = run(capsys, "optimal", "--n", "9", "--p", "0.2")
         assert code == 2
+
+    def test_nan_tolerance_exits_2(self, capsys):
+        code, out, err = run(capsys, "optimal", "--n", "4", "--p", "0.3", "--tolerance", "nan")
+        assert code == 2 and out == "" and "tolerance" in err
+
+    def test_negative_maximizer_cap_exits_2(self, capsys):
+        code, out, err = run(capsys, "optimal", "--n", "4", "--p", "0.5", "--max-maximizers", "-1")
+        assert code == 2 and out == "" and "--max-maximizers" in err
 
     def test_eight_needs_flag(self, capsys):
         code, _, err = run(capsys, "optimal", "--n", "8", "--p", "0.2")

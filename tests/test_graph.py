@@ -62,6 +62,11 @@ class TestBuildGraph:
         with pytest.raises(GraphError, match="negative weight"):
             build_graph(3, edges=[(0, 1, -0.5)])
 
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(GraphError, match="non-finite weight"):
+            build_graph(3, edges=[(0, 1, weight)])
+
     def test_bad_vertex_count(self):
         with pytest.raises(GraphError):
             build_graph(0)
@@ -70,12 +75,6 @@ class TestBuildGraph:
         g = path4()
         with pytest.raises(dataclasses.FrozenInstanceError):
             g.n = 5
-
-    def test_neighbor_queries(self):
-        g = build_graph(4, directed=True, edges=[(0, 1), (2, 1)])
-        assert g.out_neighbors(0) == (1,)
-        assert g.in_neighbors(1) == (0, 2)
-        assert g.out_neighbors(3) == ()
 
 
 class TestGeodesicDistances:
@@ -115,6 +114,17 @@ class TestGeodesicDistances:
         dm = geodesic_distances(path4())
         with pytest.raises(ValueError):
             dm.dist[0, 0] = 9.0
+
+    def test_matrix_computed_once_per_mode(self):
+        g = build_graph(3, edges=[(0, 1, 0.5), (1, 2, 0.25)])
+        hops = geodesic_distances(g)
+        assert geodesic_distances(g) is hops
+        assert geodesic_distances(g, hop_mode=True) is hops
+        assert not hops.dist.flags.writeable
+        weighted = geodesic_distances(g, hop_mode=False)
+        assert weighted is not hops and weighted.hop_mode is False
+        assert geodesic_distances(g, hop_mode=False) is weighted
+        assert not weighted.dist.flags.writeable
 
 
 class TestTotalDistance:
@@ -197,6 +207,16 @@ class TestIsConnected:
 
     def test_directed_path_not_strongly_connected(self):
         assert not is_connected(build_graph(3, directed=True, edges=[(0, 1), (1, 2)]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.tuples(st.booleans(), st.booleans()).flatmap(
+        lambda flags: graphs(max_n=7, directed=flags[0], connected=flags[1])
+    )
+)
+def test_connectivity_matches_brute_force(g):
+    assert is_connected(g) == (not np.isinf(brute_force_apsp(g)).any())
 
 
 @settings(max_examples=60, deadline=None)

@@ -91,6 +91,10 @@ class TestFindOptimal:
         with pytest.raises(ValueError):
             find_optimal(4, SecrecyParams(0.2), tolerance=-1e-9)
 
+    def test_nan_tolerance_rejected(self):
+        with pytest.raises(ValueError, match="tolerance"):
+            find_optimal(4, SecrecyParams(0.3), tolerance=float("nan"))
+
     def test_worker_count_does_not_change_result(self):
         one = find_optimal(6, SecrecyParams(0.5))
         two = find_optimal(6, SecrecyParams(0.5), workers=3)
@@ -133,6 +137,10 @@ class TestVerifyLemma:
             verify_lemma("complete_optimal", 4, [0.6])
         with pytest.raises(ValueError, match="outside the stated interval"):
             verify_lemma("star_optimal", 4, [0.49])
+
+    def test_nan_tolerance_rejected(self):
+        with pytest.raises(ValueError, match="tolerance"):
+            verify_lemma("complete_optimal", 4, [0.3], tolerance=float("nan"))
 
     def test_unknown_claim_rejected(self):
         with pytest.raises(ValueError, match="unknown claim"):
