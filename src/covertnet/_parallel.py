@@ -7,12 +7,18 @@ parallel run is bit-identical to the sequential one.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence
 
 
 def run_chunks(fn: Callable, jobs: Sequence, workers: int) -> list:
-    if workers <= 1 or len(jobs) <= 1:
+    """Apply ``fn`` to every job, in job order, on at most ``workers`` processes.
+
+    The pool never outnumbers the jobs or the machine's CPUs.
+    """
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs))

@@ -26,8 +26,11 @@ import numpy as np
 
 from ._parallel import run_chunks
 from .graph import Graph
+from .measures import _WEIGHT_SUM_TOL
 
 _TRIALS_PER_CHUNK = 1 << 13
+# Most bytes of uniforms one chunk draws; a Philox counter yields 4 float64 (32 B).
+_DRAW_BUDGET_BYTES = 8 << 20
 
 
 class InfeasiblePlanError(ValueError):
@@ -56,7 +59,8 @@ def validate_plan(plan: ScrutinyPlan) -> PlanVerdict:
     """Check every plan constraint and report all violations.
 
     A plan is feasible when each alpha lies in [0, 1], the budget lies in
-    [0, 1], and the alphas sum to at most the budget (equality admitted).
+    [0, 1], and the alphas sum to at most the budget. Equality is admitted:
+    the exact sum (``math.fsum``) may exceed the budget by 1e-12 of rounding.
     """
     violations = []
     for i, a in enumerate(plan.alphas):
@@ -64,8 +68,8 @@ def validate_plan(plan: ScrutinyPlan) -> PlanVerdict:
             violations.append(f"alpha[{i}]={a} outside [0, 1]")
     if not 0.0 <= plan.budget <= 1.0:
         violations.append(f"budget {plan.budget} outside [0, 1]")
-    total = sum(plan.alphas)
-    if total > plan.budget:
+    total = math.fsum(plan.alphas)
+    if total > plan.budget + _WEIGHT_SUM_TOL:
         violations.append(f"alphas sum to {total}, exceeding budget {plan.budget}")
     return PlanVerdict(valid=not violations, violations=tuple(violations))
 
@@ -153,27 +157,38 @@ def detect_exact(g: Graph, plan: ScrutinyPlan, params: DetectionParams) -> Detec
 
 
 def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
+    """Per-member detection counts and detected-count histogram of trials [lo, hi).
+
+    Each (trial, newly detected member) hit expands over that detector's
+    out-pairs (``pairs`` is sorted by detector), reads only those pairs'
+    indirect draws, and scatters the still-hidden targets it catches into
+    the next frontier, so work scales with the ties of caught members.
+    """
     (n, pairs, alphas, gamma, cascade, periods, seed, stride, lo, hi) = args
     rows = hi - lo
     gen = np.random.Generator(np.random.Philox(key=seed, counter=lo * stride))
     draws = gen.random((rows, stride * 4))
+    pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    first = np.searchsorted(pairs[:, 0], np.arange(n + 1))
     alphas = np.asarray(alphas)
-    npairs = len(pairs)
     detected = np.zeros((rows, n), dtype=bool)
     for period in range(periods):
-        base = period * (n + npairs)
-        u_direct = draws[:, base : base + n]
-        u_gamma = draws[:, base + n : base + n + npairs]
-        frontier = ~detected & (u_direct < alphas)
+        base = period * (n + len(pairs))
+        frontier = ~detected & (draws[:, base : base + n] < alphas)
         detected |= frontier
         while frontier.any():
-            indirect = np.zeros_like(detected)
-            for k, (i, j) in enumerate(pairs):
-                indirect[:, j] |= frontier[:, i] & (u_gamma[:, k] < gamma) & ~detected[:, j]
-            detected |= indirect
+            row, det = np.nonzero(frontier)
+            fanout = first[det + 1] - first[det]
+            # hit h covers pair indices first[det[h]] .. first[det[h] + 1] - 1
+            k = np.arange(fanout.sum()) + np.repeat(first[det] - np.cumsum(fanout) + fanout, fanout)
+            row = np.repeat(row, fanout)
+            target = pairs[k, 1]
+            hit = (draws[row, base + n + k] < gamma) & ~detected[row, target]
+            frontier = np.zeros_like(detected)
+            frontier[row[hit], target[hit]] = True
+            detected |= frontier
             if not cascade:
                 break
-            frontier = indirect
     member_counts = detected.sum(axis=0, dtype=np.int64)
     hist = np.bincount(detected.sum(axis=1), minlength=n + 1).astype(np.int64)
     return member_counts, hist
@@ -194,21 +209,25 @@ def simulate(
     periods and detected members are not re-drawn. One indirect draw exists
     per (detector, target) pair per period.
 
-    Trial t derives its randomness from ``(params.seed, t)`` alone, so the
-    report is bit-identical for any ``workers`` value and across runs.
+    Trial t derives its randomness from ``(params.seed, t)`` alone: it
+    starts at Philox counter ``t * stride``. Chunks are therefore sized
+    from a fixed draws budget (about 8 MiB of uniforms per chunk, one trial
+    at least) whatever the trial count or horizon, and the report is
+    bit-identical for any ``workers`` value, chunking and across runs.
     """
     _require_runnable(g, plan)
     if not (isinstance(periods, int) and periods >= 1):
         raise ValueError(f"periods must be a positive integer, got {periods}")
-    pairs = _info_pairs(g)
+    pairs = np.array(_info_pairs(g), dtype=np.intp).reshape(-1, 2)
     trials = params.trials
     # 4 uniforms per Philox counter; pad each trial's block to a counter boundary
     draws_per_trial = periods * (g.n + len(pairs))
     stride = (draws_per_trial + 3) // 4
+    rows = min(_TRIALS_PER_CHUNK, max(1, _DRAW_BUDGET_BYTES // (32 * stride)))
     jobs = [
         (g.n, pairs, plan.alphas, params.gamma, params.cascade, periods,
-         params.seed, stride, lo, min(lo + _TRIALS_PER_CHUNK, trials))
-        for lo in range(0, trials, _TRIALS_PER_CHUNK)
+         params.seed, stride, lo, min(lo + rows, trials))
+        for lo in range(0, trials, rows)
     ]
     results = run_chunks(_simulate_chunk, jobs, workers)
 

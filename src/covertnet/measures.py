@@ -51,9 +51,9 @@ class SecrecyParams:
         if self.sharing_weights is not None:
             weights = tuple(float(w) for w in self.sharing_weights)
             object.__setattr__(self, "sharing_weights", weights)
-            if any(w < 0 for w in weights):
+            if any(not w >= 0 for w in weights):
                 raise ValueError("sharing weights must be nonnegative")
-            if abs(sum(weights) - 1.0) > _WEIGHT_SUM_TOL:
+            if not abs(sum(weights) - 1.0) <= _WEIGHT_SUM_TOL:
                 raise ValueError(f"sharing weights must sum to 1, got {sum(weights)}")
 
     def weights_for(self, n: int) -> np.ndarray:

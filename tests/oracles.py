@@ -7,7 +7,9 @@ Everything here deliberately avoids the library's algorithms:
 * connectivity inside the subset counter uses union-find (the library uses
   breadth-first search),
 * detection probabilities come from enumerating every combination of
-  direct and indirect draws (the library uses a closed form).
+  direct and indirect draws (the library uses a closed form),
+* a Monte Carlo chunk is replayed by scanning every (detector, target)
+  pair at each propagation step (the library expands only the frontier).
 
 Oracles read only the public fields of a Graph (n, directed, edges).
 """
@@ -131,6 +133,39 @@ def detection_joint_enumeration(
                 caught |= direct[:, src][:, None] & indirect[:, k][None, :]
         prob[j] = weight[caught].sum()
     return prob
+
+
+def reference_simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pair replay of a ``detection._simulate_chunk`` job.
+
+    Same job tuple and same Philox draws as the library; at every step the
+    indirect draws are applied by looping over all (detector, target)
+    pairs, whether or not the detector was just caught.
+    """
+    (n, pairs, alphas, gamma, cascade, periods, seed, stride, lo, hi) = args
+    rows = hi - lo
+    gen = np.random.Generator(np.random.Philox(key=seed, counter=lo * stride))
+    draws = gen.random((rows, stride * 4))
+    alphas = np.asarray(alphas)
+    npairs = len(pairs)
+    detected = np.zeros((rows, n), dtype=bool)
+    for period in range(periods):
+        base = period * (n + npairs)
+        u_direct = draws[:, base : base + n]
+        u_gamma = draws[:, base + n : base + n + npairs]
+        frontier = ~detected & (u_direct < alphas)
+        detected |= frontier
+        while frontier.any():
+            indirect = np.zeros_like(detected)
+            for k, (i, j) in enumerate(pairs):
+                indirect[:, j] |= frontier[:, i] & (u_gamma[:, k] < gamma) & ~detected[:, j]
+            detected |= indirect
+            if not cascade:
+                break
+            frontier = indirect
+    member_counts = detected.sum(axis=0, dtype=np.int64)
+    hist = np.bincount(detected.sum(axis=1), minlength=n + 1).astype(np.int64)
+    return member_counts, hist
 
 
 # Weight grid for randomized weighted-distance tests. Dyadic values keep

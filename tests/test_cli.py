@@ -110,6 +110,12 @@ class TestMetrics:
         # all sharing weight on the hub
         assert doc["H"] == pytest.approx(0.375, abs=1e-12)
 
+    def test_nan_sharing_weight_exits_2(self, capsys, star4_csv):
+        code, out, err = run(
+            capsys, "metrics", star4_csv, "--p", "0.3", "--sharing-weights", "nan,0.5,0.25,0.25"
+        )
+        assert code == 2 and out == "" and "nonnegative" in err
+
     def test_edge_weighted_distances(self, capsys, tmp_path):
         path = tmp_path / "weighted.json"
         path.write_text('{"n": 2, "edges": [[0, 1, 2.5]]}')
@@ -239,6 +245,15 @@ class TestSimulate:
             "--budget", "0.5", "--gamma", "0.5", "--cost-k", "1",
         )
         assert code == 2 and "budget" in err
+
+    def test_budget_split_exactly_admitted(self, capsys, tmp_path):
+        path = tmp_path / "path3.json"
+        path.write_text('{"n": 3, "edges": [[0, 1], [1, 2]]}')
+        doc = run_json(
+            capsys, "simulate", str(path), "--alphas", "0.1,0.2,0.3", "--budget", "0.6",
+            "--gamma", "0.5", "--cost-k", "1", "--exact",
+        )
+        assert doc["mode"] == "exact"
 
     def test_exact_rejects_multi_period(self, capsys, pair_graph):
         code, _, _ = run(

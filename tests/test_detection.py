@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import covertnet.detection as detection
 from covertnet.detection import (
@@ -16,7 +18,8 @@ from covertnet.detection import (
 from covertnet.graph import build_graph
 from covertnet.measures import make_structure
 
-from oracles import detection_joint_enumeration
+from oracles import detection_joint_enumeration, reference_simulate_chunk
+from strategies import graphs
 
 
 def two_member_case():
@@ -29,6 +32,15 @@ def two_member_case():
 class TestValidatePlan:
     def test_boundary_budget_admitted(self):
         assert validate_plan(ScrutinyPlan((0.2, 0.3), budget=0.5)).valid
+
+    @pytest.mark.parametrize(
+        "alphas, budget", [((0.1, 0.2, 0.3), 0.6), ((0.01,) * 60, 0.6), ((0.9 / 7,) * 7, 0.9)]
+    )
+    def test_rounded_exact_split_admitted(self, alphas, budget):
+        assert validate_plan(ScrutinyPlan(alphas, budget)).valid
+
+    def test_excess_beyond_rounding_rejected(self):
+        assert not validate_plan(ScrutinyPlan((0.1, 0.2, 0.3 + 1e-9), 0.6)).valid
 
     def test_budget_exceeded(self):
         verdict = validate_plan(ScrutinyPlan((0.4, 0.4), budget=0.5))
@@ -261,3 +273,82 @@ class TestSimulate:
         g = build_graph(2, edges=[(0, 1)])
         with pytest.raises(InfeasiblePlanError):
             simulate(g, ScrutinyPlan((0.9, 0.9), 0.5), DetectionParams(0.5, 1.0, trials=10))
+
+
+@st.composite
+def chunk_jobs(draw):
+    """A ``_simulate_chunk`` job on a small graph, with pairs as a tuple."""
+    g = draw(st.booleans().flatmap(lambda directed: graphs(min_n=1, max_n=6, directed=directed)))
+    pairs = detection._info_pairs(g)
+    periods = draw(st.integers(1, 3))
+    alphas = tuple(draw(st.lists(st.floats(0.0, 1.0), min_size=g.n, max_size=g.n)))
+    gamma = draw(st.floats(0.0, 1.0, exclude_min=True))
+    lo = draw(st.integers(0, 500))
+    hi = lo + draw(st.integers(1, 64))
+    stride = (periods * (g.n + len(pairs)) + 3) // 4
+    return (g.n, pairs, alphas, gamma, draw(st.booleans()), periods,
+            draw(st.integers(0, 1 << 64)), stride, lo, hi)
+
+
+def record_jobs(monkeypatch) -> list:
+    """Replace run_chunks with a recorder that returns empty detections."""
+    jobs = []
+
+    def record(fn, batch, workers):
+        jobs.extend(batch)
+        results = []
+        for n, *_, lo, hi in batch:
+            hist = np.zeros(n + 1, dtype=np.int64)
+            hist[0] = hi - lo
+            results.append((np.zeros(n, dtype=np.int64), hist))
+        return results
+
+    monkeypatch.setattr(detection, "run_chunks", record)
+    return jobs
+
+
+def random_network(n: int, m: int, seed: int):
+    rng = random.Random(seed)
+    edges = set()
+    while len(edges) < m:
+        i, j = rng.sample(range(n), 2)
+        edges.add((min(i, j), max(i, j)))
+    return build_graph(n, edges=sorted(edges))
+
+
+class TestSimulateChunk:
+    @settings(max_examples=150, deadline=None)
+    @given(chunk_jobs())
+    def test_matches_pair_loop_reference(self, job):
+        expected = reference_simulate_chunk(job)
+        array_job = (job[0], np.array(job[1], dtype=np.intp).reshape(-1, 2)) + job[2:]
+        for got in (detection._simulate_chunk(job), detection._simulate_chunk(array_job)):
+            assert np.array_equal(got[0], expected[0])
+            assert np.array_equal(got[1], expected[1])
+
+    def test_chunks_fit_draw_budget(self, monkeypatch):
+        jobs = record_jobs(monkeypatch)
+        g = random_network(300, 1500, seed=4)
+        plan = ScrutinyPlan((0.6 / 300,) * 300, budget=0.6)
+        simulate(g, plan, DetectionParams(0.5, 1.0, trials=2048, seed=1), periods=3)
+        assert len(jobs) > 1
+        assert [job[8] for job in jobs] == [0] + [job[9] for job in jobs[:-1]]
+        assert jobs[-1][9] == 2048
+        for *_, stride, lo, hi in jobs:
+            assert (hi - lo) * 32 * stride <= detection._DRAW_BUDGET_BYTES
+
+    def test_trial_over_budget_gets_one_row_jobs(self, monkeypatch):
+        jobs = record_jobs(monkeypatch)
+        g = random_network(300, 1500, seed=4)
+        plan = ScrutinyPlan((0.6 / 300,) * 300, budget=0.6)
+        simulate(g, plan, DetectionParams(0.5, 1.0, trials=5, seed=1), periods=400)
+        assert 32 * jobs[0][7] > detection._DRAW_BUDGET_BYTES
+        assert [(job[8], job[9]) for job in jobs] == [(t, t + 1) for t in range(5)]
+
+    def test_one_row_jobs_bit_identical(self, monkeypatch):
+        g = make_structure("path", 6)
+        plan = ScrutinyPlan((0.3, 0.0, 0.1, 0.0, 0.2, 0.0), budget=0.6)
+        params = DetectionParams(gamma=0.7, cost_k=1.0, cascade=True, trials=300, seed=3)
+        baseline = simulate(g, plan, params, periods=2)
+        monkeypatch.setattr(detection, "_DRAW_BUDGET_BYTES", 1)
+        assert simulate(g, plan, params, periods=2) == baseline

@@ -30,6 +30,11 @@ class TestSecrecyParams:
         with pytest.raises(ValueError):
             SecrecyParams(0.5, sharing_weights=(0.5, 0.7, -0.2))
 
+    @pytest.mark.parametrize("weights", [(float("nan"), 0.5, 0.5), (0.5, 0.5, float("nan"))])
+    def test_nan_weight_rejected(self, weights):
+        with pytest.raises(ValueError, match="nonnegative"):
+            SecrecyParams(0.5, sharing_weights=weights)
+
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum to 1"):
             SecrecyParams(0.5, sharing_weights=(0.5, 0.4))
