@@ -17,6 +17,8 @@ def run_chunks(fn: Callable, jobs: Sequence, workers: int) -> list:
 
     The pool never outnumbers the jobs or the machine's CPUs.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers}")
     workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(job) for job in jobs]

@@ -87,8 +87,10 @@ class DetectionParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
-        if not self.cost_k > 0:
-            raise ValueError(f"cost per detected member must be positive, got {self.cost_k}")
+        if not 0 < self.cost_k < math.inf:
+            raise ValueError(
+                f"cost per detected member must be finite and positive, got {self.cost_k}"
+            )
         if not (isinstance(self.trials, int) and self.trials >= 1):
             raise ValueError(f"trial count must be a positive integer, got {self.trials}")
         if not (isinstance(self.seed, int) and 0 <= self.seed < 1 << 128):

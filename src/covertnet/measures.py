@@ -205,7 +205,7 @@ def make_structure(kind: str, n: int) -> Graph:
 def make_hierarchy(alphas: Sequence[float], n_linked: int) -> Graph:
     """Hub-dominated hierarchy for a sorted scrutiny vector.
 
-    ``alphas`` must be ascending: the member under the least scrutiny sits
+    ``alphas`` must be ascending levels in [0, 1]: the member under the least scrutiny sits
     at vertex 0 and becomes the hub. The ``n_linked`` members under the
     heaviest scrutiny (vertices N-1 down to N-n_linked) are linked to the
     hub; everyone else stays isolated. ``n_linked=0`` produces an anarchy
@@ -215,6 +215,8 @@ def make_hierarchy(alphas: Sequence[float], n_linked: int) -> Graph:
     big_n = len(alphas)
     if big_n < 1:
         raise ValueError("scrutiny vector must be nonempty")
+    if not all(0.0 <= a <= 1.0 for a in alphas):  # also rejects NaN
+        raise ValueError(f"scrutiny levels must lie in [0, 1], got {alphas}")
     if any(alphas[i] > alphas[i + 1] for i in range(big_n - 1)):
         raise ValueError("scrutiny vector must be sorted ascending")
     if not 0 <= n_linked <= big_n - 1:

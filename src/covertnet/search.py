@@ -6,15 +6,18 @@ graphs: correctness is easy to audit against the 2^C(n,2) subset count,
 and the balance measure is invariant under relabeling anyway, so the only
 effect is that maximizer sets list every labeling of a shape.
 
-The mask space may be partitioned into fixed-size chunks processed by
-parallel workers; chunk boundaries never depend on the worker count and
-results are merged in chunk order, so any worker count yields bit-identical
-results.
+The mask space is partitioned into fixed-size chunks, and every mask of a
+chunk is evaluated at once by numpy bitset arithmetic (``_chunk_stats``):
+no Python code runs per mask until maximizers are turned into graphs.
+Chunks may be processed by parallel workers; chunk boundaries never depend
+on the worker count and results are merged in chunk order, so any worker
+count yields bit-identical results.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -81,38 +84,6 @@ def _edge_slots(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(itertools.combinations(range(n), 2))
 
 
-def _mask_stats(mask: int, n: int, slots: tuple[tuple[int, int], ...]):
-    """(total distance, degrees) for a connected mask, else None."""
-    adj = [0] * n
-    mm = mask
-    while mm:
-        low = mm & -mm
-        i, j = slots[low.bit_length() - 1]
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-        mm ^= low
-    full = (1 << n) - 1
-    total = 0
-    for s in range(n):
-        seen = 1 << s
-        frontier = seen
-        level = 0
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
-                nxt |= adj[low.bit_length() - 1]
-                f ^= low
-            frontier = nxt & ~seen
-            seen |= frontier
-            level += 1
-            total += level * frontier.bit_count()
-        if seen != full:
-            return None
-    return total, [a.bit_count() for a in adj]
-
-
 def _graph_from_mask(mask: int, n: int, slots: tuple[tuple[int, int], ...]) -> Graph:
     edges = [slots[k] for k in range(len(slots)) if mask >> k & 1]
     return build_graph(n, directed=False, edges=edges)
@@ -129,31 +100,50 @@ def enumerate_connected(n: int, allow_large: bool = False) -> Iterator[Graph]:
     slots = _edge_slots(n)
 
     def generate() -> Iterator[Graph]:
-        for mask in range(1 << len(slots)):
-            if _mask_stats(mask, n, slots) is not None:
+        for lo, hi in _chunk_ranges(n):
+            for mask in _chunk_stats(n, lo, hi)[0].tolist():
                 yield _graph_from_mask(mask, n, slots)
 
     return generate()
 
 
-def _chunk_stats(n: int, lo: int, hi: int):
-    """Stats arrays for connected masks in [lo, hi)."""
-    slots = _edge_slots(n)
-    masks: list[int] = []
-    totals: list[int] = []
-    degrees: list[list[int]] = []
-    for mask in range(lo, hi):
-        stats = _mask_stats(mask, n, slots)
-        if stats is None:
-            continue
-        masks.append(mask)
-        totals.append(stats[0])
-        degrees.append(stats[1])
-    return (
-        np.asarray(masks, dtype=np.int64),
-        np.asarray(totals, dtype=np.float64),
-        np.asarray(degrees, dtype=np.float64).reshape(len(masks), n),
-    )
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def _chunk_stats(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Connected masks in [lo, hi) with their total distances and degrees.
+
+    Every mask of the chunk is evaluated at once. Row v of ``adj`` holds
+    vertex v's neighbours as one uint8 bitset per mask (n <= 8), and row s
+    of ``reach`` the vertices within the current level of source s; a level
+    grows each ball by the balls of the source's neighbours. An ordered
+    pair adds one to the total distance for each level at which it is still
+    unreached, so T = sum over levels 0..n-2 of (n^2 - |reach|), and a mask
+    is connected when every source reaches all n vertices by level n-1.
+    Returns the masks (int64), T (float64) and the degree rows (float64,
+    shape (masks, n)) of the connected masks, in mask order.
+    """
+    masks = np.arange(lo, hi, dtype=np.int64)
+    adj = np.zeros((n, len(masks)), dtype=np.uint8)
+    for k, (i, j) in enumerate(_edge_slots(n)):
+        edge = (masks >> k & 1).astype(np.uint8)
+        adj[i] |= edge << j
+        adj[j] |= edge << i
+    # near[v][s] is 0xFF where v is a neighbour of s, else 0
+    near = [(adj >> v & 1) * np.uint8(0xFF) for v in range(n)]
+    reach = np.repeat((1 << np.arange(n, dtype=np.uint8))[:, None], len(masks), axis=1)
+    reached = np.zeros_like(reach)  # at most n per level over n-1 levels: fits uint8
+    for _ in range(n - 1):
+        reached += _POPCOUNT.take(reach)
+        grown = reach.copy()
+        for v in range(n):
+            grown |= near[v] & reach[v]
+        reach = grown
+    totals = (n - 1) * n * n - reached.sum(axis=0, dtype=np.int64)
+    connected = (reach == (1 << n) - 1).all(axis=0)
+    # row-major like one degree vector per row: the H matmul's summation order follows layout
+    degrees = _POPCOUNT.take(adj[:, connected].T).astype(np.float64, order="C")
+    return masks[connected], totals[connected].astype(np.float64), degrees
 
 
 def _mu_vector(n: int, totals: np.ndarray, degrees: np.ndarray, p: float, weights: np.ndarray) -> np.ndarray:
@@ -192,8 +182,8 @@ def _scan_optimal_chunk(args) -> tuple[int, list[tuple[float, list[int], list[fl
 
 
 def _check_tolerance(tolerance: float) -> None:
-    if not tolerance >= 0:  # also rejects NaN
-        raise ValueError(f"tolerance must be nonnegative, got {tolerance}")
+    if not 0 <= tolerance < math.inf:  # also rejects NaN
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance}")
 
 
 def _scan(

@@ -178,6 +178,10 @@ class TestOptimal:
         code, out, err = run(capsys, "optimal", "--n", "4", "--p", "0.5", "--max-maximizers", "-1")
         assert code == 2 and out == "" and "--max-maximizers" in err
 
+    def test_infinite_tolerance_exits_2(self, capsys):
+        code, out, err = run(capsys, "optimal", "--n", "4", "--p", "0.3", "--tolerance", "inf")
+        assert code == 2 and out == "" and "tolerance" in err
+
     def test_eight_needs_flag(self, capsys):
         code, _, err = run(capsys, "optimal", "--n", "8", "--p", "0.2")
         assert code == 2 and "allow_large" in err
@@ -254,6 +258,13 @@ class TestSimulate:
             "--gamma", "0.5", "--cost-k", "1", "--exact",
         )
         assert doc["mode"] == "exact"
+
+    def test_infinite_cost_exits_2(self, capsys, pair_graph):
+        code, out, err = run(
+            capsys, "simulate", pair_graph, "--alphas", "0.1,0.1", "--budget", "0.5",
+            "--gamma", "0.5", "--cost-k", "inf", "--exact",
+        )
+        assert code == 2 and out == "" and "cost" in err
 
     def test_exact_rejects_multi_period(self, capsys, pair_graph):
         code, _, _ = run(
@@ -354,3 +365,62 @@ class TestHierarchy:
     def test_out_of_range_exits_2(self, capsys):
         code, _, _ = run(capsys, "hierarchy", "--alphas", "0.1,0.2", "--n-linked", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("alphas", ["nan,0.1,0.2", "0.1,inf"])
+    def test_levels_outside_unit_interval_exit_2(self, capsys, alphas):
+        code, out, err = run(capsys, "hierarchy", "--alphas", alphas, "--n-linked", "1")
+        assert code == 2 and out == "" and "[0, 1]" in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimal", "--n", "3", "--p", "0.3"],
+        ["verify-lemmas", "--n-max", "3"],
+        ["simulate", "{graph}", "--alphas", "0.1,0.1", "--budget", "0.5", "--gamma", "0.5",
+         "--cost-k", "1", "--trials", "10"],
+    ],
+    ids=["optimal", "verify-lemmas", "simulate"],
+)
+def test_nonpositive_workers_exit_2(capsys, pair_graph, argv, workers):
+    argv = [a.format(graph=pair_graph) for a in argv]
+    code, out, err = run(capsys, *argv, f"--workers={workers}")
+    assert code == 2 and out == "" and "workers" in err
+
+
+def _simulate(**value):
+    """``simulate --exact`` on the pair graph with valid values, except for ``value``."""
+    flags = {"alphas": "0.1,0.1", "budget": "0.5", "gamma": "0.5", "cost_k": "1", **value}
+    return ["simulate", "{graph}", "--exact"] + [
+        f"--{name.replace('_', '-')}={v}" for name, v in flags.items()
+    ]
+
+
+# Each numeric flag: its command line with "{}" where the value goes, and the
+# finite values outside its range. Every flag also gets nan, inf and -inf.
+NUMERIC_FLAGS = {
+    "metrics --p": (["metrics", "{graph}", "--p={}"], ["-0.1", "1.5"]),
+    "metrics --sharing-weights": (
+        ["metrics", "{graph}", "--p", "0.3", "--sharing-weights=0.5,{}"], ["-0.5", "1.5"]
+    ),
+    "optimal --p": (["optimal", "--n", "3", "--p={}"], ["-0.1", "1.5"]),
+    "optimal --tolerance": (["optimal", "--n", "3", "--p", "0.3", "--tolerance={}"], ["-1e-9"]),
+    "verify-lemmas --grid-step": (["verify-lemmas", "--n-max", "3", "--grid-step={}"], ["0", "0.6"]),
+    "simulate --alphas": (_simulate(alphas="0.1,{}"), ["-0.1", "1.5"]),
+    "simulate --budget": (_simulate(budget="{}"), ["-0.1", "1.5"]),
+    "simulate --gamma": (_simulate(gamma="{}"), ["0", "1.5"]),
+    "simulate --cost-k": (_simulate(cost_k="{}"), ["0", "-1"]),
+    "hierarchy --alphas": (["hierarchy", "--alphas=0.1,{}", "--n-linked", "1"], ["1.5"]),
+}
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [(flag, v) for flag, (_, bad) in NUMERIC_FLAGS.items() for v in ["nan", "inf", "-inf", *bad]],
+)
+def test_numeric_flag_outside_range_exits_2(capsys, pair_graph, flag, value):
+    template, _ = NUMERIC_FLAGS[flag]
+    code, out, _ = run(capsys, *(a.format(value, graph=pair_graph) for a in template))
+    assert code == 2, out
+    assert "NaN" not in out and "Infinity" not in out

@@ -70,6 +70,11 @@ class TestDetectionParams:
         with pytest.raises(ValueError):
             DetectionParams(gamma=0.5, cost_k=0.0)
 
+    @pytest.mark.parametrize("cost_k", [math.inf, math.nan])
+    def test_cost_must_be_finite(self, cost_k):
+        with pytest.raises(ValueError, match="finite and positive"):
+            DetectionParams(gamma=0.5, cost_k=cost_k)
+
     def test_trials_positive(self):
         with pytest.raises(ValueError):
             DetectionParams(gamma=0.5, cost_k=1.0, trials=0)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -176,6 +178,13 @@ class TestMakeHierarchy:
     def test_unsorted_rejected(self):
         with pytest.raises(ValueError, match="ascending"):
             make_hierarchy([0.3, 0.1, 0.2], n_linked=1)
+
+    @pytest.mark.parametrize(
+        "alphas", [(math.nan, 0.1, 0.2), (0.1, math.inf), (-0.1, 0.2), (0.1, 1.5)]
+    )
+    def test_levels_outside_unit_interval_rejected(self, alphas):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            make_hierarchy(alphas, n_linked=1)
 
     def test_n_linked_out_of_range(self):
         with pytest.raises(ValueError):

@@ -38,6 +38,14 @@ def test_pool_capped_by_jobs_and_cpus(monkeypatch, pool_sizes, workers, cpus, ex
     assert pool_sizes == ([] if expected is None else [expected])
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_nonpositive_workers_rejected(pool_sizes, workers):
+    ran = []
+    with pytest.raises(ValueError, match="workers must be a positive integer"):
+        run_chunks(ran.append, [1, 2], workers)
+    assert ran == [] and pool_sizes == []
+
+
 def test_single_job_runs_inline(monkeypatch, pool_sizes):
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     assert run_chunks(abs, [-5], 10_000) == [5]

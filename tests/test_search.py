@@ -1,7 +1,13 @@
+import itertools
+import math
+
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import covertnet.search as search
-from covertnet.graph import is_connected
+from covertnet.graph import build_graph, is_connected, total_distance
 from covertnet.measures import SecrecyParams, balance, make_structure
 from covertnet.search import enumerate_connected, find_optimal, verify_lemma
 
@@ -40,6 +46,51 @@ class TestEnumerateConnected:
         with pytest.raises(ValueError, match="allow_large"):
             enumerate_connected(8)
         enumerate_connected(8, allow_large=True)  # permitted, not consumed
+
+
+@st.composite
+def mask_windows(draw):
+    """(n, lo, hi): a window of at most 64 masks inside the n-vertex mask space."""
+    n = draw(st.integers(2, 8))
+    space = 1 << (n * (n - 1) // 2)
+    lo = draw(st.integers(0, space - 1))
+    return n, lo, min(space, lo + draw(st.integers(1, 64)))
+
+
+class TestChunkStats:
+    @settings(max_examples=60, deadline=None)
+    @example((8, (1 << 28) - 64, 1 << 28))  # top window: bit 7 of every adjacency row
+    @given(mask_windows())
+    def test_matches_graph_distances(self, window):
+        n, lo, hi = window
+        masks, totals, degrees = search._chunk_stats(n, lo, hi)
+        assert masks.dtype == np.int64 and totals.dtype == np.float64
+        assert degrees.dtype == np.float64 and degrees.shape == (len(masks), n)
+        slots = list(itertools.combinations(range(n), 2))
+        expected = []
+        for mask in range(lo, hi):
+            g = build_graph(n, edges=[slots[k] for k in range(len(slots)) if mask >> k & 1])
+            if is_connected(g):
+                expected.append((mask, total_distance(g), g.degree_sequence()))
+        assert [m for m, _, _ in expected] == masks.tolist()
+        assert [t for _, t, _ in expected] == totals.tolist()
+        assert [list(d) for _, _, d in expected] == degrees.tolist()
+
+
+class TestOrderSeven:
+    def test_complete_graph_alone_at_low_p(self):
+        result = find_optimal(7, SecrecyParams(0.3))
+        assert result.graphs_enumerated == 1_866_256  # OEIS A001187
+        assert [g.edges for g in result.argmax_graphs] == [make_structure("complete", 7).edges]
+
+    def test_labeled_stars_at_high_p(self):
+        result = find_optimal(7, SecrecyParams(0.7))
+        stars = [build_graph(7, edges=[(h, j) for j in range(7) if j != h]).edges for h in range(7)]
+        assert sorted(g.edges for g in result.argmax_graphs) == sorted(stars)
+
+    def test_lemma_claims(self):
+        assert verify_lemma("complete_optimal", 7, [0.0, 0.3, 0.5]).all_passed
+        assert verify_lemma("star_optimal", 7, [0.5, 0.7, 1.0]).all_passed
 
 
 class TestFindOptimal:
@@ -95,6 +146,10 @@ class TestFindOptimal:
         with pytest.raises(ValueError, match="tolerance"):
             find_optimal(4, SecrecyParams(0.3), tolerance=float("nan"))
 
+    def test_infinite_tolerance_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            find_optimal(4, SecrecyParams(0.3), tolerance=math.inf)
+
     def test_worker_count_does_not_change_result(self):
         one = find_optimal(6, SecrecyParams(0.5))
         two = find_optimal(6, SecrecyParams(0.5), workers=3)
@@ -141,6 +196,10 @@ class TestVerifyLemma:
     def test_nan_tolerance_rejected(self):
         with pytest.raises(ValueError, match="tolerance"):
             verify_lemma("complete_optimal", 4, [0.3], tolerance=float("nan"))
+
+    def test_infinite_tolerance_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            verify_lemma("complete_optimal", 4, [0.3], tolerance=math.inf)
 
     def test_unknown_claim_rejected(self):
         with pytest.raises(ValueError, match="unknown claim"):
