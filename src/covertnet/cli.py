@@ -115,9 +115,10 @@ def _cmd_optimal(args: argparse.Namespace) -> int:
 def _cmd_verify_lemmas(args: argparse.Namespace) -> int:
     if not 3 <= args.n_max <= 7:
         raise ValueError(f"--n-max must be in [3, 7], got {args.n_max}")
-    if not 0.0 < args.grid_step <= 0.5:
-        raise ValueError(f"--grid-step must be in (0, 0.5], got {args.grid_step}")
-    steps = round(0.5 / args.grid_step)
+    # each grid point costs one structure search per order
+    steps = round(0.5 / args.grid_step) if 0.0 < args.grid_step <= 0.5 else 0
+    if not 0 < steps <= 1000 or abs(0.5 / args.grid_step - steps) > 1e-9:
+        raise ValueError(f"--grid-step must be 0.5/k for a whole k in 1..1000, got {args.grid_step}")
     low_grid = [0.5 * k / steps for k in range(steps + 1)]
     high_grid = [0.5 + 0.5 * k / steps for k in range(steps + 1)]
     rows = []
@@ -170,8 +171,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "cost_k": params.cost_k,
     }
     if args.exact:
-        if args.cascade or args.periods > 1:
+        if args.cascade or args.periods != 1:
             raise ValueError("exact mode covers one period and one hop; drop --exact to simulate")
+        if args.workers < 1:
+            raise ValueError(f"workers must be a positive integer, got {args.workers}")
         report = detect_exact(graph, plan, params)
         doc["mode"] = report.mode
     else:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import run_chunks
-from .graph import Graph
+from .graph import Graph, _out_arcs
 from .measures import _WEIGHT_SUM_TOL
 
 _TRIALS_PER_CHUNK = 1 << 13
@@ -124,14 +124,19 @@ def _require_runnable(g: Graph, plan: ScrutinyPlan) -> None:
         )
 
 
-def _info_pairs(g: Graph) -> tuple[tuple[int, int], ...]:
-    """Ordered (detector, target) pairs; undirected ties count both ways."""
-    pairs = []
-    for s, t, _ in g.edges:
-        pairs.append((s, t))
-        if not g.directed:
-            pairs.append((t, s))
-    return tuple(sorted(pairs))
+def _report(prob: np.ndarray, params: DetectionParams, mode: str, **spread) -> DetectionReport:
+    """Report per-member probabilities ``prob``; the expected cost must be finite."""
+    expected = float(prob.sum())
+    cost = params.cost_k * expected
+    if not math.isfinite(cost):
+        raise ValueError(f"expected cost overflows: {params.cost_k} x {expected} detections")
+    return DetectionReport(
+        per_member_prob=tuple(float(x) for x in prob),
+        expected_detected=expected,
+        expected_cost=cost,
+        mode=mode,
+        **spread,
+    )
 
 
 def detect_exact(g: Graph, plan: ScrutinyPlan, params: DetectionParams) -> DetectionReport:
@@ -146,16 +151,9 @@ def detect_exact(g: Graph, plan: ScrutinyPlan, params: DetectionParams) -> Detec
         raise ValueError("exact mode covers one hop only; use simulate for cascades")
     alphas = np.asarray(plan.alphas)
     hidden = 1.0 - alphas
-    for i, j in _info_pairs(g):
+    for i, j in np.column_stack(g._arcs[:2]).tolist():
         hidden[j] *= 1.0 - alphas[i] * params.gamma
-    prob = 1.0 - hidden
-    expected = float(prob.sum())
-    return DetectionReport(
-        per_member_prob=tuple(float(x) for x in prob),
-        expected_detected=expected,
-        expected_cost=params.cost_k * expected,
-        mode="exact",
-    )
+    return _report(1.0 - hidden, params, "exact")
 
 
 def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
@@ -180,9 +178,7 @@ def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
         detected |= frontier
         while frontier.any():
             row, det = np.nonzero(frontier)
-            fanout = first[det + 1] - first[det]
-            # hit h covers pair indices first[det[h]] .. first[det[h] + 1] - 1
-            k = np.arange(fanout.sum()) + np.repeat(first[det] - np.cumsum(fanout) + fanout, fanout)
+            k, fanout = _out_arcs(first, det)
             row = np.repeat(row, fanout)
             target = pairs[k, 1]
             hit = (draws[row, base + n + k] < gamma) & ~detected[row, target]
@@ -220,7 +216,7 @@ def simulate(
     _require_runnable(g, plan)
     if not (isinstance(periods, int) and periods >= 1):
         raise ValueError(f"periods must be a positive integer, got {periods}")
-    pairs = np.array(_info_pairs(g), dtype=np.intp).reshape(-1, 2)
+    pairs = np.column_stack(g._arcs[:2])
     trials = params.trials
     # 4 uniforms per Philox counter; pad each trial's block to a counter boundary
     draws_per_trial = periods * (g.n + len(pairs))
@@ -240,7 +236,6 @@ def simulate(
         hist += h
 
     prob = member_counts / trials
-    expected = float(prob.sum())
     if trials > 1:
         values = np.arange(g.n + 1)
         mean_count = float((values * hist).sum()) / trials
@@ -250,11 +245,5 @@ def simulate(
     else:
         stderr = 0.0
         member_stderr = np.zeros(g.n)
-    return DetectionReport(
-        per_member_prob=tuple(float(x) for x in prob),
-        expected_detected=expected,
-        expected_cost=params.cost_k * expected,
-        mode="monte_carlo",
-        stderr=stderr,
-        per_member_stderr=tuple(float(x) for x in member_stderr),
-    )
+    spread = tuple(float(x) for x in member_stderr)
+    return _report(prob, params, "monte_carlo", stderr=stderr, per_member_stderr=spread)

@@ -9,15 +9,13 @@ Distances come in two flavours controlled by ``hop_mode``: unit hops (every
 edge counts 1, the default) or the stored edge weights. Unreachable pairs
 are marked with ``UNREACHABLE`` (infinity) rather than a large finite
 number, so a disconnected pair can never silently corrupt a distance sum.
-Each graph computes its distance matrix once per flavour; every
-distance-derived quantity reads that one matrix.
+Each graph computes its distance matrix once per flavour, with one kernel
+for both; every distance-derived quantity reads that one matrix.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -26,6 +24,8 @@ import numpy as np
 
 #: Marker stored in a DistanceMatrix for pairs with no connecting path.
 UNREACHABLE = math.inf
+# Most arcs one relaxation slice of _all_pairs expands; bounds its scratch memory.
+_RELAX_BUDGET = 1 << 14
 
 
 class GraphError(ValueError):
@@ -61,14 +61,21 @@ class Graph:
         return len(self.edges)
 
     @cached_property
-    def _out_adj(self) -> tuple[tuple[tuple[int, float], ...], ...]:
-        """Per-vertex outgoing (neighbor, weight) lists; both ways if undirected."""
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
-        for s, t, w in self.edges:
-            adj[s].append((t, w))
-            if not self.directed:
-                adj[t].append((s, w))
-        return tuple(tuple(sorted(a)) for a in adj)
+    def _arcs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only arc arrays ``(src, dst, weight, first)``.
+
+        Arcs are sorted by (source, target) and an undirected tie appears once
+        each way, so vertex v's out-arcs are ``first[v]:first[v + 1]``.
+        """
+        s, t, w = np.array(self.edges, dtype=float).reshape(-1, 3).T
+        if not self.directed:
+            s, t, w = np.concatenate([s, t]), np.concatenate([t, s]), np.concatenate([w, w])
+        order = np.lexsort((t, s))
+        src, dst, weight = s[order].astype(np.intp), t[order].astype(np.intp), w[order]
+        first = np.searchsorted(src, np.arange(self.n + 1))
+        for a in (src, dst, weight, first):
+            a.setflags(write=False)
+        return src, dst, weight, first
 
     @cached_property
     def _distances(self) -> dict[bool, DistanceMatrix]:
@@ -83,7 +90,7 @@ class Graph:
         """
         if self.directed:
             raise GraphError("degree_sequence is defined for undirected graphs")
-        return tuple(len(a) for a in self._out_adj)
+        return tuple(np.diff(self._arcs[3]).tolist())
 
     def _check_vertex(self, i: int) -> None:
         if not 0 <= i < self.n:
@@ -166,36 +173,46 @@ class DistanceMatrix:
         return bool(np.all(self.dist != UNREACHABLE))
 
 
-def _hop_distances_from(g: Graph, source: int, out: np.ndarray) -> None:
-    """Breadth-first unit-hop distances from one source, written into ``out``."""
-    out[source] = 0.0
-    queue = deque([source])
-    adj = g._out_adj
-    while queue:
-        u = queue.popleft()
-        du = out[u]
-        for v, _ in adj[u]:
-            if out[v] == UNREACHABLE:
-                out[v] = du + 1.0
-                queue.append(v)
+def _out_arcs(first: np.ndarray, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the out-arcs of ``vertices``, in order, and each vertex's arc count."""
+    start = first[vertices]
+    fanout = first[vertices + 1] - start
+    return np.arange(fanout.sum()) + np.repeat(start - np.cumsum(fanout) + fanout, fanout), fanout
 
 
-def _weighted_distances_from(g: Graph, source: int, out: np.ndarray) -> None:
-    """Dijkstra distances from one source using stored weights."""
-    out[source] = 0.0
-    done = [False] * g.n
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    adj = g._out_adj
-    while heap:
-        du, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        for v, w in adj[u]:
-            dv = du + w
-            if dv < out[v]:
-                out[v] = dv
-                heapq.heappush(heap, (dv, v))
+def _all_pairs(g: Graph, hop_mode: bool) -> np.ndarray:
+    """All-pairs shortest path lengths, relaxed from every source at once.
+
+    Each round relaxes the out-arcs of the (source, vertex) cells whose distance
+    fell in the round before, in slices of at most ``_RELAX_BUDGET`` arcs (or one
+    vertex's arcs). Weights are nonnegative and float addition is monotone, so
+    every cell settles at the least source-to-target sum over the paths to it.
+    """
+    n = g.n
+    _, dst, weight, first = g._arcs
+    weight = np.ones_like(weight) if hop_mode else weight
+    dist = np.full(n * n, UNREACHABLE)
+    fell = np.zeros(n * n, dtype=bool)
+    frontier = np.arange(n) * (n + 1)
+    dist[frontier] = 0.0
+    while frontier.size:
+        ends = np.cumsum(np.diff(first)[frontier % n])
+        lo = 0
+        while lo < frontier.size:
+            done = ends[lo - 1] if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(ends, done + _RELAX_BUDGET, side="right")))
+            source, vertex = np.divmod(frontier[lo:hi], n)
+            arc, fanout = _out_arcs(first, vertex)
+            cell = np.repeat(source * n, fanout) + dst[arc]
+            length = np.repeat(dist[frontier[lo:hi]], fanout) + weight[arc]
+            shorter = length < dist[cell]
+            cell = cell[shorter]
+            np.minimum.at(dist, cell, length[shorter])
+            fell[cell] = True
+            lo = hi
+        frontier = np.flatnonzero(fell)
+        fell[frontier] = False
+    return dist.reshape(n, n)
 
 
 def geodesic_distances(g: Graph, hop_mode: bool = True) -> DistanceMatrix:
@@ -211,10 +228,7 @@ def geodesic_distances(g: Graph, hop_mode: bool = True) -> DistanceMatrix:
     """
     dm = g._distances.get(hop_mode)
     if dm is None:
-        dist = np.full((g.n, g.n), UNREACHABLE, dtype=float)
-        from_source = _hop_distances_from if hop_mode else _weighted_distances_from
-        for source in range(g.n):
-            from_source(g, source, dist[source])
+        dist = _all_pairs(g, hop_mode)
         dm = g._distances[hop_mode] = DistanceMatrix(n=g.n, dist=dist, hop_mode=hop_mode)
     return dm
 

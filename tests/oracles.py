@@ -3,9 +3,10 @@
 Everything here deliberately avoids the library's algorithms:
 
 * shortest distances come from exhaustive depth-first enumeration of simple
-  paths (the library uses BFS / Dijkstra),
-* connectivity inside the subset counter uses union-find (the library uses
-  breadth-first search),
+  paths (the library relaxes the arcs of every source at once until no
+  distance falls),
+* connectivity inside the subset counter uses union-find (the library grows
+  each vertex's reach level by level with bitsets),
 * detection probabilities come from enumerating every combination of
   direct and indirect draws (the library uses a closed form),
 * a Monte Carlo chunk is replayed by scanning every (detector, target)

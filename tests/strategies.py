@@ -24,6 +24,7 @@ def graphs(
     weighted: bool = False,
     connected: bool = False,
     directed: bool = False,
+    weights: tuple[float, ...] = WEIGHT_GRID,
 ) -> Graph:
     n = draw(st.integers(min_n, max_n))
     pair_maker = itertools.permutations if directed else itertools.combinations
@@ -41,6 +42,6 @@ def graphs(
                 chosen.add((min(a, b), max(a, b)))
     edges = []
     for i, j in sorted(chosen):
-        w = draw(st.sampled_from(WEIGHT_GRID)) if weighted else 1.0
+        w = draw(st.sampled_from(weights)) if weighted else 1.0
         edges.append((i, j, w))
     return build_graph(n, directed=directed, edges=edges)

@@ -85,17 +85,16 @@ class TestMetrics:
     ):
         path = tmp_path / "weighted5.json"
         path.write_text('{"n": 5, "edges": [[0, 1, 2.0], [1, 2], [2, 3, 0.5], [3, 4], [0, 4]]}')
-        sources = {"hop": 0, "weighted": 0}
-        for mode, name in (("hop", "_hop_distances_from"), ("weighted", "_weighted_distances_from")):
-            kernel = getattr(covertnet.graph, name)
+        passes = {True: 0, False: 0}
+        kernel = covertnet.graph._all_pairs
 
-            def counted(g, source, out, kernel=kernel, mode=mode):
-                sources[mode] += 1
-                kernel(g, source, out)
+        def counted(g, hop_mode):
+            passes[hop_mode] += 1
+            return kernel(g, hop_mode)
 
-            monkeypatch.setattr(covertnet.graph, name, counted)
+        monkeypatch.setattr(covertnet.graph, "_all_pairs", counted)
         run_json(capsys, "metrics", str(path), "--p", "0.3", *extra)
-        assert sources == {"hop": 5 * hop_passes, "weighted": 5 * weighted_passes}
+        assert passes == {True: hop_passes, False: weighted_passes}
 
     def test_non_finite_csv_weight_exits_1(self, capsys, tmp_path):
         path = tmp_path / "inf.csv"
@@ -266,6 +265,14 @@ class TestSimulate:
         )
         assert code == 2 and out == "" and "cost" in err
 
+    @pytest.mark.parametrize("mode", [["--exact"], ["--trials", "100"]], ids=["exact", "monte-carlo"])
+    def test_overflowing_cost_exits_2(self, capsys, pair_graph, mode):
+        code, out, err = run(
+            capsys, "simulate", pair_graph, "--alphas", "0.5,0.5", "--budget", "1",
+            "--gamma", "1", "--cost-k", "1.7e308", *mode,
+        )
+        assert code == 2 and out == "" and "expected cost overflows" in err
+
     def test_exact_rejects_multi_period(self, capsys, pair_graph):
         code, _, _ = run(
             capsys, "simulate", pair_graph, "--alphas", "0.1,0.2", "--budget", "0.5",
@@ -389,16 +396,21 @@ def test_nonpositive_workers_exit_2(capsys, pair_graph, argv, workers):
     assert code == 2 and out == "" and "workers" in err
 
 
-def _simulate(**value):
-    """``simulate --exact`` on the pair graph with valid values, except for ``value``."""
-    flags = {"alphas": "0.1,0.1", "budget": "0.5", "gamma": "0.5", "cost_k": "1", **value}
-    return ["simulate", "{graph}", "--exact"] + [
+def _simulate(exact=True, **value):
+    """``simulate`` on the pair graph with valid values, except for ``value``.
+
+    Monte Carlo mode (``exact=False``) runs 10 trials.
+    """
+    flags = {"alphas": "0.1,0.1", "budget": "0.5", "gamma": "0.5", "cost_k": "1"}
+    flags.update({} if exact else {"trials": "10"}, **value)
+    return ["simulate", "{graph}", *(["--exact"] if exact else [])] + [
         f"--{name.replace('_', '-')}={v}" for name, v in flags.items()
     ]
 
 
 # Each numeric flag: its command line with "{}" where the value goes, and the
-# finite values outside its range. Every flag also gets nan, inf and -inf.
+# finite values outside its range. Every flag also gets nan, inf and -inf,
+# which argparse itself rejects for an integer flag.
 NUMERIC_FLAGS = {
     "metrics --p": (["metrics", "{graph}", "--p={}"], ["-0.1", "1.5"]),
     "metrics --sharing-weights": (
@@ -406,21 +418,45 @@ NUMERIC_FLAGS = {
     ),
     "optimal --p": (["optimal", "--n", "3", "--p={}"], ["-0.1", "1.5"]),
     "optimal --tolerance": (["optimal", "--n", "3", "--p", "0.3", "--tolerance={}"], ["-1e-9"]),
-    "verify-lemmas --grid-step": (["verify-lemmas", "--n-max", "3", "--grid-step={}"], ["0", "0.6"]),
+    "verify-lemmas --grid-step": (
+        ["verify-lemmas", "--n-max", "3", "--grid-step={}"], ["0", "0.6", "1e-300", "1e-7", "0.3", "0.4"]
+    ),
     "simulate --alphas": (_simulate(alphas="0.1,{}"), ["-0.1", "1.5"]),
     "simulate --budget": (_simulate(budget="{}"), ["-0.1", "1.5"]),
     "simulate --gamma": (_simulate(gamma="{}"), ["0", "1.5"]),
     "simulate --cost-k": (_simulate(cost_k="{}"), ["0", "-1"]),
     "hierarchy --alphas": (["hierarchy", "--alphas=0.1,{}", "--n-linked", "1"], ["1.5"]),
+    "simulate --exact --periods": (_simulate(periods="{}"), ["0", "-5"]),
+    "simulate --periods": (_simulate(exact=False, periods="{}"), ["0", "-5"]),
+    "simulate --exact --trials": (_simulate(trials="{}"), ["0", "-1"]),
+    "simulate --trials": (_simulate(exact=False, trials="{}"), ["0", "-1"]),
+    "simulate --exact --seed": (_simulate(seed="{}"), ["-1", str(1 << 128)]),
+    "simulate --seed": (_simulate(exact=False, seed="{}"), ["-1", str(1 << 128)]),
+    "simulate --exact --workers": (_simulate(workers="{}"), ["0", "-3"]),
+    "simulate --workers": (_simulate(exact=False, workers="{}"), ["0", "-3"]),
+    "optimal --n": (["optimal", "--n={}", "--p", "0.3"], ["1", "8", "9"]),
+    "verify-lemmas --n-max": (["verify-lemmas", "--n-max={}"], ["2", "8"]),
+    "build --threshold": (["build", "{roster}", "--threshold={}"], ["0", "-1"]),
+    "hierarchy --n-linked": (["hierarchy", "--alphas", "0.1,0.2", "--n-linked={}"], ["-1", "2"]),
 }
+
+
+@pytest.fixture
+def roster(tmp_path):
+    path = tmp_path / "roster.json"
+    path.write_text('[{"id": "a", "generators": ["x"]}, {"id": "b", "generators": ["x"]}]')
+    return str(path)
 
 
 @pytest.mark.parametrize(
     "flag, value",
     [(flag, v) for flag, (_, bad) in NUMERIC_FLAGS.items() for v in ["nan", "inf", "-inf", *bad]],
 )
-def test_numeric_flag_outside_range_exits_2(capsys, pair_graph, flag, value):
+def test_numeric_flag_outside_range_exits_2(capsys, pair_graph, roster, flag, value):
     template, _ = NUMERIC_FLAGS[flag]
-    code, out, _ = run(capsys, *(a.format(value, graph=pair_graph) for a in template))
+    try:
+        code, out, _ = run(capsys, *(a.format(value, graph=pair_graph, roster=roster) for a in template))
+    except SystemExit as exit:  # argparse rejects a value its type cannot parse
+        code, out = exit.code, capsys.readouterr().out
     assert code == 2, out
     assert "NaN" not in out and "Infinity" not in out

@@ -284,7 +284,8 @@ class TestSimulate:
 def chunk_jobs(draw):
     """A ``_simulate_chunk`` job on a small graph, with pairs as a tuple."""
     g = draw(st.booleans().flatmap(lambda directed: graphs(min_n=1, max_n=6, directed=directed)))
-    pairs = detection._info_pairs(g)
+    src, dst, _, _ = g._arcs
+    pairs = tuple(zip(src.tolist(), dst.tolist()))
     periods = draw(st.integers(1, 3))
     alphas = tuple(draw(st.lists(st.floats(0.0, 1.0), min_size=g.n, max_size=g.n)))
     gamma = draw(st.floats(0.0, 1.0, exclude_min=True))

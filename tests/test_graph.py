@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import covertnet.graph
 from covertnet.graph import (
     UNREACHABLE,
     DisconnectedGraphError,
@@ -126,6 +127,34 @@ class TestGeodesicDistances:
         assert geodesic_distances(g, hop_mode=False) is weighted
         assert not weighted.dist.flags.writeable
 
+    @pytest.mark.parametrize("hop_mode", [True, False])
+    def test_single_vertex(self, hop_mode):
+        assert geodesic_distances(build_graph(1), hop_mode).dist.tolist() == [[0.0]]
+
+    @pytest.mark.parametrize("hop_mode", [True, False])
+    def test_edgeless(self, hop_mode):
+        dist = geodesic_distances(build_graph(5), hop_mode).dist
+        assert np.array_equal(dist, np.where(np.eye(5, dtype=bool), 0.0, UNREACHABLE))
+
+    def test_long_path(self):
+        n = 300
+        g = build_graph(n, edges=[(i, i + 1, 0.5) for i in range(n - 1)])
+        gap = np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)
+        assert np.array_equal(geodesic_distances(g).dist, gap)
+        assert np.array_equal(geodesic_distances(g, hop_mode=False).dist, gap / 2)
+
+    def test_complete_graph_relaxed_in_slices(self):
+        # the first round expands all n(n-1) arcs, more than one slice holds;
+        # shortest weighted paths run along i, i+1, ..., so later rounds, which
+        # lower cells from many frontier slices, decide most distances
+        n = math.isqrt(covertnet.graph._RELAX_BUDGET) + 2
+        assert n * (n - 1) > covertnet.graph._RELAX_BUDGET
+        edges = [(i, j, 1.0 if j == i + 1 else float(n)) for i in range(n) for j in range(i + 1, n)]
+        g = build_graph(n, edges=edges)
+        gap = np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)
+        assert np.array_equal(geodesic_distances(g).dist, np.minimum(gap, 1.0))
+        assert np.array_equal(geodesic_distances(g, hop_mode=False).dist, gap)
+
 
 class TestTotalDistance:
     def test_complete(self):
@@ -225,6 +254,25 @@ def test_distances_match_brute_force(g):
     for hop_mode in (True, False):
         dm = geodesic_distances(g, hop_mode=hop_mode)
         assert np.array_equal(dm.dist, brute_force_apsp(g, hop_mode=hop_mode))
+
+
+# Non-dyadic weights round in path sums, so adding a path in another order
+# than source to target (as Floyd-Warshall does) changes some distances.
+ROUNDING_WEIGHTS = (0.0, 0.1, 1 / 3, 0.7, 2.2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.booleans().flatmap(
+        lambda directed: graphs(
+            min_n=1, max_n=7, weighted=True, directed=directed, weights=ROUNDING_WEIGHTS
+        )
+    )
+)
+def test_distances_match_brute_force_with_rounding_weights(g):
+    for hop_mode in (True, False):
+        dist = geodesic_distances(g, hop_mode=hop_mode).dist
+        assert np.array_equal(dist, brute_force_apsp(g, hop_mode=hop_mode))
 
 
 @settings(max_examples=60, deadline=None)
