@@ -11,13 +11,15 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence
 
+from .graph import _is_int
+
 
 def run_chunks(fn: Callable, jobs: Sequence, workers: int) -> list:
     """Apply ``fn`` to every job, in job order, on at most ``workers`` processes.
 
     The pool never outnumbers the jobs or the machine's CPUs.
     """
-    if workers < 1:
+    if not _is_int(workers) or workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
     workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers <= 1:

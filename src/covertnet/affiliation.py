@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .graph import Graph, build_graph
+from .graph import Graph, _is_int, build_graph
 
 WEIGHT_MODES = ("overlap_count", "unit")
 
@@ -27,6 +27,8 @@ class ActorProfile:
     def __post_init__(self) -> None:
         if not isinstance(self.id, str) or not self.id:
             raise ValueError(f"actor id must be a nonempty string, got {self.id!r}")
+        if isinstance(self.generators, str):
+            raise ValueError(f"generators must be a set of tokens, got a string {self.generators!r}")
         tokens = frozenset(
             canon for canon in (t.strip().casefold() for t in self.generators) if canon
         )
@@ -41,7 +43,7 @@ class TieRule:
     weight_mode: str = "overlap_count"
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.threshold, int) and self.threshold >= 1):
+        if not (_is_int(self.threshold) and self.threshold >= 1):
             raise ValueError(f"threshold must be an integer >= 1, got {self.threshold}")
         if self.weight_mode not in WEIGHT_MODES:
             raise ValueError(

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import run_chunks
-from .graph import Graph, _out_arcs
+from .graph import Graph, _is_int, _out_arcs
 from .measures import _WEIGHT_SUM_TOL
 
 _TRIALS_PER_CHUNK = 1 << 13
@@ -91,9 +91,9 @@ class DetectionParams:
             raise ValueError(
                 f"cost per detected member must be finite and positive, got {self.cost_k}"
             )
-        if not (isinstance(self.trials, int) and self.trials >= 1):
+        if not (_is_int(self.trials) and self.trials >= 1):
             raise ValueError(f"trial count must be a positive integer, got {self.trials}")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 1 << 128):
+        if not (_is_int(self.seed) and 0 <= self.seed < 1 << 128):
             raise ValueError(f"seed must be a nonnegative integer below 2**128, got {self.seed}")
 
 
@@ -214,7 +214,7 @@ def simulate(
     bit-identical for any ``workers`` value, chunking and across runs.
     """
     _require_runnable(g, plan)
-    if not (isinstance(periods, int) and periods >= 1):
+    if not (_is_int(periods) and periods >= 1):
         raise ValueError(f"periods must be a positive integer, got {periods}")
     pairs = np.column_stack(g._arcs[:2])
     trials = params.trials

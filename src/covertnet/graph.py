@@ -93,8 +93,8 @@ class Graph:
         return tuple(np.diff(self._arcs[3]).tolist())
 
     def _check_vertex(self, i: int) -> None:
-        if not 0 <= i < self.n:
-            raise GraphError(f"vertex {i} out of range for graph on {self.n} vertices")
+        if not (_is_int(i) and 0 <= i < self.n):
+            raise GraphError(f"vertex {i!r} out of range for graph on {self.n} vertices")
 
 
 def build_graph(

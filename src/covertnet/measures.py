@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import DisconnectedGraphError, Graph, GraphError, build_graph, total_distance
+from .graph import DisconnectedGraphError, Graph, GraphError, _is_int, build_graph, total_distance
 
 _WEIGHT_SUM_TOL = 1e-12
 
@@ -151,18 +151,14 @@ def balance(g: Graph, params: SecrecyParams) -> MeasureReport:
     information measure vanishes.
     """
     _require_measurable(g)
-    weights = params.weights_for(g.n)
-    degrees = np.asarray(g.degree_sequence())
-    exposure, hidden = secrecy_components(g.n, degrees, params.p, weights)
-    assert np.all(exposure >= 0.0) and np.all(exposure <= 1.0)
-    hidden = float(hidden)
+    hidden = hidden_knowledge(g, params)
     info = information_measure(g)
     return MeasureReport(
         K=info,
         H=hidden,
         mu=info * hidden,
-        exposure=tuple(float(e) for e in exposure),
-        degrees=tuple(int(d) for d in degrees),
+        exposure=tuple(exposure_fractions(g, params).tolist()),
+        degrees=g.degree_sequence(),
     )
 
 
@@ -219,7 +215,7 @@ def make_hierarchy(alphas: Sequence[float], n_linked: int) -> Graph:
         raise ValueError(f"scrutiny levels must lie in [0, 1], got {alphas}")
     if any(alphas[i] > alphas[i + 1] for i in range(big_n - 1)):
         raise ValueError("scrutiny vector must be sorted ascending")
-    if not 0 <= n_linked <= big_n - 1:
-        raise ValueError(f"n_linked must be in [0, {big_n - 1}], got {n_linked}")
+    if not (_is_int(n_linked) and 0 <= n_linked <= big_n - 1):
+        raise ValueError(f"n_linked must be an integer in [0, {big_n - 1}], got {n_linked!r}")
     edges = [(0, big_n - 1 - k) for k in range(n_linked)]
     return build_graph(big_n, directed=False, edges=edges)

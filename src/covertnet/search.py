@@ -7,19 +7,21 @@ and the balance measure is invariant under relabeling anyway, so the only
 effect is that maximizer sets list every labeling of a shape.
 
 The mask space is partitioned into fixed-size chunks, and every mask of a
-chunk is evaluated at once by numpy bitset arithmetic (``_chunk_stats``):
-no Python code runs per mask until maximizers are turned into graphs.
-Chunks may be processed by parallel workers; chunk boundaries never depend
-on the worker count and results are merged in chunk order, so any worker
-count yields bit-identical results.
+chunk is evaluated at once by numpy bitset arithmetic (``_chunk_stats``).
+Maximizers stay int64 edge masks up to the caller, and a ``Graph`` is built
+only for one that is read. Chunks may be processed by parallel workers;
+chunk boundaries never depend on the worker count and results are merged
+in chunk order, so any worker count yields bit-identical results.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -41,7 +43,7 @@ class SearchResult:
     n: int
     p: float
     best_mu: float
-    argmax_graphs: tuple[Graph, ...]
+    argmax_graphs: Sequence[Graph]
     graphs_enumerated: int
     tolerance: float
 
@@ -80,13 +82,36 @@ def _check_order(n: int, allow_large: bool) -> None:
         )
 
 
+@functools.cache
 def _edge_slots(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(itertools.combinations(range(n), 2))
 
 
-def _graph_from_mask(mask: int, n: int, slots: tuple[tuple[int, int], ...]) -> Graph:
-    edges = [slots[k] for k in range(len(slots)) if mask >> k & 1]
-    return build_graph(n, directed=False, edges=edges)
+def _graph_from_mask(mask: int, n: int) -> Graph:
+    return build_graph(n, edges=[pair for k, pair in enumerate(_edge_slots(n)) if mask >> k & 1])
+
+
+@dataclass(frozen=True, eq=False)
+class _MaskGraphs(Sequence):
+    """Read-only graphs over an int64 edge-mask array, each built when it is read."""
+
+    n: int
+    masks: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(_graph_from_mask(mask, self.n) for mask in self.masks[index].tolist())
+        return _graph_from_mask(int(self.masks[operator.index(index)]), self.n)
+
+    def __eq__(self, other) -> bool:
+        same_n = isinstance(other, _MaskGraphs) and self.n == other.n
+        return same_n and np.array_equal(self.masks, other.masks)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.masks.tobytes()))
 
 
 def enumerate_connected(n: int, allow_large: bool = False) -> Iterator[Graph]:
@@ -97,12 +122,11 @@ def enumerate_connected(n: int, allow_large: bool = False) -> Iterator[Graph]:
     first graph is requested.
     """
     _check_order(n, allow_large)
-    slots = _edge_slots(n)
 
     def generate() -> Iterator[Graph]:
         for lo, hi in _chunk_ranges(n):
             for mask in _chunk_stats(n, lo, hi)[0].tolist():
-                yield _graph_from_mask(mask, n, slots)
+                yield _graph_from_mask(mask, n)
 
     return generate()
 
@@ -146,38 +170,28 @@ def _chunk_stats(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.n
     return masks[connected], totals[connected].astype(np.float64), degrees
 
 
-def _mu_vector(n: int, totals: np.ndarray, degrees: np.ndarray, p: float, weights: np.ndarray) -> np.ndarray:
-    """Balance for each stats row, with H from the per-graph measure code."""
-    _, hidden = secrecy_components(n, degrees, p, weights)
-    return (n * (n - 1) / totals) * hidden
-
-
 def _chunk_ranges(n: int) -> list[tuple[int, int]]:
     space = 1 << len(_edge_slots(n))
     return [(lo, min(lo + _CHUNK_MASKS, space)) for lo in range(0, space, _CHUNK_MASKS)]
 
 
-def _scan_optimal_chunk(args) -> tuple[int, list[tuple[float, list[int], list[float]] | None]]:
-    """Connected masks in [lo, hi), then per grid p the chunk's best balance.
+def _scan_optimal_chunk(args) -> tuple[int, list[tuple[np.ndarray, np.ndarray]]]:
+    """Connected masks in [lo, hi), then per grid p the chunk's candidates.
 
-    Each per-p entry is (best mu, masks within tolerance of it, their mu),
-    or None when the chunk has no candidate. ``skip_mask`` is counted as
-    connected but is never a candidate.
+    Each is (masks within tolerance of the chunk's best balance, their mu), empty
+    without one. ``skip_mask`` is counted as connected but is never a candidate.
     """
     n, lo, hi, p_grid, weights, skip_mask, tolerance = args
     masks, totals, degrees = _chunk_stats(n, lo, hi)
     count = len(masks)
     other = masks != skip_mask
     masks, totals, degrees = masks[other], totals[other], degrees[other]
-    if len(masks) == 0:
-        return count, [None] * len(p_grid)
-    w = np.asarray(weights)
     out = []
     for p in p_grid:
-        mu = _mu_vector(n, totals, degrees, p, w)
-        local_best = float(mu.max())
-        keep = mu >= local_best - tolerance
-        out.append((local_best, masks[keep].tolist(), mu[keep].tolist()))
+        _, hidden = secrecy_components(n, degrees, p, np.asarray(weights))
+        mu = (n * (n - 1) / totals) * hidden
+        keep = mu >= mu.max(initial=-math.inf) - tolerance
+        out.append((masks[keep], mu[keep]))
     return count, out
 
 
@@ -193,23 +207,15 @@ def _scan(
     tolerance: float,
     workers: int,
     skip_mask: int = -1,
-) -> tuple[int, list[tuple[float, list[int]]]]:
-    """Connected-graph count, then per p the best mu and the masks within tolerance.
-
-    Masks come in ascending order; with no candidate the best is -inf.
-    """
+) -> tuple[int, list[tuple[float, np.ndarray]]]:
+    """Connected-graph count, then per p the best mu (or -inf) and the masks within tolerance."""
     jobs = [(n, lo, hi, p_grid, weights, skip_mask, tolerance) for lo, hi in _chunk_ranges(n)]
     results = run_chunks(_scan_optimal_chunk, jobs, workers)
     per_p = []
-    for idx in range(len(p_grid)):
-        entries = [per[idx] for _, per in results if per[idx] is not None]
-        best = max((entry[0] for entry in entries), default=float("-inf"))
-        near = [
-            mask
-            for _, masks, mus in entries
-            for mask, mu in zip(masks, mus)
-            if mu >= best - tolerance
-        ]
+    for chunks in zip(*[per for _, per in results]):
+        best = max((float(mu.max()) for _, mu in chunks if len(mu)), default=-math.inf)
+        near = np.concatenate([masks[mu >= best - tolerance] for masks, mu in chunks])
+        near.setflags(write=False)
         per_p.append((best, near))
     return sum(count for count, _ in results), per_p
 
@@ -225,19 +231,18 @@ def find_optimal(
 
     Returns the maximum together with all maximizers within ``tolerance``
     of it; ties are reported, not broken, because at p = 1/2 the tie
-    between the complete graph and the star is genuine.
+    between the complete graph and the star is genuine. ``argmax_graphs`` holds
+    the maximizers' edge masks in mask order and builds a graph only when one is read.
     """
     _check_order(n, allow_large)
     _check_tolerance(tolerance)
     weights = tuple(params.weights_for(n))
     enumerated, [(best, masks)] = _scan(n, (params.p,), weights, tolerance, workers)
-    slots = _edge_slots(n)
-    argmax = [_graph_from_mask(mask, n, slots) for mask in masks]
     return SearchResult(
         n=n,
         p=params.p,
         best_mu=best,
-        argmax_graphs=tuple(argmax),
+        argmax_graphs=_MaskGraphs(n, masks),
         graphs_enumerated=enumerated,
         tolerance=tolerance,
     )
@@ -280,11 +285,10 @@ def verify_lemma(
                 f"p={p} outside the stated interval [{lo_p}, {hi_p}] for {which}"
             )
 
-    slots = _edge_slots(n)
     kind = "complete" if which == "complete_optimal" else "star"
     claimed = make_structure(kind, n)
-    claimed_edges = {(s, t) for s, t, _ in claimed.edges}
-    claimed_mask = sum(1 << k for k, pair in enumerate(slots) if pair in claimed_edges)
+    slots = _edge_slots(n)  # all of them for the complete graph, the (0, j) ones for the star
+    claimed_mask = sum(1 << k for k, (i, _) in enumerate(slots) if kind == "complete" or i == 0)
     # the optimality claims are stated for uniform sharing weights
     weights = tuple(np.full(n, 1.0 / n))
 
@@ -295,9 +299,7 @@ def verify_lemma(
     for p, (max_other, rivals) in zip(p_grid, best_other):
         mu_claimed = balance(claimed, SecrecyParams(p)).mu
         passed = mu_claimed >= max_other - tolerance
-        counterexample = None
-        if not passed:
-            counterexample = _graph_from_mask(rivals[0], n, slots)
+        counterexample = None if passed else _graph_from_mask(int(rivals[0]), n)
         rows.append(
             LemmaCheckRow(
                 p=p,

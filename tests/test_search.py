@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import covertnet.search as search
-from covertnet.graph import build_graph, is_connected, total_distance
+from covertnet.cli import main
+from covertnet.graph import build_graph, diameter, is_connected, total_distance
 from covertnet.measures import SecrecyParams, balance, make_structure
 from covertnet.search import enumerate_connected, find_optimal, verify_lemma
 
@@ -88,6 +91,10 @@ class TestOrderSeven:
         stars = [build_graph(7, edges=[(h, j) for j in range(7) if j != h]).edges for h in range(7)]
         assert sorted(g.edges for g in result.argmax_graphs) == sorted(stars)
 
+    def test_every_diameter_two_graph_ties_at_half(self):
+        # confirmed independently: I + A + A^2 has no zero entry for exactly this many masks
+        assert len(find_optimal(7, SecrecyParams(0.5)).argmax_graphs) == 676_456
+
     def test_lemma_claims(self):
         assert verify_lemma("complete_optimal", 7, [0.0, 0.3, 0.5]).all_passed
         assert verify_lemma("star_optimal", 7, [0.5, 0.7, 1.0]).all_passed
@@ -160,6 +167,50 @@ class TestFindOptimal:
         monkeypatch.setattr(search, "_CHUNK_MASKS", 37)  # deliberately ragged chunks
         ragged = find_optimal(5, SecrecyParams(0.45), workers=2)
         assert baseline == ragged
+
+
+class TestMaskBackedMaximizers:
+    def test_half_ties_every_graph_of_diameter_two(self):
+        result = find_optimal(5, SecrecyParams(0.5))
+        assert len(result.argmax_graphs) == sum(1 for g in enumerate_connected(5) if diameter(g) <= 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(2, 5),
+        st.floats(0.0, 1.0),
+        st.sampled_from([0.0, 1e-12, 1e-3]),
+        st.data(),
+    )
+    def test_indexing_agrees_with_list(self, n, p, tolerance, data):
+        graphs = find_optimal(n, SecrecyParams(p), tolerance=tolerance).argmax_graphs
+        listed = list(graphs)
+        assert len(listed) == len(graphs) >= 1
+        assert [g.edges for g in graphs] == [g.edges for g in listed]
+        index = data.draw(st.integers(-len(listed), len(listed) - 1), label="index")
+        assert graphs[index] == listed[index]
+        window = data.draw(st.slices(len(listed) + 2), label="slice")
+        assert graphs[window] == tuple(listed[window])
+        with pytest.raises(IndexError):
+            graphs[len(listed)]
+
+    def test_equal_and_hashable_across_workers(self):
+        one = find_optimal(6, SecrecyParams(0.5))
+        three = find_optimal(6, SecrecyParams(0.5), workers=3)
+        assert one == three and hash(one) == hash(three)
+        assert len({one, three}) == 1
+        emptied = replace(one, argmax_graphs=())
+        assert emptied != one and not emptied.argmax_graphs
+        with pytest.raises(ValueError):
+            one.argmax_graphs.masks[0] = 0  # the masks are read-only
+
+    def test_optimal_cli_builds_only_the_listed_graphs(self, monkeypatch, capsys):
+        calls = []
+        real_build = search.build_graph
+        monkeypatch.setattr(search, "build_graph", lambda *a, **k: calls.append(a) or real_build(*a, **k))
+        assert main(["optimal", "--n", "6", "--p", "0.5"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["maximizer_count"] == 10_924 and len(doc["maximizers"]) == 10
+        assert len(calls) == 10
 
 
 class TestVerifyLemma:
