@@ -32,9 +32,9 @@ from .io import (
     load_graph_file,
     load_vector,
 )
-from .affiliation import TieRule, build_from_actors
+from .affiliation import WEIGHT_MODES, TieRule, build_from_actors
 from .measures import SecrecyParams, balance, make_hierarchy
-from .search import find_optimal, verify_lemma
+from .search import DEFAULT_MAX_ORDER, find_optimal, verify_lemma
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -113,8 +113,8 @@ def _cmd_optimal(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_lemmas(args: argparse.Namespace) -> int:
-    if not 3 <= args.n_max <= 7:
-        raise ValueError(f"--n-max must be in [3, 7], got {args.n_max}")
+    if not 3 <= args.n_max <= DEFAULT_MAX_ORDER:
+        raise ValueError(f"--n-max must be in [3, {DEFAULT_MAX_ORDER}], got {args.n_max}")
     # each grid point costs one structure search per order
     steps = round(0.5 / args.grid_step) if 0.0 < args.grid_step <= 0.5 else 0
     if not 0 < steps <= 1000 or abs(0.5 / args.grid_step - steps) > 1e-9:
@@ -251,7 +251,9 @@ def _build_parser() -> argparse.ArgumentParser:
     optimal.set_defaults(handler=_cmd_optimal)
 
     verify = sub.add_parser("verify-lemmas", help="check the claimed optimal structures")
-    verify.add_argument("--n-max", type=int, required=True, help="verify orders 3..n_max (max 7)")
+    verify.add_argument(
+        "--n-max", type=int, required=True, help=f"verify orders 3..n_max (max {DEFAULT_MAX_ORDER})"
+    )
     verify.add_argument("--grid-step", type=float, default=0.1, help="probability grid step")
     verify.add_argument("--workers", type=int, default=1, help="parallel workers")
     verify.set_defaults(handler=_cmd_verify_lemmas)
@@ -275,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
     build.add_argument("--threshold", type=int, default=1, help="minimum generator overlap")
     build.add_argument(
         "--weight-mode",
-        choices=("overlap_count", "unit"),
+        choices=WEIGHT_MODES,
         default="overlap_count",
         help="edge weight: overlap size or 1",
     )

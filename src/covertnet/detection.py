@@ -149,10 +149,11 @@ def detect_exact(g: Graph, plan: ScrutinyPlan, params: DetectionParams) -> Detec
     _require_runnable(g, plan)
     if params.cascade:
         raise ValueError("exact mode covers one hop only; use simulate for cascades")
+    src, dst, _, _ = g._arcs
     alphas = np.asarray(plan.alphas)
     hidden = 1.0 - alphas
-    for i, j in np.column_stack(g._arcs[:2]).tolist():
-        hidden[j] *= 1.0 - alphas[i] * params.gamma
+    # ufunc.at applies repeated targets in arc order, like a loop over the arcs
+    np.multiply.at(hidden, dst, 1.0 - alphas[src] * params.gamma)
     return _report(1.0 - hidden, params, "exact")
 
 
@@ -160,27 +161,26 @@ def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     """Per-member detection counts and detected-count histogram of trials [lo, hi).
 
     Each (trial, newly detected member) hit expands over that detector's
-    out-pairs (``pairs`` is sorted by detector), reads only those pairs'
-    indirect draws, and scatters the still-hidden targets it catches into
-    the next frontier, so work scales with the ties of caught members.
+    out-arcs (``arcs`` is ``Graph._arcs``, sorted by detector), reads only
+    those arcs' indirect draws, and scatters the still-hidden targets it
+    catches into the next frontier, so work scales with the ties of caught members.
     """
-    (n, pairs, alphas, gamma, cascade, periods, seed, stride, lo, hi) = args
+    (n, arcs, alphas, gamma, cascade, periods, seed, stride, lo, hi) = args
+    _, dst, _, first = arcs
     rows = hi - lo
     gen = np.random.Generator(np.random.Philox(key=seed, counter=lo * stride))
     draws = gen.random((rows, stride * 4))
-    pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
-    first = np.searchsorted(pairs[:, 0], np.arange(n + 1))
     alphas = np.asarray(alphas)
     detected = np.zeros((rows, n), dtype=bool)
     for period in range(periods):
-        base = period * (n + len(pairs))
+        base = period * (n + len(dst))
         frontier = ~detected & (draws[:, base : base + n] < alphas)
         detected |= frontier
         while frontier.any():
             row, det = np.nonzero(frontier)
             k, fanout = _out_arcs(first, det)
             row = np.repeat(row, fanout)
-            target = pairs[k, 1]
+            target = dst[k]
             hit = (draws[row, base + n + k] < gamma) & ~detected[row, target]
             frontier = np.zeros_like(detected)
             frontier[row[hit], target[hit]] = True
@@ -216,14 +216,13 @@ def simulate(
     _require_runnable(g, plan)
     if not (_is_int(periods) and periods >= 1):
         raise ValueError(f"periods must be a positive integer, got {periods}")
-    pairs = np.column_stack(g._arcs[:2])
     trials = params.trials
     # 4 uniforms per Philox counter; pad each trial's block to a counter boundary
-    draws_per_trial = periods * (g.n + len(pairs))
+    draws_per_trial = periods * (g.n + len(g._arcs[1]))
     stride = (draws_per_trial + 3) // 4
     rows = min(_TRIALS_PER_CHUNK, max(1, _DRAW_BUDGET_BYTES // (32 * stride)))
     jobs = [
-        (g.n, pairs, plan.alphas, params.gamma, params.cascade, periods,
+        (g.n, g._arcs, plan.alphas, params.gamma, params.cascade, periods,
          params.seed, stride, lo, min(lo + rows, trials))
         for lo in range(0, trials, rows)
     ]

@@ -16,6 +16,7 @@ for both; every distance-derived quantity reads that one matrix.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -115,8 +116,8 @@ def build_graph(
     ------
     GraphError
         On an endpoint out of range, a self-loop, a duplicate edge, or a
-        negative or non-finite weight; the offending edge is named in the
-        message.
+        weight that is not a real number (bool included), negative or
+        non-finite; the offending edge is named in the message.
     """
     if not _is_int(n) or n < 1:
         raise GraphError(f"vertex count must be a positive integer, got {n!r}")
@@ -136,6 +137,8 @@ def build_graph(
             raise GraphError(f"edge {raw!r} has an endpoint out of range [0, {n})")
         if s == t:
             raise GraphError(f"edge {raw!r} is a self-loop")
+        if isinstance(w, bool) or not isinstance(w, numbers.Real):
+            raise GraphError(f"edge {raw!r} has a non-numeric weight")
         w = float(w)
         if not math.isfinite(w):
             raise GraphError(f"edge {raw!r} has a non-finite weight")
@@ -278,8 +281,8 @@ def community(g: Graph, i: int, delta: float, hop_mode: bool = True) -> set[int]
     when nothing lies at exactly ``delta``.
     """
     g._check_vertex(i)
-    if math.isnan(delta) or delta < 0:
-        raise GraphError(f"community distance must be nonnegative, got {delta!r}")
+    if not 0 <= delta < math.inf:  # also rejects NaN
+        raise GraphError(f"community distance must be finite and nonnegative, got {delta!r}")
     dm = geodesic_distances(g, hop_mode=hop_mode)
     row = dm.dist[i]
     return {j for j in range(g.n) if row[j] == delta}

@@ -19,7 +19,7 @@ import os
 from pathlib import Path
 
 from .affiliation import ActorProfile
-from .graph import Graph, GraphError, build_graph
+from .graph import Graph, GraphError, _is_int, build_graph
 
 
 class GraphFileError(ValueError):
@@ -59,7 +59,7 @@ def _graph_from_json(text: str, source: Path) -> tuple[Graph, tuple[str, ...] | 
     if not isinstance(doc, dict):
         raise GraphFileError(f"{source}: expected a JSON object")
     n = doc.get("n")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not _is_int(n) or n < 1:
         raise GraphFileError(f"{source}: 'n' must be a positive integer, got {n!r}")
     directed = doc.get("directed", False)
     if not isinstance(directed, bool):

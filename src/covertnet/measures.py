@@ -84,20 +84,16 @@ def exposure_from_degrees(n: int, degrees: np.ndarray, p: float) -> np.ndarray:
     return (p * degrees + 1.0) / n
 
 
-def secrecy_components(
-    n: int, degrees: np.ndarray, p: float, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray | float]:
-    """Exposure fractions and hidden-knowledge value from degree data.
+def hidden_from_degrees(n: int, degrees: np.ndarray, p: float, weights: np.ndarray):
+    """Hidden-knowledge value H from degree data.
 
-    ``degrees`` is one degree vector, giving a scalar hidden value, or a
-    stack of them (one row per graph), giving one hidden value per row.
-    ``balance``, ``hidden_knowledge`` and the structure search all take H
-    from here. The formula is the same, but numpy sums a stacked product
-    in another order than a single one, so a stacked row may differ from
-    the single-graph value by one unit in the last place.
+    ``degrees`` is one degree vector, giving a scalar H, or a stack of them
+    (one row per graph), giving one H per row. ``hidden_knowledge`` and the
+    structure search both take H from here. The formula is the same, but numpy
+    sums a stacked product in another order than a single one, so a stacked
+    row may differ from the single-graph value by one unit in the last place.
     """
-    exposure = exposure_from_degrees(n, degrees, p)
-    return exposure, (1.0 - exposure) @ weights
+    return (1.0 - exposure_from_degrees(n, degrees, p)) @ weights
 
 
 def information_measure(g: Graph) -> float:
@@ -137,10 +133,8 @@ def hidden_knowledge(g: Graph, params: SecrecyParams) -> float:
     """
     if g.directed:
         raise GraphError("hidden knowledge is defined for undirected graphs")
-    weights = params.weights_for(g.n)
     degrees = np.asarray(g.degree_sequence())
-    _, hidden = secrecy_components(g.n, degrees, params.p, weights)
-    return float(hidden)
+    return float(hidden_from_degrees(g.n, degrees, params.p, params.weights_for(g.n)))
 
 
 def balance(g: Graph, params: SecrecyParams) -> MeasureReport:

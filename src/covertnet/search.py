@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import run_chunks
-from .graph import Graph, build_graph
-from .measures import SecrecyParams, balance, make_structure, secrecy_components
+from .graph import Graph, _is_int, build_graph
+from .measures import SecrecyParams, balance, hidden_from_degrees, make_structure
 
 #: Orders above this need allow_large=True; 8 is the hard cap (2^28 subsets).
 DEFAULT_MAX_ORDER = 7
@@ -75,7 +75,7 @@ class LemmaReport:
 
 def _check_order(n: int, allow_large: bool) -> None:
     cap = HARD_MAX_ORDER if allow_large else DEFAULT_MAX_ORDER
-    if not isinstance(n, int) or not 2 <= n <= cap:
+    if not _is_int(n) or not 2 <= n <= cap:
         raise ValueError(
             f"order must be an integer in [2, {cap}]"
             f"{' (pass allow_large=True for 8)' if not allow_large else ''}, got {n}"
@@ -185,11 +185,11 @@ def _scan_optimal_chunk(args) -> tuple[int, list[tuple[np.ndarray, np.ndarray]]]
     masks, totals, degrees = _chunk_stats(n, lo, hi)
     count = len(masks)
     other = masks != skip_mask
-    masks, totals, degrees = masks[other], totals[other], degrees[other]
+    masks, degrees, weights = masks[other], degrees[other], np.asarray(weights)
+    info = n * (n - 1) / totals[other]
     out = []
     for p in p_grid:
-        _, hidden = secrecy_components(n, degrees, p, np.asarray(weights))
-        mu = (n * (n - 1) / totals) * hidden
+        mu = info * hidden_from_degrees(n, degrees, p, weights)
         keep = mu >= mu.max(initial=-math.inf) - tolerance
         out.append((masks[keep], mu[keep]))
     return count, out
@@ -248,9 +248,9 @@ def find_optimal(
     )
 
 
-_LEMMA_INTERVALS = {
-    "complete_optimal": (0.0, 0.5),
-    "star_optimal": (0.5, 1.0),
+_LEMMA_CLAIMS = {
+    "complete_optimal": ("complete", 0.0, 0.5),
+    "star_optimal": ("star", 0.5, 1.0),
 }
 
 
@@ -271,13 +271,13 @@ def verify_lemma(
     balance minus ``tolerance``; on failure the row carries the strongest
     counterexample graph.
     """
-    if which not in _LEMMA_INTERVALS:
+    if which not in _LEMMA_CLAIMS:
         raise ValueError(
             f"unknown claim {which!r}; expected 'complete_optimal' or 'star_optimal'"
         )
     _check_order(n, allow_large)
     _check_tolerance(tolerance)
-    lo_p, hi_p = _LEMMA_INTERVALS[which]
+    kind, lo_p, hi_p = _LEMMA_CLAIMS[which]
     p_grid = [float(p) for p in p_grid]
     for p in p_grid:
         if not lo_p <= p <= hi_p:
@@ -285,10 +285,8 @@ def verify_lemma(
                 f"p={p} outside the stated interval [{lo_p}, {hi_p}] for {which}"
             )
 
-    kind = "complete" if which == "complete_optimal" else "star"
     claimed = make_structure(kind, n)
-    slots = _edge_slots(n)  # all of them for the complete graph, the (0, j) ones for the star
-    claimed_mask = sum(1 << k for k, (i, _) in enumerate(slots) if kind == "complete" or i == 0)
+    claimed_mask = sum(1 << _edge_slots(n).index((s, t)) for s, t, _ in claimed.edges)
     # the optimality claims are stated for uniform sharing weights
     weights = tuple(np.full(n, 1.0 / n))
 

@@ -9,6 +9,8 @@ Everything here deliberately avoids the library's algorithms:
   each vertex's reach level by level with bitsets),
 * detection probabilities come from enumerating every combination of
   direct and indirect draws (the library uses a closed form),
+* that closed form is replayed by a sequential loop over the (detector,
+  target) pairs (the library multiplies every factor in one scatter),
 * a Monte Carlo chunk is replayed by scanning every (detector, target)
   pair at each propagation step (the library expands only the frontier).
 
@@ -136,14 +138,32 @@ def detection_joint_enumeration(
     return prob
 
 
+def reference_detect_exact(g: Graph, alphas: tuple[float, ...], gamma: float) -> tuple[float, ...]:
+    """One-period, one-hop detection probabilities by a loop over the pairs.
+
+    Target j's hidden probability starts at 1 - alpha_j and takes one factor
+    1 - alpha_i * gamma per (detector i, target j) pair, in ascending pair
+    order, the order in which ``detection.detect_exact`` multiplies.
+    """
+    pairs = [(s, t) for s, t, _ in g.edges]
+    if not g.directed:
+        pairs += [(t, s) for s, t in pairs]
+    hidden = [1.0 - a for a in alphas]
+    for i, j in sorted(pairs):
+        hidden[j] *= 1.0 - alphas[i] * gamma
+    return tuple(1.0 - h for h in hidden)
+
+
 def reference_simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     """Per-pair replay of a ``detection._simulate_chunk`` job.
 
     Same job tuple and same Philox draws as the library; at every step the
     indirect draws are applied by looping over all (detector, target)
-    pairs, whether or not the detector was just caught.
+    pairs, read from the job's arcs, whether or not the detector was just
+    caught.
     """
-    (n, pairs, alphas, gamma, cascade, periods, seed, stride, lo, hi) = args
+    (n, arcs, alphas, gamma, cascade, periods, seed, stride, lo, hi) = args
+    pairs = list(zip(arcs[0].tolist(), arcs[1].tolist()))
     rows = hi - lo
     gen = np.random.Generator(np.random.Philox(key=seed, counter=lo * stride))
     draws = gen.random((rows, stride * 4))

@@ -102,6 +102,14 @@ class TestMetrics:
         code, out, err = run(capsys, "metrics", str(path), "--p", "0.3", "--edge-weighted")
         assert code == 1 and out == "" and "non-finite weight" in err
 
+    @pytest.mark.parametrize("weight", ['"abc"', '"2"', "true"])
+    def test_non_numeric_json_weight_exits_1(self, capsys, tmp_path, weight):
+        path = tmp_path / "typed.json"
+        path.write_text(f'{{"n": 2, "edges": [[0, 1, {weight}]]}}')
+        code, out, err = run(capsys, "metrics", str(path), "--p", "0.3")
+        assert code == 1 and out == ""
+        assert str(path) in err and "non-numeric weight" in err
+
     def test_sharing_weights_inline(self, capsys, star4_csv):
         doc = run_json(
             capsys, "metrics", star4_csv, "--p", "0.5", "--sharing-weights", "1,0,0,0"

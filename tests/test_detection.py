@@ -18,7 +18,7 @@ from covertnet.detection import (
 from covertnet.graph import build_graph
 from covertnet.measures import make_structure
 
-from oracles import detection_joint_enumeration, reference_simulate_chunk
+from oracles import detection_joint_enumeration, reference_detect_exact, reference_simulate_chunk
 from strategies import graphs
 
 
@@ -84,7 +84,26 @@ class TestDetectionParams:
             DetectionParams(gamma=0.5, cost_k=1.0, seed=-1)
 
 
+@st.composite
+def exact_cases(draw):
+    """A graph on at most 12 members, a plan within its budget and a gamma."""
+    g = draw(st.booleans().flatmap(lambda directed: graphs(min_n=1, max_n=12, directed=directed)))
+    budget = draw(st.floats(0.0, 1.0))
+    raw = draw(st.lists(st.floats(0.0, 1.0), min_size=g.n, max_size=g.n))
+    total = math.fsum(raw)
+    scale = budget / total if total > budget else 1.0
+    plan = ScrutinyPlan(tuple(a * scale for a in raw), budget)
+    return g, plan, draw(st.floats(0.0, 1.0, exclude_min=True))
+
+
 class TestDetectExact:
+    @settings(max_examples=150, deadline=None)
+    @given(exact_cases())
+    def test_bit_identical_to_pair_loop(self, case):
+        g, plan, gamma = case
+        report = detect_exact(g, plan, DetectionParams(gamma, 1.0))
+        assert report.per_member_prob == reference_detect_exact(g, plan.alphas, gamma)
+
     def test_worked_two_member_case(self):
         g, plan, params = two_member_case()
         report = detect_exact(g, plan, params)
@@ -282,17 +301,15 @@ class TestSimulate:
 
 @st.composite
 def chunk_jobs(draw):
-    """A ``_simulate_chunk`` job on a small graph, with pairs as a tuple."""
+    """A ``_simulate_chunk`` job on a small graph, carrying the graph's arcs."""
     g = draw(st.booleans().flatmap(lambda directed: graphs(min_n=1, max_n=6, directed=directed)))
-    src, dst, _, _ = g._arcs
-    pairs = tuple(zip(src.tolist(), dst.tolist()))
     periods = draw(st.integers(1, 3))
     alphas = tuple(draw(st.lists(st.floats(0.0, 1.0), min_size=g.n, max_size=g.n)))
     gamma = draw(st.floats(0.0, 1.0, exclude_min=True))
     lo = draw(st.integers(0, 500))
     hi = lo + draw(st.integers(1, 64))
-    stride = (periods * (g.n + len(pairs)) + 3) // 4
-    return (g.n, pairs, alphas, gamma, draw(st.booleans()), periods,
+    stride = (periods * (g.n + len(g._arcs[1])) + 3) // 4
+    return (g.n, g._arcs, alphas, gamma, draw(st.booleans()), periods,
             draw(st.integers(0, 1 << 64)), stride, lo, hi)
 
 
@@ -327,10 +344,9 @@ class TestSimulateChunk:
     @given(chunk_jobs())
     def test_matches_pair_loop_reference(self, job):
         expected = reference_simulate_chunk(job)
-        array_job = (job[0], np.array(job[1], dtype=np.intp).reshape(-1, 2)) + job[2:]
-        for got in (detection._simulate_chunk(job), detection._simulate_chunk(array_job)):
-            assert np.array_equal(got[0], expected[0])
-            assert np.array_equal(got[1], expected[1])
+        got = detection._simulate_chunk(job)
+        assert np.array_equal(got[0], expected[0])
+        assert np.array_equal(got[1], expected[1])
 
     def test_chunks_fit_draw_budget(self, monkeypatch):
         jobs = record_jobs(monkeypatch)

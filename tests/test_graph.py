@@ -68,6 +68,15 @@ class TestBuildGraph:
         with pytest.raises(GraphError, match="non-finite weight"):
             build_graph(3, edges=[(0, 1, weight)])
 
+    @pytest.mark.parametrize("weight", ["abc", "2", True, np.True_, None])
+    def test_non_numeric_weight_rejected(self, weight):
+        with pytest.raises(GraphError, match=r"non-numeric weight"):
+            build_graph(3, edges=[(0, 1, weight)])
+
+    @pytest.mark.parametrize("weight", [np.float64(0.5), np.float32(0.5), np.int64(2), 3])
+    def test_numeric_scalar_weights_accepted(self, weight):
+        assert build_graph(3, edges=[(0, 1, weight)]).edges == ((0, 1, float(weight)),)
+
     def test_bad_vertex_count(self):
         with pytest.raises(GraphError):
             build_graph(0)
@@ -212,9 +221,10 @@ class TestCommunity:
         assert community(g, 0, 1) == {1}
         assert all(2 not in community(g, 0, d) for d in (0, 1, 2, 3))
 
-    def test_negative_delta_rejected(self):
-        with pytest.raises(GraphError):
-            community(path4(), 0, -1.0)
+    @pytest.mark.parametrize("delta", [-1.0, math.nan, math.inf])
+    def test_negative_delta_rejected(self, delta):
+        with pytest.raises(GraphError, match="finite and nonnegative"):
+            community(path4(), 0, delta)
 
     def test_bad_vertex_rejected(self):
         with pytest.raises(GraphError):
