@@ -5,16 +5,31 @@ knowledge that trigger their thinking. Two actors are tied when their
 token sets overlap enough: an edge appears once the intersection reaches
 the rule's threshold, weighted either by the overlap count or by 1.
 Tokens are canonicalized (trimmed, case-folded) so comparison is exact.
+
+Overlaps are counted from a token index rather than by intersecting every
+pair of sets: each (token, actor) membership is paired with the later
+members of its token, and a pair's overlap is the number of tokens that
+paired it. The cost therefore follows the shared tokens, not the square of
+the roster. Pairs are formed in blocks of consecutive lower endpoints of at
+most ``_PAIR_BUDGET`` pair codes (or one actor's pairs, if more), so a
+roster in which everyone shares one token needs scratch memory bounded by
+the budget instead of one code per actor pair.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .graph import Graph, _is_int, build_graph
+import numpy as np
+
+from .graph import Graph, _is_int, _ranges, build_graph
 
 WEIGHT_MODES = ("overlap_count", "unit")
+
+# Pair codes formed per block of actors (8 bytes each); bounds the scratch memory.
+_PAIR_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -29,9 +44,17 @@ class ActorProfile:
             raise ValueError(f"actor id must be a nonempty string, got {self.id!r}")
         if isinstance(self.generators, str):
             raise ValueError(f"generators must be a set of tokens, got a string {self.generators!r}")
-        tokens = frozenset(
-            canon for canon in (t.strip().casefold() for t in self.generators) if canon
-        )
+        try:
+            raw = tuple(self.generators)
+        except TypeError:
+            raise ValueError(
+                f"generators of actor {self.id!r} must be an iterable of tokens, "
+                f"got {self.generators!r}"
+            ) from None
+        for t in raw:
+            if not isinstance(t, str):
+                raise ValueError(f"generator tokens of actor {self.id!r} must be strings, got {t!r}")
+        tokens = frozenset(canon for canon in (t.strip().casefold() for t in raw) if canon)
         object.__setattr__(self, "generators", tokens)
 
 
@@ -66,14 +89,38 @@ def build_from_actors(
     if not roster:
         raise ValueError("roster must contain at least one actor")
     ids = [actor.id for actor in roster]
-    if len(set(ids)) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
+    dupes = sorted(i for i, count in Counter(ids).items() if count > 1)
+    if dupes:
         raise ValueError(f"duplicate actor ids: {', '.join(dupes)}")
+    n = len(roster)
+    vocab: dict[str, int] = {}
+    token = np.array(
+        [vocab.setdefault(t, len(vocab)) for actor in roster for t in actor.generators],
+        dtype=np.int64,
+    )
+    sizes = np.array([len(actor.generators) for actor in roster], dtype=np.int64)
+    member = np.repeat(np.arange(n, dtype=np.int64), sizes)
+    # Memberships stay in actor order; ``rank`` is each one's place in (token, actor)
+    # order, where its partners are the later memberships of the same token.
+    order = np.lexsort((member, token))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    group, mate = token[order], member[order]
+    partners = np.searchsorted(group, group, side="right")[rank] - rank - 1
+    first = np.concatenate(([0], np.cumsum(sizes)))
+    ends = np.cumsum(np.bincount(member, weights=partners, minlength=n))
     edges = []
-    for i in range(len(roster)):
-        for j in range(i + 1, len(roster)):
-            overlap = len(roster[i].generators & roster[j].generators)
-            if overlap >= rule.threshold:
-                weight = float(overlap) if rule.weight_mode == "overlap_count" else 1.0
-                edges.append((i, j, weight))
-    return build_graph(len(roster), directed=False, edges=edges), tuple(ids)
+    lo = 0
+    while lo < n:
+        done = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, done + _PAIR_BUDGET, side="right")))
+        block = slice(first[lo], first[hi])
+        count = partners[block]
+        code = np.repeat(member[block] * n, count) + mate[_ranges(rank[block] + 1, count)]
+        code, overlap = np.unique(code, return_counts=True)
+        kept = overlap >= rule.threshold
+        i, j = np.divmod(code[kept], n)
+        weight = np.ones(i.size) if rule.weight_mode == "unit" else overlap[kept].astype(float)
+        edges.extend(zip(i.tolist(), j.tolist(), weight.tolist()))
+        lo = hi
+    return build_graph(n, directed=False, edges=edges), tuple(ids)

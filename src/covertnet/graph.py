@@ -176,11 +176,16 @@ class DistanceMatrix:
         return bool(np.all(self.dist != UNREACHABLE))
 
 
+def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The ranges ``start[k] .. start[k] + count[k] - 1`` concatenated in order."""
+    return np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
+
+
 def _out_arcs(first: np.ndarray, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the out-arcs of ``vertices``, in order, and each vertex's arc count."""
     start = first[vertices]
     fanout = first[vertices + 1] - start
-    return np.arange(fanout.sum()) + np.repeat(start - np.cumsum(fanout) + fanout, fanout), fanout
+    return _ranges(start, fanout), fanout
 
 
 def _all_pairs(g: Graph, hop_mode: bool) -> np.ndarray:
@@ -281,6 +286,8 @@ def community(g: Graph, i: int, delta: float, hop_mode: bool = True) -> set[int]
     when nothing lies at exactly ``delta``.
     """
     g._check_vertex(i)
+    if isinstance(delta, bool) or not isinstance(delta, numbers.Real):
+        raise GraphError(f"community distance delta must be a real number, got {delta!r}")
     if not 0 <= delta < math.inf:  # also rejects NaN
         raise GraphError(f"community distance must be finite and nonnegative, got {delta!r}")
     dm = geodesic_distances(g, hop_mode=hop_mode)

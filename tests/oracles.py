@@ -12,7 +12,9 @@ Everything here deliberately avoids the library's algorithms:
 * that closed form is replayed by a sequential loop over the (detector,
   target) pairs (the library multiplies every factor in one scatter),
 * a Monte Carlo chunk is replayed by scanning every (detector, target)
-  pair at each propagation step (the library expands only the frontier).
+  pair at each propagation step (the library expands only the frontier),
+* affiliation ties come from intersecting the token sets of every actor
+  pair (the library counts overlaps from a token index).
 
 Oracles read only the public fields of a Graph (n, directed, edges).
 """
@@ -187,6 +189,23 @@ def reference_simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     member_counts = detected.sum(axis=0, dtype=np.int64)
     hist = np.bincount(detected.sum(axis=1), minlength=n + 1).astype(np.int64)
     return member_counts, hist
+
+
+def reference_affiliation_edges(roster, rule) -> tuple[tuple[int, int, float], ...]:
+    """Affiliation ties by intersecting the token sets of every actor pair.
+
+    Pairs are visited as (i, j) with i < j in roster order; a pair is tied
+    when its overlap reaches ``rule.threshold``, weighted by the overlap or
+    by 1 as ``rule.weight_mode`` says.
+    """
+    edges = []
+    for i in range(len(roster)):
+        for j in range(i + 1, len(roster)):
+            overlap = len(roster[i].generators & roster[j].generators)
+            if overlap >= rule.threshold:
+                weight = float(overlap) if rule.weight_mode == "overlap_count" else 1.0
+                edges.append((i, j, weight))
+    return tuple(edges)
 
 
 # Weight grid for randomized weighted-distance tests. Dyadic values keep

@@ -1,9 +1,15 @@
+import tracemalloc
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covertnet.affiliation import ActorProfile, TieRule, build_from_actors
+from covertnet import affiliation
+from covertnet.affiliation import WEIGHT_MODES, ActorProfile, TieRule, build_from_actors
 from covertnet.graph import is_connected
+
+from oracles import reference_affiliation_edges
 
 
 def actor(aid, *tokens):
@@ -21,6 +27,16 @@ class TestActorProfile:
     def test_empty_id_rejected(self):
         with pytest.raises(ValueError):
             ActorProfile(id="", generators=frozenset())
+
+    @pytest.mark.parametrize("generators", [None, 1, 2.5])
+    def test_non_iterable_generators_rejected(self, generators):
+        with pytest.raises(ValueError, match="generators of actor 'spy' must be an iterable"):
+            ActorProfile(id="spy", generators=generators)
+
+    @pytest.mark.parametrize("generators", [frozenset({1}), [b"x"], ["x", None]])
+    def test_non_string_tokens_rejected(self, generators):
+        with pytest.raises(ValueError, match="tokens of actor 'spy' must be strings"):
+            ActorProfile(id="spy", generators=generators)
 
 
 class TestTieRule:
@@ -62,6 +78,12 @@ class TestBuildFromActors:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate actor ids: a"):
             build_from_actors([actor("a", "x"), actor("a", "y")])
+
+    def test_duplicate_ids_listed_sorted_once(self):
+        roster = [actor(aid) for aid in ("c", "b", "a", "c", "d", "b", "c")]
+        with pytest.raises(ValueError) as err:
+            build_from_actors(roster)
+        assert str(err.value) == "duplicate actor ids: b, c"
 
     def test_empty_roster_rejected(self):
         with pytest.raises(ValueError):
@@ -109,3 +131,45 @@ def test_edge_weights_equal_overlap(roster):
     graph, _ = build_from_actors(roster, TieRule())
     for s, t, w in graph.edges:
         assert w == len(roster[s].generators & roster[t].generators)
+
+
+ROSTER_TOKENS = st.sampled_from(["a", "A", " a ", "b", "B ", "c", "d", "e", "f", "g", "", "   "])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.frozensets(ROSTER_TOKENS, max_size=6), min_size=1, max_size=40),
+    st.integers(1, 5),
+    st.sampled_from(WEIGHT_MODES),
+    st.sampled_from([1, 2, 7, affiliation._PAIR_BUDGET]),
+)
+def test_edges_equal_pair_loop_reference(token_sets, threshold, weight_mode, budget):
+    roster = [ActorProfile(id=f"actor{i}", generators=tokens) for i, tokens in enumerate(token_sets)]
+    rule = TieRule(threshold=threshold, weight_mode=weight_mode)
+    with mock.patch.object(affiliation, "_PAIR_BUDGET", budget):
+        graph, _ = build_from_actors(roster, rule)
+    assert graph.edges == reference_affiliation_edges(roster, rule)
+
+
+def one_hub_roster(n):
+    """Every actor holds ``hub``; neighbours in the chain also share one chain token."""
+    return [actor(f"actor{k}", "hub", f"chain{k}", f"chain{k + 1}") for k in range(n)]
+
+
+def test_one_hub_roster_ties_only_the_chain():
+    graph, _ = build_from_actors(one_hub_roster(3000), TieRule(threshold=2))
+    assert graph.edges == tuple((k, k + 1, 2.0) for k in range(2999))
+
+
+def test_one_hub_scratch_memory_is_bounded_by_the_budget():
+    # All 4.5 million actor pairs share the hub; forming their codes at once
+    # traces over 100 MB. Blocks of the 2^16-code budget (512 KiB of 8-byte
+    # codes) keep the peak under 16 times that.
+    roster = one_hub_roster(3000)
+    tracemalloc.start()
+    try:
+        build_from_actors(roster, TieRule(threshold=2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 8 * (1 << 16)

@@ -221,9 +221,9 @@ class TestCommunity:
         assert community(g, 0, 1) == {1}
         assert all(2 not in community(g, 0, d) for d in (0, 1, 2, 3))
 
-    @pytest.mark.parametrize("delta", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("delta", [-1.0, math.nan, math.inf, True, "1"])
     def test_negative_delta_rejected(self, delta):
-        with pytest.raises(GraphError, match="finite and nonnegative"):
+        with pytest.raises(GraphError, match="community distance"):
             community(path4(), 0, delta)
 
     def test_bad_vertex_rejected(self):
