@@ -2,8 +2,8 @@
 
 Enumerates every connected labeled graph of a small order, finds the
 balance maximizers at several detection probabilities, and verifies the
-two optimality claims (complete graph below p = 1/2, star above) against
-the whole space.
+two optimality claims (complete graph below p = 1/2, star above); a bound
+on the balance by edge count lets two rivals stand for the whole space.
 """
 
 from covertnet import SecrecyParams, enumerate_connected, find_optimal, verify_lemma

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph import Graph, _is_int, _ranges, build_graph
+from .graph import Graph, _blocks, _is_int, _ranges, build_graph
 
 WEIGHT_MODES = ("overlap_count", "unit")
 
@@ -108,12 +108,8 @@ def build_from_actors(
     group, mate = token[order], member[order]
     partners = np.searchsorted(group, group, side="right")[rank] - rank - 1
     first = np.concatenate(([0], np.cumsum(sizes)))
-    ends = np.cumsum(np.bincount(member, weights=partners, minlength=n))
     edges = []
-    lo = 0
-    while lo < n:
-        done = ends[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, done + _PAIR_BUDGET, side="right")))
+    for lo, hi in _blocks(np.bincount(member, weights=partners, minlength=n), _PAIR_BUDGET):
         block = slice(first[lo], first[hi])
         count = partners[block]
         code = np.repeat(member[block] * n, count) + mate[_ranges(rank[block] + 1, count)]
@@ -122,5 +118,4 @@ def build_from_actors(
         i, j = np.divmod(code[kept], n)
         weight = np.ones(i.size) if rule.weight_mode == "unit" else overlap[kept].astype(float)
         edges.extend(zip(i.tolist(), j.tolist(), weight.tolist()))
-        lo = hi
     return build_graph(n, directed=False, edges=edges), tuple(ids)

@@ -34,7 +34,7 @@ from .io import (
 )
 from .affiliation import WEIGHT_MODES, TieRule, build_from_actors
 from .measures import SecrecyParams, balance, make_hierarchy
-from .search import DEFAULT_MAX_ORDER, find_optimal, verify_lemma
+from .search import LEMMA_MAX_ORDER, find_optimal, verify_lemma
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -113,9 +113,11 @@ def _cmd_optimal(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_lemmas(args: argparse.Namespace) -> int:
-    if not 3 <= args.n_max <= DEFAULT_MAX_ORDER:
-        raise ValueError(f"--n-max must be in [3, {DEFAULT_MAX_ORDER}], got {args.n_max}")
-    # each grid point costs one structure search per order
+    if not 3 <= args.n_max <= LEMMA_MAX_ORDER:
+        raise ValueError(f"--n-max must be in [3, {LEMMA_MAX_ORDER}], got {args.n_max}")
+    if args.workers < 1:  # kept for callers that pass it; a lemma check runs no workers
+        raise ValueError(f"workers must be a positive integer, got {args.workers}")
+    # each grid point adds one report row per order and claim
     steps = round(0.5 / args.grid_step) if 0.0 < args.grid_step <= 0.5 else 0
     if not 0 < steps <= 1000 or abs(0.5 / args.grid_step - steps) > 1e-9:
         raise ValueError(f"--grid-step must be 0.5/k for a whole k in 1..1000, got {args.grid_step}")
@@ -124,7 +126,7 @@ def _cmd_verify_lemmas(args: argparse.Namespace) -> int:
     rows = []
     for n in range(3, args.n_max + 1):
         for which, grid in (("complete_optimal", low_grid), ("star_optimal", high_grid)):
-            report = verify_lemma(which, n, grid, workers=args.workers)
+            report = verify_lemma(which, n, grid)
             for row in report.rows:
                 rows.append(
                     {
@@ -252,10 +254,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify-lemmas", help="check the claimed optimal structures")
     verify.add_argument(
-        "--n-max", type=int, required=True, help=f"verify orders 3..n_max (max {DEFAULT_MAX_ORDER})"
+        "--n-max", type=int, required=True, help=f"verify orders 3..n_max (max {LEMMA_MAX_ORDER})"
     )
     verify.add_argument("--grid-step", type=float, default=0.1, help="probability grid step")
-    verify.add_argument("--workers", type=int, default=1, help="parallel workers")
+    verify.add_argument("--workers", type=int, default=1, help="accepted and unused: nothing is enumerated")
     verify.set_defaults(handler=_cmd_verify_lemmas)
 
     sim = sub.add_parser("simulate", help="run the detection model on a graph file")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import run_chunks
-from .graph import Graph, _is_int, _out_arcs
+from .graph import Graph, _is_int, _is_real, _out_arcs, _real_tuple
 from .measures import _WEIGHT_SUM_TOL
 
 _TRIALS_PER_CHUNK = 1 << 13
@@ -45,7 +45,9 @@ class ScrutinyPlan:
     budget: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
+        object.__setattr__(self, "alphas", _real_tuple(self.alphas, "alphas"))
+        if not _is_real(self.budget):
+            raise ValueError(f"budget must be a real number, got {self.budget!r}")
         object.__setattr__(self, "budget", float(self.budget))
 
 
@@ -85,11 +87,11 @@ class DetectionParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
-        if not 0 < self.cost_k < math.inf:
+        if not (_is_real(self.gamma) and 0.0 < self.gamma <= 1.0):
+            raise ValueError(f"gamma must be in (0, 1], got {self.gamma!r}")
+        if not (_is_real(self.cost_k) and 0 < self.cost_k < math.inf):
             raise ValueError(
-                f"cost per detected member must be finite and positive, got {self.cost_k}"
+                f"cost per detected member cost_k must be finite and positive, got {self.cost_k!r}"
             )
         if not (_is_int(self.trials) and self.trials >= 1):
             raise ValueError(f"trial count must be a positive integer, got {self.trials}")

@@ -19,7 +19,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,6 +40,22 @@ class DisconnectedGraphError(GraphError):
 def _is_int(x) -> bool:
     """True integers only; bool is an int subtype and must not pass."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    """Real numbers only; bool is one to ``numbers`` and must not pass."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _real_tuple(values, name: str) -> tuple[float, ...]:
+    """``values`` as floats, or a ValueError naming ``name`` unless each is a real number."""
+    try:
+        items = tuple(values)
+    except TypeError:
+        items = None
+    if items is None or not all(_is_real(x) for x in items):
+        raise ValueError(f"{name} must be a sequence of real numbers, got {values!r}")
+    return tuple(float(x) for x in items)
 
 
 @dataclass(frozen=True)
@@ -137,7 +153,7 @@ def build_graph(
             raise GraphError(f"edge {raw!r} has an endpoint out of range [0, {n})")
         if s == t:
             raise GraphError(f"edge {raw!r} is a self-loop")
-        if isinstance(w, bool) or not isinstance(w, numbers.Real):
+        if not _is_real(w):
             raise GraphError(f"edge {raw!r} has a non-numeric weight")
         w = float(w)
         if not math.isfinite(w):
@@ -181,6 +197,20 @@ def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
     return np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
 
 
+def _blocks(load: np.ndarray, budget: int) -> Iterator[tuple[int, int]]:
+    """Consecutive index ranges [lo, hi) whose ``load`` sums to at most ``budget``.
+
+    A range holds one index alone when that index's load exceeds the budget.
+    """
+    ends = np.cumsum(load)
+    lo = 0
+    while lo < ends.size:
+        done = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, done + budget, side="right")))
+        yield lo, hi
+        lo = hi
+
+
 def _out_arcs(first: np.ndarray, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the out-arcs of ``vertices``, in order, and each vertex's arc count."""
     start = first[vertices]
@@ -204,11 +234,7 @@ def _all_pairs(g: Graph, hop_mode: bool) -> np.ndarray:
     frontier = np.arange(n) * (n + 1)
     dist[frontier] = 0.0
     while frontier.size:
-        ends = np.cumsum(np.diff(first)[frontier % n])
-        lo = 0
-        while lo < frontier.size:
-            done = ends[lo - 1] if lo else 0
-            hi = max(lo + 1, int(np.searchsorted(ends, done + _RELAX_BUDGET, side="right")))
+        for lo, hi in _blocks(np.diff(first)[frontier % n], _RELAX_BUDGET):
             source, vertex = np.divmod(frontier[lo:hi], n)
             arc, fanout = _out_arcs(first, vertex)
             cell = np.repeat(source * n, fanout) + dst[arc]
@@ -217,7 +243,6 @@ def _all_pairs(g: Graph, hop_mode: bool) -> np.ndarray:
             cell = cell[shorter]
             np.minimum.at(dist, cell, length[shorter])
             fell[cell] = True
-            lo = hi
         frontier = np.flatnonzero(fell)
         fell[frontier] = False
     return dist.reshape(n, n)
@@ -286,7 +311,7 @@ def community(g: Graph, i: int, delta: float, hop_mode: bool = True) -> set[int]
     when nothing lies at exactly ``delta``.
     """
     g._check_vertex(i)
-    if isinstance(delta, bool) or not isinstance(delta, numbers.Real):
+    if not _is_real(delta):
         raise GraphError(f"community distance delta must be a real number, got {delta!r}")
     if not 0 <= delta < math.inf:  # also rejects NaN
         raise GraphError(f"community distance must be finite and nonnegative, got {delta!r}")

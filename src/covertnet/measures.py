@@ -26,7 +26,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import DisconnectedGraphError, Graph, GraphError, _is_int, build_graph, total_distance
+from .graph import (
+    DisconnectedGraphError,
+    Graph,
+    GraphError,
+    _is_int,
+    _is_real,
+    _real_tuple,
+    build_graph,
+    total_distance,
+)
 
 _WEIGHT_SUM_TOL = 1e-12
 
@@ -46,10 +55,10 @@ class SecrecyParams:
     sharing_weights: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"link-detection probability must be in [0, 1], got {self.p}")
+        if not (_is_real(self.p) and 0.0 <= self.p <= 1.0):
+            raise ValueError(f"link-detection probability p must be in [0, 1], got {self.p!r}")
         if self.sharing_weights is not None:
-            weights = tuple(float(w) for w in self.sharing_weights)
+            weights = _real_tuple(self.sharing_weights, "sharing_weights")
             object.__setattr__(self, "sharing_weights", weights)
             if any(not w >= 0 for w in weights):
                 raise ValueError("sharing weights must be nonnegative")
@@ -177,8 +186,10 @@ def make_structure(kind: str, n: int) -> Graph:
     """
     if kind not in _STRUCTURE_MIN_N:
         raise ValueError(f"unknown structure kind {kind!r}; expected one of {STRUCTURE_KINDS}")
-    if n < _STRUCTURE_MIN_N[kind]:
-        raise ValueError(f"structure {kind!r} needs at least {_STRUCTURE_MIN_N[kind]} vertices, got {n}")
+    if not (_is_int(n) and n >= _STRUCTURE_MIN_N[kind]):
+        raise ValueError(
+            f"structure {kind!r} needs an integer order n >= {_STRUCTURE_MIN_N[kind]}, got {n!r}"
+        )
     if kind == "complete":
         edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
     elif kind == "star":
@@ -201,7 +212,7 @@ def make_hierarchy(alphas: Sequence[float], n_linked: int) -> Graph:
     hub; everyone else stays isolated. ``n_linked=0`` produces an anarchy
     and ``n_linked=N-1`` a star.
     """
-    alphas = tuple(float(a) for a in alphas)
+    alphas = _real_tuple(alphas, "alphas")
     big_n = len(alphas)
     if big_n < 1:
         raise ValueError("scrutiny vector must be nonempty")

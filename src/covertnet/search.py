@@ -1,4 +1,4 @@
-"""Exhaustive search over connected graphs of small order.
+"""Exhaustive search over connected graphs of small order, and the lemma checks.
 
 Candidate structures are encoded as bitmasks over the C(n, 2) possible
 edges, enumerated in ascending mask order. Enumeration is over labeled
@@ -12,6 +12,9 @@ Maximizers stay int64 edge masks up to the caller, and a ``Graph`` is built
 only for one that is read. Chunks may be processed by parallel workers;
 chunk boundaries never depend on the worker count and results are merged
 in chunk order, so any worker count yields bit-identical results.
+
+``find_optimal`` is the scan's only caller. ``verify_lemma`` enumerates
+nothing; its docstring proves that two rivals decide each claim.
 """
 
 from __future__ import annotations
@@ -26,12 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import run_chunks
-from .graph import Graph, _is_int, build_graph
+from .graph import Graph, _is_int, _real_tuple, build_graph, is_connected
 from .measures import SecrecyParams, balance, hidden_from_degrees, make_structure
 
-#: Orders above this need allow_large=True; 8 is the hard cap (2^28 subsets).
+#: Search orders above this need allow_large=True; 8 is the hard cap (2^28 subsets).
 DEFAULT_MAX_ORDER = 7
 HARD_MAX_ORDER = 8
+#: Largest order of a lemma check; it bounds the report's size, as nothing is enumerated.
+LEMMA_MAX_ORDER = 50
 
 _CHUNK_MASKS = 1 << 12
 
@@ -73,13 +78,10 @@ class LemmaReport:
         return all(row.passed for row in self.rows)
 
 
-def _check_order(n: int, allow_large: bool) -> None:
-    cap = HARD_MAX_ORDER if allow_large else DEFAULT_MAX_ORDER
+def _check_order(n: int, cap: int) -> None:
     if not _is_int(n) or not 2 <= n <= cap:
-        raise ValueError(
-            f"order must be an integer in [2, {cap}]"
-            f"{' (pass allow_large=True for 8)' if not allow_large else ''}, got {n}"
-        )
+        hint = " (pass allow_large=True for 8)" if cap == DEFAULT_MAX_ORDER else ""
+        raise ValueError(f"order must be an integer in [2, {cap}]{hint}, got {n}")
 
 
 @functools.cache
@@ -121,7 +123,7 @@ def enumerate_connected(n: int, allow_large: bool = False) -> Iterator[Graph]:
     lexicographic pair order. The order cap is checked eagerly, before the
     first graph is requested.
     """
-    _check_order(n, allow_large)
+    _check_order(n, HARD_MAX_ORDER if allow_large else DEFAULT_MAX_ORDER)
 
     def generate() -> Iterator[Graph]:
         for lo, hi in _chunk_ranges(n):
@@ -175,24 +177,17 @@ def _chunk_ranges(n: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + _CHUNK_MASKS, space)) for lo in range(0, space, _CHUNK_MASKS)]
 
 
-def _scan_optimal_chunk(args) -> tuple[int, list[tuple[np.ndarray, np.ndarray]]]:
-    """Connected masks in [lo, hi), then per grid p the chunk's candidates.
+def _scan_optimal_chunk(args) -> tuple[int, tuple[np.ndarray, np.ndarray]]:
+    """Connected masks in [lo, hi), then the chunk's candidates.
 
-    Each is (masks within tolerance of the chunk's best balance, their mu), empty
-    without one. ``skip_mask`` is counted as connected but is never a candidate.
+    These are (masks within tolerance of the chunk's best balance, their mu),
+    empty without a connected mask.
     """
-    n, lo, hi, p_grid, weights, skip_mask, tolerance = args
+    n, lo, hi, p, weights, tolerance = args
     masks, totals, degrees = _chunk_stats(n, lo, hi)
-    count = len(masks)
-    other = masks != skip_mask
-    masks, degrees, weights = masks[other], degrees[other], np.asarray(weights)
-    info = n * (n - 1) / totals[other]
-    out = []
-    for p in p_grid:
-        mu = info * hidden_from_degrees(n, degrees, p, weights)
-        keep = mu >= mu.max(initial=-math.inf) - tolerance
-        out.append((masks[keep], mu[keep]))
-    return count, out
+    mu = n * (n - 1) / totals * hidden_from_degrees(n, degrees, p, np.asarray(weights))
+    keep = mu >= mu.max(initial=-math.inf) - tolerance
+    return len(masks), (masks[keep], mu[keep])
 
 
 def _check_tolerance(tolerance: float) -> None:
@@ -201,23 +196,20 @@ def _check_tolerance(tolerance: float) -> None:
 
 
 def _scan(
-    n: int,
-    p_grid: tuple[float, ...],
-    weights: tuple[float, ...],
-    tolerance: float,
-    workers: int,
-    skip_mask: int = -1,
-) -> tuple[int, list[tuple[float, np.ndarray]]]:
-    """Connected-graph count, then per p the best mu (or -inf) and the masks within tolerance."""
-    jobs = [(n, lo, hi, p_grid, weights, skip_mask, tolerance) for lo, hi in _chunk_ranges(n)]
+    n: int, p: float, weights: tuple[float, ...], tolerance: float, workers: int
+) -> tuple[int, float, np.ndarray]:
+    """Connected-graph count, the best mu (or -inf) and the masks within tolerance of it."""
+    jobs = [(n, lo, hi, p, weights, tolerance) for lo, hi in _chunk_ranges(n)]
     results = run_chunks(_scan_optimal_chunk, jobs, workers)
-    per_p = []
-    for chunks in zip(*[per for _, per in results]):
-        best = max((float(mu.max()) for _, mu in chunks if len(mu)), default=-math.inf)
-        near = np.concatenate([masks[mu >= best - tolerance] for masks, mu in chunks])
-        near.setflags(write=False)
-        per_p.append((best, near))
-    return sum(count for count, _ in results), per_p
+    enumerated = sum(count for count, _ in results)
+    best = max((float(mu.max()) for _, (_, mu) in results if len(mu)), default=-math.inf)
+    # swap each chunk's (masks, mu) for its kept masks as it is filtered, so the peak
+    # holds 8 B per maximizer twice (kept and concatenated), not mu and copies besides
+    for k, (_, (masks, mu)) in enumerate(results):
+        results[k] = masks[mu >= best - tolerance]
+    near = np.concatenate(results)
+    near.setflags(write=False)
+    return enumerated, best, near
 
 
 def find_optimal(
@@ -234,10 +226,10 @@ def find_optimal(
     between the complete graph and the star is genuine. ``argmax_graphs`` holds
     the maximizers' edge masks in mask order and builds a graph only when one is read.
     """
-    _check_order(n, allow_large)
+    _check_order(n, HARD_MAX_ORDER if allow_large else DEFAULT_MAX_ORDER)
     _check_tolerance(tolerance)
     weights = tuple(params.weights_for(n))
-    enumerated, [(best, masks)] = _scan(n, (params.p,), weights, tolerance, workers)
+    enumerated, best, masks = _scan(n, params.p, weights, tolerance, workers)
     return SearchResult(
         n=n,
         p=params.p,
@@ -255,56 +247,51 @@ _LEMMA_CLAIMS = {
 
 
 def verify_lemma(
-    which: str,
-    n: int,
-    p_grid: list[float],
-    tolerance: float = 1e-12,
-    allow_large: bool = False,
-    workers: int = 1,
+    which: str, n: int, p_grid: Sequence[float], tolerance: float = 1e-12
 ) -> LemmaReport:
     """Check a claimed-optimal structure against every connected graph.
 
     ``which`` selects the claim: ``complete_optimal`` (complete graph best
     for p in [0, 1/2]) or ``star_optimal`` (star best for p in [1/2, 1]).
-    Each grid probability must lie in the claim's interval. A row passes
-    when the claimed structure's balance is at least every competitor's
-    balance minus ``tolerance``; on failure the row carries the strongest
-    counterexample graph.
+    Each grid probability must lie in the claim's interval, and n in
+    [2, ``LEMMA_MAX_ORDER``]. A row passes when the claimed structure's
+    balance is at least every rival's balance minus ``tolerance``; on
+    failure the row carries the strongest rival as its counterexample.
+
+    Two rivals stand for all. Let N = n(n-1). A connected graph with m edges
+    has N - 2m non-adjacent ordered pairs, each at least 2 apart, so its total
+    distance is T >= 2N - 2m, with equality exactly at diameter <= 2. Uniform
+    weights give H = (N - 2pm) / n^2 >= 0, so the balance N/T * H is at most
+    f(m) = N (N - 2pm) / (2 n^2 (N - m)), which every graph of diameter <= 2
+    with m edges attains. f'(m) = N^2 (1 - 2p) / (2 n^2 (N - m)^2) keeps one
+    sign, so the best rival sits at an end of the rivals' edge range, where
+    graphs of diameter <= 2 attain f: the star on hub n-1, and the complete
+    graph less its last edge (complete claim) or the complete graph (star
+    claim). At n = 2 no rival is left, and ``max_mu_other`` is -inf.
     """
     if which not in _LEMMA_CLAIMS:
-        raise ValueError(
-            f"unknown claim {which!r}; expected 'complete_optimal' or 'star_optimal'"
-        )
-    _check_order(n, allow_large)
+        raise ValueError(f"unknown claim {which!r}; expected 'complete_optimal' or 'star_optimal'")
+    _check_order(n, LEMMA_MAX_ORDER)
     _check_tolerance(tolerance)
     kind, lo_p, hi_p = _LEMMA_CLAIMS[which]
-    p_grid = [float(p) for p in p_grid]
+    p_grid = _real_tuple(p_grid, "p_grid")
     for p in p_grid:
         if not lo_p <= p <= hi_p:
-            raise ValueError(
-                f"p={p} outside the stated interval [{lo_p}, {hi_p}] for {which}"
-            )
+            raise ValueError(f"p={p} outside the stated interval [{lo_p}, {hi_p}] for {which}")
 
+    # the claims are stated for uniform sharing weights, SecrecyParams' default
     claimed = make_structure(kind, n)
-    claimed_mask = sum(1 << _edge_slots(n).index((s, t)) for s, t, _ in claimed.edges)
-    # the optimality claims are stated for uniform sharing weights
-    weights = tuple(np.full(n, 1.0 / n))
-
-    # tolerance 0 keeps exactly the strongest rivals; the first is the counterexample
-    _, best_other = _scan(n, tuple(p_grid), weights, 0.0, workers, skip_mask=claimed_mask)
-
+    complete = make_structure("complete", n)
+    star = build_graph(n, edges=[(j, n - 1) for j in range(n - 1)])
+    dense = build_graph(n, edges=complete.edges[:-1]) if kind == "complete" else complete
+    rivals = [g for g in (star, dense) if g.edges != claimed.edges and is_connected(g)]
     rows = []
-    for p, (max_other, rivals) in zip(p_grid, best_other):
-        mu_claimed = balance(claimed, SecrecyParams(p)).mu
+    for p in p_grid:
+        params = SecrecyParams(p)
+        scored = [(balance(g, params).mu, g) for g in rivals]
+        max_other, strongest = max(scored, key=operator.itemgetter(0), default=(-math.inf, None))
+        mu_claimed = balance(claimed, params).mu
         passed = mu_claimed >= max_other - tolerance
-        counterexample = None if passed else _graph_from_mask(int(rivals[0]), n)
-        rows.append(
-            LemmaCheckRow(
-                p=p,
-                passed=passed,
-                mu_claimed=mu_claimed,
-                max_mu_other=max_other,
-                counterexample=counterexample,
-            )
-        )
+        counterexample = None if passed else strongest
+        rows.append(LemmaCheckRow(p, passed, mu_claimed, max_other, counterexample))
     return LemmaReport(which=which, n=n, tolerance=tolerance, rows=tuple(rows))

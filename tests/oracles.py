@@ -14,7 +14,9 @@ Everything here deliberately avoids the library's algorithms:
 * a Monte Carlo chunk is replayed by scanning every (detector, target)
   pair at each propagation step (the library expands only the frontier),
 * affiliation ties come from intersecting the token sets of every actor
-  pair (the library counts overlaps from a token index).
+  pair (the library counts overlaps from a token index),
+* a lemma check's strongest rival comes from scoring every connected graph
+  of the order (the library scores two rivals that a bound proves enough).
 
 Oracles read only the public fields of a Graph (n, directed, edges).
 """
@@ -27,7 +29,9 @@ import random
 
 import numpy as np
 
+from covertnet import search
 from covertnet.graph import Graph, build_graph
+from covertnet.measures import SecrecyParams, balance, hidden_from_degrees, make_structure
 
 
 def brute_force_apsp(g: Graph, hop_mode: bool = True) -> np.ndarray:
@@ -206,6 +210,38 @@ def reference_affiliation_edges(roster, rule) -> tuple[tuple[int, int, float], .
                 weight = float(overlap) if rule.weight_mode == "overlap_count" else 1.0
                 edges.append((i, j, weight))
     return tuple(edges)
+
+
+def reference_lemma_rows(
+    which: str, n: int, p_grid, tolerance: float = 1e-12
+) -> list[tuple[float, bool, float, float]]:
+    """(p, passed, mu_claimed, max_mu_other) per grid p, by scanning every edge mask.
+
+    The rivals are every connected graph on n vertices but the claimed
+    structure, scored with uniform weights from ``search._chunk_stats`` rows
+    (which ``TestChunkStats`` pins to the graph distances); ``max_mu_other``
+    is -inf when there is none. The claimed structure is scored by
+    ``balance``, and a row passes when it is within ``tolerance`` of the
+    best rival.
+    """
+    kind = search._LEMMA_CLAIMS[which][0]
+    claimed = make_structure(kind, n)
+    slots = list(itertools.combinations(range(n), 2))
+    claimed_mask = sum(1 << slots.index((s, t)) for s, t, _ in claimed.edges)
+    weights = np.full(n, 1.0 / n)
+    best = [-math.inf] * len(p_grid)
+    for lo, hi in search._chunk_ranges(n):
+        masks, totals, degrees = search._chunk_stats(n, lo, hi)
+        other = masks != claimed_mask
+        info = n * (n - 1) / totals[other]
+        for k, p in enumerate(p_grid):
+            mu = info * hidden_from_degrees(n, degrees[other], p, weights)
+            best[k] = max(best[k], float(mu.max(initial=-math.inf)))
+    rows = []
+    for p, max_other in zip(p_grid, best):
+        mu_claimed = balance(claimed, SecrecyParams(p)).mu
+        rows.append((p, mu_claimed >= max_other - tolerance, mu_claimed, max_other))
+    return rows
 
 
 # Weight grid for randomized weighted-distance tests. Dyadic values keep

@@ -23,6 +23,7 @@ from oracles import (
     count_connected_graphs,
     detection_joint_enumeration,
     random_connected_graph,
+    reference_lemma_rows,
 )
 
 TOL = 1e-12
@@ -56,6 +57,8 @@ def test_lemma_sweep_complete():
         report = verify_lemma("complete_optimal", n, LOW_GRID, tolerance=TOL)
         assert len(report.rows) == len(LOW_GRID)
         assert report.all_passed, [row for row in report.rows if not row.passed]
+        # verify_lemma scores two rivals; a scan of every connected graph judges the claim
+        assert all(row[1] for row in reference_lemma_rows("complete_optimal", n, LOW_GRID, TOL))
     # restate the claim directly at small order: no graph beats the complete one
     for n in (3, 4):
         complete = make_structure("complete", n)
@@ -72,6 +75,7 @@ def test_lemma_sweep_star():
         report = verify_lemma("star_optimal", n, HIGH_GRID, tolerance=TOL)
         assert len(report.rows) == len(HIGH_GRID)
         assert report.all_passed, [row for row in report.rows if not row.passed]
+        assert all(row[1] for row in reference_lemma_rows("star_optimal", n, HIGH_GRID, TOL))
     for n in (3, 4):
         star = make_structure("star", n)
         competitors = list(enumerate_connected(n))

@@ -210,6 +210,12 @@ class TestVerifyLemmas:
         high = {r["p"] for r in doc["rows"] if r["which"] == "star_optimal"}
         assert low == {0.0, 0.25, 0.5} and high == {0.5, 0.75, 1.0}
 
+    def test_orders_beyond_the_search_cap_pass(self, capsys):
+        code, out, _ = run(capsys, "verify-lemmas", "--n-max", "12")
+        doc = json.loads(out)
+        assert code == 0 and doc["all_passed"] is True
+        assert {row["n"] for row in doc["rows"]} == set(range(3, 13))
+
     def test_n_max_below_range_exits_2(self, capsys):
         code, _, _ = run(capsys, "verify-lemmas", "--n-max", "2")
         assert code == 2
@@ -443,7 +449,7 @@ NUMERIC_FLAGS = {
     "simulate --exact --workers": (_simulate(workers="{}"), ["0", "-3"]),
     "simulate --workers": (_simulate(exact=False, workers="{}"), ["0", "-3"]),
     "optimal --n": (["optimal", "--n={}", "--p", "0.3"], ["1", "8", "9"]),
-    "verify-lemmas --n-max": (["verify-lemmas", "--n-max={}"], ["2", "8"]),
+    "verify-lemmas --n-max": (["verify-lemmas", "--n-max={}"], ["2", "51"]),
     "build --threshold": (["build", "{roster}", "--threshold={}"], ["0", "-1"]),
     "hierarchy --n-linked": (["hierarchy", "--alphas", "0.1,0.2", "--n-linked={}"], ["-1", "2"]),
 }

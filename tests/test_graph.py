@@ -336,3 +336,14 @@ def test_random_connected_generator_is_connected():
         g = random_connected_graph(rng, rng.randint(2, 8), weighted=True)
         assert is_connected(g)
         assert not math.isinf(brute_force_apsp(g).max())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 12), max_size=30), st.integers(1, 20))
+def test_blocks_cut_greedily_within_budget(load, budget):
+    # every block is as long as the budget allows, and one index alone when it is over
+    cuts = list(covertnet.graph._blocks(np.array(load, dtype=np.int64), budget))
+    assert [i for lo, hi in cuts for i in range(lo, hi)] == list(range(len(load)))
+    for lo, hi in cuts:
+        assert sum(load[lo:hi]) <= budget or hi == lo + 1
+        assert hi == len(load) or sum(load[lo : hi + 1]) > budget

@@ -5,7 +5,7 @@ import pytest
 from covertnet.affiliation import ActorProfile, TieRule
 from covertnet.detection import DetectionParams, ScrutinyPlan, simulate
 from covertnet.graph import build_graph, community
-from covertnet.measures import SecrecyParams, make_hierarchy
+from covertnet.measures import SecrecyParams, make_hierarchy, make_structure
 from covertnet.search import find_optimal, verify_lemma
 
 PATH3 = build_graph(3, edges=[(0, 1), (1, 2)])
@@ -17,7 +17,6 @@ PARAMS3 = DetectionParams(gamma=0.5, cost_k=1.0, trials=10)
 NOT_INTEGERS = {
     "find_optimal workers=True": ("workers", lambda: find_optimal(4, SecrecyParams(0.3), workers=True)),
     "find_optimal workers=1.5": ("workers", lambda: find_optimal(4, SecrecyParams(0.3), workers=1.5)),
-    "verify_lemma workers=True": ("workers", lambda: verify_lemma("star_optimal", 4, [0.7], workers=True)),
     "simulate periods=True": ("periods", lambda: simulate(PATH3, PLAN3, PARAMS3, periods=True)),
     "simulate workers=2.0": ("workers", lambda: simulate(PATH3, PLAN3, PARAMS3, workers=2.0)),
     "DetectionParams trials=True": ("trial", lambda: DetectionParams(gamma=0.5, cost_k=1.0, trials=True)),
@@ -28,10 +27,42 @@ NOT_INTEGERS = {
     "community vertex=True": ("vertex", lambda: community(PATH3, True, 1)),
     "community vertex=1.0": ("vertex", lambda: community(PATH3, 1.0, 1)),
     "ActorProfile generators='abc'": ("generators", lambda: ActorProfile("a", "abc")),
+    "make_structure n=2.0": ("order n", lambda: make_structure("complete", 2.0)),
+    "make_structure n='3'": ("order n", lambda: make_structure("cycle", "3")),
 }
 
 
 @pytest.mark.parametrize("argument, call", NOT_INTEGERS.values(), ids=NOT_INTEGERS.keys())
 def test_non_integer_argument_rejected_by_name(argument, call):
+    with pytest.raises(ValueError, match=argument):
+        call()
+
+
+# bool is a real number to ``numbers`` and compares like 0 or 1, and a numeric string
+# converts with float(), but neither is a number; None is not a sequence of them
+NOT_REAL_NUMBERS = {
+    "SecrecyParams p=True": ("probability p", lambda: SecrecyParams(p=True)),
+    "SecrecyParams p='0.3'": ("probability p", lambda: SecrecyParams(p="0.3")),
+    "SecrecyParams p=None": ("probability p", lambda: SecrecyParams(p=None)),
+    "SecrecyParams sharing_weights=(True,)": (
+        "sharing_weights", lambda: SecrecyParams(0.3, sharing_weights=(True,))
+    ),
+    "SecrecyParams sharing_weights=('a',)": (
+        "sharing_weights", lambda: SecrecyParams(0.3, sharing_weights=("a",))
+    ),
+    "verify_lemma p_grid=[True]": ("p_grid", lambda: verify_lemma("star_optimal", 4, [True])),
+    "verify_lemma p_grid=['0.7']": ("p_grid", lambda: verify_lemma("star_optimal", 4, ["0.7"])),
+    "DetectionParams gamma=True": ("gamma", lambda: DetectionParams(gamma=True, cost_k=1.0)),
+    "DetectionParams gamma='0.5'": ("gamma", lambda: DetectionParams(gamma="0.5", cost_k=1.0)),
+    "DetectionParams cost_k=True": ("cost_k", lambda: DetectionParams(gamma=0.5, cost_k=True)),
+    "ScrutinyPlan budget=True": ("budget", lambda: ScrutinyPlan(alphas=(0.1,), budget=True)),
+    "ScrutinyPlan alphas=(True,)": ("alphas", lambda: ScrutinyPlan(alphas=(True,), budget=1.0)),
+    "ScrutinyPlan alphas=None": ("alphas", lambda: ScrutinyPlan(alphas=None, budget=1.0)),
+    "make_hierarchy alphas=('0.1', '0.2')": ("alphas", lambda: make_hierarchy(("0.1", "0.2"), 1)),
+}
+
+
+@pytest.mark.parametrize("argument, call", NOT_REAL_NUMBERS.values(), ids=NOT_REAL_NUMBERS.keys())
+def test_non_real_argument_rejected_by_name(argument, call):
     with pytest.raises(ValueError, match=argument):
         call()

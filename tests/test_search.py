@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,7 @@ from covertnet.graph import build_graph, diameter, is_connected, total_distance
 from covertnet.measures import SecrecyParams, balance, make_structure
 from covertnet.search import enumerate_connected, find_optimal, verify_lemma
 
-from oracles import count_connected_graphs
+from oracles import count_connected_graphs, reference_lemma_rows
 
 LOW_GRID = [k / 20 for k in range(11)]
 HIGH_GRID = [0.5 + k / 20 for k in range(11)]
@@ -96,8 +97,22 @@ class TestOrderSeven:
         assert len(find_optimal(7, SecrecyParams(0.5)).argmax_graphs) == 676_456
 
     def test_lemma_claims(self):
-        assert verify_lemma("complete_optimal", 7, [0.0, 0.3, 0.5]).all_passed
-        assert verify_lemma("star_optimal", 7, [0.5, 0.7, 1.0]).all_passed
+        for which, grid in [("complete_optimal", [0.0, 0.3, 0.5]), ("star_optimal", [0.5, 0.7, 1.0])]:
+            report = verify_lemma(which, 7, grid)
+            assert report.all_passed
+            assert_rows_match_scan(report, reference_lemma_rows(which, 7, grid))
+
+    def test_half_holds_one_mask_per_maximizer(self):
+        # the scan's peak is the kept masks (8 B each) plus their concatenation,
+        # not the chunks' candidates with their mu alongside
+        tracemalloc.start()
+        try:
+            result = find_optimal(7, SecrecyParams(0.5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.argmax_graphs) == 676_456
+        assert peak / len(result.argmax_graphs) < 24
 
 
 class TestFindOptimal:
@@ -213,7 +228,63 @@ class TestMaskBackedMaximizers:
         assert len(calls) == 10
 
 
+def assert_rows_match_scan(report, reference):
+    """Same passed flags and mu_claimed as the full scan; max_mu_other within 1e-15."""
+    assert [row.p for row in report.rows] == [p for p, _, _, _ in reference]
+    for row, (_, passed, mu_claimed, max_other) in zip(report.rows, reference):
+        assert row.passed == passed
+        assert row.mu_claimed == mu_claimed
+        assert row.max_mu_other == max_other or abs(row.max_mu_other - max_other) <= 1e-15
+
+
+@st.composite
+def claim_grids(draw):
+    """(claim, grid): one to three probabilities drawn inside the claim's interval."""
+    which = draw(st.sampled_from(sorted(search._LEMMA_CLAIMS)))
+    _, lo, hi = search._LEMMA_CLAIMS[which]
+    return which, draw(st.lists(st.floats(lo, hi), min_size=1, max_size=3))
+
+
 class TestVerifyLemma:
+    @settings(max_examples=60, deadline=None)
+    @example(2, ("star_optimal", [0.5, 1.0]))  # the claimed edge is the only connected graph
+    @example(6, ("complete_optimal", [0.5]))  # every graph of diameter <= 2 ties the claim
+    @given(st.integers(2, 6), claim_grids())
+    def test_rows_match_the_full_scan(self, n, claim):
+        which, grid = claim
+        assert_rows_match_scan(verify_lemma(which, n, grid), reference_lemma_rows(which, n, grid))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 12])
+    def test_failing_rows_carry_the_strongest_rival(self, monkeypatch, n):
+        # stretched to [0, 1], the complete claim fails above 1/2 and the star claim below
+        stretched = {which: (kind, 0.0, 1.0) for which, (kind, _, _) in search._LEMMA_CLAIMS.items()}
+        monkeypatch.setattr(search, "_LEMMA_CLAIMS", stretched)
+        grid = [k / 10 for k in range(11)]
+        for which, (kind, _, _) in stretched.items():
+            report = verify_lemma(which, n, grid)
+            if n <= 6:
+                assert_rows_match_scan(report, reference_lemma_rows(which, n, grid))
+            failed = [row for row in report.rows if not row.passed]
+            assert bool(failed) == (n > 2)
+            for row in failed:
+                rival = row.counterexample
+                assert is_connected(rival) and rival.edges != make_structure(kind, n).edges
+                assert balance(rival, SecrecyParams(row.p)).mu == row.max_mu_other
+
+    def test_scans_no_mask_at_any_order(self, monkeypatch):
+        def scan(*args):
+            raise AssertionError("verify_lemma scanned edge masks")
+
+        monkeypatch.setattr(search, "run_chunks", scan)
+        monkeypatch.setattr(search, "_chunk_stats", scan)
+        for n in range(2, search.LEMMA_MAX_ORDER + 1):
+            assert verify_lemma("complete_optimal", n, [0.0, 0.5]).all_passed
+            assert verify_lemma("star_optimal", n, [0.5, 1.0]).all_passed
+
+    def test_order_above_cap_rejected(self):
+        with pytest.raises(ValueError, match="order"):
+            verify_lemma("star_optimal", search.LEMMA_MAX_ORDER + 1, [0.7])
+
     def test_complete_optimal_sweep(self):
         report = verify_lemma("complete_optimal", 5, LOW_GRID)
         assert report.all_passed
@@ -255,8 +326,3 @@ class TestVerifyLemma:
     def test_unknown_claim_rejected(self):
         with pytest.raises(ValueError, match="unknown claim"):
             verify_lemma("cycle_optimal", 4, [0.1])
-
-    def test_worker_count_does_not_change_report(self):
-        one = verify_lemma("complete_optimal", 5, [0.0, 0.25, 0.5])
-        two = verify_lemma("complete_optimal", 5, [0.0, 0.25, 0.5], workers=3)
-        assert one == two
