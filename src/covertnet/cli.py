@@ -2,14 +2,22 @@
 
 Subcommands: ``metrics``, ``optimal``, ``verify-lemmas``, ``simulate``,
 ``build``, ``hierarchy``. Every command writes a single JSON document to
-stdout; diagnostics go to stderr. Exit codes: 0 success, 1 malformed
+stdout, byte for byte the text of ``json.dumps(doc, indent=2)`` and a
+newline; diagnostics go to stderr. Exit codes: 0 success, 1 malformed
 input file, 2 constraint or range violation, 3 lemma verification
 failure.
+
+The document is written from calls to the C encoder, which ``indent``
+would bypass for the pure-Python one (about three times slower on a
+graph document): only the containers are walked in Python, and the
+scalars of a container are encoded together in one call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import sys
 
@@ -42,8 +50,63 @@ EXIT_CONSTRAINT = 2
 EXIT_LEMMA_FAILED = 3
 
 
+#: Item separator whose encoder output splits back into tokens: strings escape NUL.
+_SEP = "\x00"
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_ROWS = frozenset({list, tuple})
+
+
+@functools.cache
+def _encoder(separator: str):
+    """The C encoder's ``encode``, with ``separator`` between items and ": " after keys."""
+    return json.JSONEncoder(separators=(separator, ": ")).encode
+
+
+def _tokens(values) -> list[str]:
+    """The JSON text of each scalar in ``values``, from one encoder call."""
+    return _encoder(_SEP)(values)[1:-1].split(_SEP) if values else []
+
+
+def _dumps(value, depth: int = 0) -> str:
+    """``json.dumps(value, indent=2)`` for ``value`` nested ``depth`` containers deep.
+
+    A container of scalars is one encoder call. A list of equal-length rows
+    of scalars is one call over all of their scalars, put in place by one
+    ``%`` template. Any other container encodes its scalars in one call and
+    its keys in another, and recurses into its containers.
+    """
+    if isinstance(value, dict):
+        items, brackets = list(value.values()), "{}"
+    elif isinstance(value, (list, tuple)):
+        items, brackets = value, "[]"
+    else:
+        return _encoder(",")(value)
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (depth + 1)
+    kinds = set(map(type, items))
+    if kinds <= _SCALARS:
+        text = _encoder("," + pad)(value)
+        return brackets[0] + pad + text[1:-1] + pad[:-2] + brackets[1]
+    if brackets == "[]" and kinds <= _ROWS and len(set(map(len, items))) == 1:
+        flat = list(itertools.chain.from_iterable(items))
+        if set(map(type, flat)) <= _SCALARS:
+            inner, width = "\n" + "  " * (depth + 2), len(items[0])
+            row = "[" + inner + ("," + inner).join(["%s"] * width) + pad + "]" if width else "[]"
+            template = "[" + pad + ("," + pad).join([row] * len(items)) + pad[:-2] + "]"
+            return template % tuple(_tokens(flat))
+    nested = [isinstance(v, (list, tuple, dict)) for v in items]
+    scalars = iter(_tokens([v for v, deep in zip(items, nested) if not deep]))
+    texts = [_dumps(v, depth + 1) if deep else next(scalars) for v, deep in zip(items, nested)]
+    if brackets == "{}":
+        # each key token reads '"key": 0'; dropping the 0 leaves the key and its ": "
+        keys = _tokens(dict.fromkeys(value, 0))
+        texts = [key[:-1] + text for key, text in zip(keys, texts)]
+    return brackets[0] + pad + ("," + pad).join(texts) + pad[:-2] + brackets[1]
+
+
 def _emit(doc: dict) -> None:
-    print(json.dumps(doc, indent=2))
+    print(_dumps(doc))
 
 
 def _edge_pairs(g: Graph) -> list[list[int]]:

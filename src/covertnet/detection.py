@@ -93,6 +93,8 @@ class DetectionParams:
             raise ValueError(
                 f"cost per detected member cost_k must be finite and positive, got {self.cost_k!r}"
             )
+        if not isinstance(self.cascade, bool):
+            raise ValueError(f"cascade must be a bool, got {self.cascade!r}")
         if not (_is_int(self.trials) and self.trials >= 1):
             raise ValueError(f"trial count must be a positive integer, got {self.trials}")
         if not (_is_int(self.seed) and 0 <= self.seed < 1 << 128):

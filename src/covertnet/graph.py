@@ -131,40 +131,52 @@ def build_graph(
     Raises
     ------
     GraphError
-        On an endpoint out of range, a self-loop, a duplicate edge, or a
-        weight that is not a real number (bool included), negative or
-        non-finite; the offending edge is named in the message.
+        On a ``directed`` that is not a bool, an edge that is not a 2- or
+        3-sequence, an endpoint out of range, a self-loop, a duplicate edge,
+        or a weight that is not a real number (bool included), negative or
+        non-finite (an int too large for a float included); the offending
+        edge is named in the message.
     """
     if not _is_int(n) or n < 1:
         raise GraphError(f"vertex count must be a positive integer, got {n!r}")
+    if not isinstance(directed, bool):
+        raise GraphError(f"directed must be a bool, got {directed!r}")
     canon: dict[tuple[int, int], float] = {}
+    # Each check tests the exact builtin type first: the general test it short-cuts
+    # (an ABC instance check for the weight) costs more than the rest of the loop.
     for raw in edges:
-        item = tuple(raw)
-        if len(item) == 2:
+        try:
+            item = tuple(raw)
+        except TypeError:
+            item = ()
+        if len(item) == 3:
+            s, t, w = item
+        elif len(item) == 2:
             s, t = item
             w = 1.0
-        elif len(item) == 3:
-            s, t, w = item
         else:
             raise GraphError(f"edge {raw!r} must be (source, target[, weight])")
-        if not (_is_int(s) and _is_int(t)):
+        if not (type(s) is int and type(t) is int or _is_int(s) and _is_int(t)):
             raise GraphError(f"edge {raw!r} has non-integer endpoints")
         if not (0 <= s < n and 0 <= t < n):
             raise GraphError(f"edge {raw!r} has an endpoint out of range [0, {n})")
         if s == t:
             raise GraphError(f"edge {raw!r} is a self-loop")
-        if not _is_real(w):
-            raise GraphError(f"edge {raw!r} has a non-numeric weight")
-        w = float(w)
-        if not math.isfinite(w):
-            raise GraphError(f"edge {raw!r} has a non-finite weight")
-        if w < 0:
-            raise GraphError(f"edge {raw!r} has a negative weight")
-        key = (s, t) if directed else (min(s, t), max(s, t))
+        if type(w) is not float:
+            if not _is_real(w):
+                raise GraphError(f"edge {raw!r} has a non-numeric weight")
+            try:
+                w = float(w)
+            except OverflowError:  # an int or a Fraction beyond the float range
+                w = math.inf
+        if not 0.0 <= w < math.inf:
+            problem = "a negative" if math.isfinite(w) else "a non-finite"
+            raise GraphError(f"edge {raw!r} has {problem} weight")
+        key = (s, t) if directed or s < t else (t, s)
         if key in canon:
             raise GraphError(f"duplicate edge {raw!r}")
         canon[key] = w
-    edge_tuple = tuple((s, t, canon[(s, t)]) for s, t in sorted(canon))
+    edge_tuple = tuple(sorted([(s, t, w) for (s, t), w in canon.items()]))
     return Graph(n=n, directed=directed, edges=edge_tuple)
 
 
@@ -259,6 +271,8 @@ def geodesic_distances(g: Graph, hop_mode: bool = True) -> DistanceMatrix:
     later calls return the same read-only object. Total distance,
     diameter, communities and connectivity are all read from it.
     """
+    if not isinstance(hop_mode, bool):
+        raise GraphError(f"hop_mode must be a bool, got {hop_mode!r}")
     dm = g._distances.get(hop_mode)
     if dm is None:
         dist = _all_pairs(g, hop_mode)

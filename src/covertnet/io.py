@@ -78,7 +78,7 @@ def _graph_from_json(text: str, source: Path) -> tuple[Graph, tuple[str, ...] | 
         labels = tuple(labels)
     try:
         graph = build_graph(n, directed=directed, edges=edges)
-    except (GraphError, TypeError) as err:
+    except GraphError as err:
         raise GraphFileError(f"{source}: {err}") from err
     return graph, labels
 

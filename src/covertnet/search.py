@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import run_chunks
-from .graph import Graph, _is_int, _real_tuple, build_graph, is_connected
+from .graph import Graph, _is_int, _is_real, _real_tuple, build_graph, is_connected
 from .measures import SecrecyParams, balance, hidden_from_degrees, make_structure
 
 #: Search orders above this need allow_large=True; 8 is the hard cap (2^28 subsets).
@@ -78,6 +78,12 @@ class LemmaReport:
         return all(row.passed for row in self.rows)
 
 
+def _order_cap(allow_large: bool) -> int:
+    if not isinstance(allow_large, bool):
+        raise ValueError(f"allow_large must be a bool, got {allow_large!r}")
+    return HARD_MAX_ORDER if allow_large else DEFAULT_MAX_ORDER
+
+
 def _check_order(n: int, cap: int) -> None:
     if not _is_int(n) or not 2 <= n <= cap:
         hint = " (pass allow_large=True for 8)" if cap == DEFAULT_MAX_ORDER else ""
@@ -123,7 +129,7 @@ def enumerate_connected(n: int, allow_large: bool = False) -> Iterator[Graph]:
     lexicographic pair order. The order cap is checked eagerly, before the
     first graph is requested.
     """
-    _check_order(n, HARD_MAX_ORDER if allow_large else DEFAULT_MAX_ORDER)
+    _check_order(n, _order_cap(allow_large))
 
     def generate() -> Iterator[Graph]:
         for lo, hi in _chunk_ranges(n):
@@ -191,8 +197,8 @@ def _scan_optimal_chunk(args) -> tuple[int, tuple[np.ndarray, np.ndarray]]:
 
 
 def _check_tolerance(tolerance: float) -> None:
-    if not 0 <= tolerance < math.inf:  # also rejects NaN
-        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance}")
+    if not (_is_real(tolerance) and 0 <= tolerance < math.inf):  # also rejects NaN
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
 
 
 def _scan(
@@ -226,7 +232,7 @@ def find_optimal(
     between the complete graph and the star is genuine. ``argmax_graphs`` holds
     the maximizers' edge masks in mask order and builds a graph only when one is read.
     """
-    _check_order(n, HARD_MAX_ORDER if allow_large else DEFAULT_MAX_ORDER)
+    _check_order(n, _order_cap(allow_large))
     _check_tolerance(tolerance)
     weights = tuple(params.weights_for(n))
     enumerated, best, masks = _scan(n, params.p, weights, tolerance, workers)

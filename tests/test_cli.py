@@ -1,9 +1,12 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import covertnet.graph
-from covertnet.cli import main
+from covertnet.cli import _dumps, main
 from covertnet.io import load_graph_file
 
 
@@ -101,6 +104,18 @@ class TestMetrics:
         path.write_text("source,target,weight\na,b,1\nb,c,inf\n")
         code, out, err = run(capsys, "metrics", str(path), "--p", "0.3", "--edge-weighted")
         assert code == 1 and out == "" and "non-finite weight" in err
+
+    @pytest.mark.parametrize(
+        "edge, message",
+        [("[0, 1, 1" + "0" * 400 + "]", "non-finite weight"), ("5", "must be (source, target[, weight])")],
+        ids=["weight beyond float range", "bare number"],
+    )
+    def test_unusable_json_edge_exits_1_naming_file_and_edge(self, capsys, tmp_path, edge, message):
+        path = tmp_path / "bare.json"
+        path.write_text(f'{{"n": 2, "edges": [{edge}]}}')
+        code, out, err = run(capsys, "metrics", str(path), "--p", "0.3")
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path}: edge ") and message in err
 
     @pytest.mark.parametrize("weight", ['"abc"', '"2"', "true"])
     def test_non_numeric_json_weight_exits_1(self, capsys, tmp_path, weight):
@@ -474,3 +489,69 @@ def test_numeric_flag_outside_range_exits_2(capsys, pair_graph, roster, flag, va
         code, out = exit.code, capsys.readouterr().out
     assert code == 2, out
     assert "NaN" not in out and "Infinity" not in out
+
+
+# The writer must reproduce json.dumps(indent=2), which stays here as its oracle.
+# Strings mix the writer's own separator and template characters with escapes and
+# non-ASCII text; rows of equal length take the one-call path, ragged rows do not.
+_TEXT = st.one_of(
+    st.text(),
+    st.lists(st.sampled_from(["\x00", "%", "%s", "]", "[", "\n", '"', "\\", ", ", ": ", "é", "中", "😀"])).map(
+        "".join
+    ),
+)
+_NUMBERS = st.one_of(
+    st.integers(),
+    st.integers(min_value=2**63 - 2, max_value=2**200) | st.integers(min_value=-(2**200), max_value=-(2**63)),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072014e-308]),
+)
+_SCALARS = st.one_of(_TEXT, _NUMBERS, st.booleans(), st.none())
+_KEYS = st.one_of(_TEXT, st.integers(), st.floats(allow_nan=True), st.booleans(), st.none())
+
+
+def _sequences(items):
+    return st.lists(items, max_size=6) | st.lists(items, max_size=6).map(tuple)
+
+
+def _rows(width):
+    return _sequences(st.lists(_SCALARS, min_size=width, max_size=width) | st.tuples(*[_SCALARS] * width))
+
+
+def _containers(children):
+    rows = st.integers(0, 4).flatmap(_rows)
+    return st.one_of(
+        _sequences(children),
+        st.dictionaries(_KEYS, children, max_size=6),
+        rows,
+        _sequences(_sequences(_SCALARS)),
+    )
+
+
+_JSON_VALUES = st.recursive(_SCALARS, _containers, max_leaves=40)
+
+
+@settings(max_examples=250, deadline=None)
+@given(_JSON_VALUES)
+def test_writer_matches_indent_2(value):
+    assert _dumps(value) == json.dumps(value, indent=2)
+
+
+SUBCOMMANDS = {
+    "metrics --community": ["metrics", "{k4}", "--p", "0.3", "--community", "0"],
+    "metrics csv --edge-weighted": ["metrics", "{csv}", "--p", "0.3", "--edge-weighted"],
+    "optimal": ["optimal", "--n", "4", "--p", "0.5"],
+    "verify-lemmas": ["verify-lemmas", "--n-max", "5", "--grid-step", "0.25"],
+    "simulate --exact": _simulate(),
+    "simulate --cascade": _simulate(exact=False, trials="50", periods="2") + ["--cascade"],
+    "build": ["build", "{roster}"],
+    "hierarchy": ["hierarchy", "--alphas", "0.1,0.2,0.3", "--n-linked", "2"],
+}
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS.values(), ids=SUBCOMMANDS.keys())
+def test_stdout_is_the_indent_2_document(capsys, complete4, star4_csv, pair_graph, roster, argv):
+    paths = {"k4": complete4, "csv": star4_csv, "graph": pair_graph, "roster": roster}
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert code == 0, err
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"

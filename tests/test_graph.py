@@ -1,4 +1,6 @@
 import dataclasses
+import enum
+import fractions
 import math
 import random
 
@@ -23,6 +25,10 @@ from covertnet.measures import make_structure
 
 from oracles import brute_force_apsp, random_connected_graph
 from strategies import graphs
+
+
+class _Vertex(enum.IntEnum):
+    ONE = 1
 
 
 def path4():
@@ -63,7 +69,11 @@ class TestBuildGraph:
         with pytest.raises(GraphError, match="negative weight"):
             build_graph(3, edges=[(0, 1, -0.5)])
 
-    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "weight",
+        [math.nan, math.inf, -math.inf, 10**400, -(10**400), fractions.Fraction(10**400)],
+        ids=["nan", "inf", "-inf", "int 10**400", "int -10**400", "Fraction 10**400"],
+    )
     def test_non_finite_weight_rejected(self, weight):
         with pytest.raises(GraphError, match="non-finite weight"):
             build_graph(3, edges=[(0, 1, weight)])
@@ -73,13 +83,36 @@ class TestBuildGraph:
         with pytest.raises(GraphError, match=r"non-numeric weight"):
             build_graph(3, edges=[(0, 1, weight)])
 
-    @pytest.mark.parametrize("weight", [np.float64(0.5), np.float32(0.5), np.int64(2), 3])
+    @pytest.mark.parametrize(
+        "weight", [np.float64(0.5), np.float32(0.5), np.int64(2), 3, fractions.Fraction(1, 4)]
+    )
     def test_numeric_scalar_weights_accepted(self, weight):
-        assert build_graph(3, edges=[(0, 1, weight)]).edges == ((0, 1, float(weight)),)
+        (edge,) = build_graph(3, edges=[(0, 1, weight)]).edges
+        assert edge == (0, 1, float(weight)) and type(edge[2]) is float
 
     def test_bad_vertex_count(self):
         with pytest.raises(GraphError):
             build_graph(0)
+
+    @pytest.mark.parametrize("edge", [5, None, 1.5, (0,), (0, 1, 1.0, 2)])
+    def test_edge_that_is_not_a_pair_or_triple_rejected(self, edge):
+        with pytest.raises(GraphError, match=r"must be \(source, target\[, weight\]\)") as caught:
+            build_graph(3, edges=[edge])
+        assert repr(edge) in str(caught.value)
+
+    # The loop tests exact int endpoints before the general check, which must still decide
+    # for every other type.
+    @pytest.mark.parametrize(
+        "endpoint, accepted",
+        [(_Vertex.ONE, True), (True, False), (np.int64(1), False), (1.0, False)],
+        ids=["IntEnum", "True", "np.int64", "1.0"],
+    )
+    def test_endpoint_types(self, endpoint, accepted):
+        if accepted:
+            assert build_graph(3, edges=[(endpoint, 2)]).edges == ((1, 2, 1.0),)
+        else:
+            with pytest.raises(GraphError, match="non-integer endpoints"):
+                build_graph(3, edges=[(endpoint, 2)])
 
     def test_graph_is_immutable(self):
         g = path4()

@@ -4,9 +4,9 @@ import pytest
 
 from covertnet.affiliation import ActorProfile, TieRule
 from covertnet.detection import DetectionParams, ScrutinyPlan, simulate
-from covertnet.graph import build_graph, community
+from covertnet.graph import build_graph, community, geodesic_distances
 from covertnet.measures import SecrecyParams, make_hierarchy, make_structure
-from covertnet.search import find_optimal, verify_lemma
+from covertnet.search import enumerate_connected, find_optimal, verify_lemma
 
 PATH3 = build_graph(3, edges=[(0, 1), (1, 2)])
 PLAN3 = ScrutinyPlan(alphas=(0.1, 0.1, 0.1), budget=0.3)
@@ -59,10 +59,35 @@ NOT_REAL_NUMBERS = {
     "ScrutinyPlan alphas=(True,)": ("alphas", lambda: ScrutinyPlan(alphas=(True,), budget=1.0)),
     "ScrutinyPlan alphas=None": ("alphas", lambda: ScrutinyPlan(alphas=None, budget=1.0)),
     "make_hierarchy alphas=('0.1', '0.2')": ("alphas", lambda: make_hierarchy(("0.1", "0.2"), 1)),
+    "find_optimal tolerance=True": ("tolerance", lambda: find_optimal(4, SecrecyParams(0.3), tolerance=True)),
+    "find_optimal tolerance='0.1'": ("tolerance", lambda: find_optimal(4, SecrecyParams(0.3), tolerance="0.1")),
+    "verify_lemma tolerance=True": ("tolerance", lambda: verify_lemma("star_optimal", 4, [0.7], tolerance=True)),
+    "verify_lemma tolerance='0.1'": ("tolerance", lambda: verify_lemma("star_optimal", 4, [0.7], tolerance="0.1")),
 }
 
 
 @pytest.mark.parametrize("argument, call", NOT_REAL_NUMBERS.values(), ids=NOT_REAL_NUMBERS.keys())
 def test_non_real_argument_rejected_by_name(argument, call):
+    with pytest.raises(ValueError, match=argument):
+        call()
+
+
+# a truthy string or int reads as a switch that is on, but a flag is a bool; a mode
+# that is neither would be computed and cached under its own key
+NOT_BOOLS = {
+    "DetectionParams cascade='x'": ("cascade", lambda: DetectionParams(gamma=0.5, cost_k=1.0, cascade="x")),
+    "DetectionParams cascade=1": ("cascade", lambda: DetectionParams(gamma=0.5, cost_k=1.0, cascade=1)),
+    "find_optimal allow_large='no'": (
+        "allow_large", lambda: find_optimal(4, SecrecyParams(0.3), allow_large="no")
+    ),
+    "enumerate_connected allow_large='no'": ("allow_large", lambda: enumerate_connected(4, allow_large="no")),
+    "geodesic_distances hop_mode='x'": ("hop_mode", lambda: geodesic_distances(PATH3, hop_mode="x")),
+    "geodesic_distances hop_mode=0": ("hop_mode", lambda: geodesic_distances(PATH3, hop_mode=0)),
+    "build_graph directed=1": ("directed", lambda: build_graph(3, directed=1, edges=[(0, 1)])),
+}
+
+
+@pytest.mark.parametrize("argument, call", NOT_BOOLS.values(), ids=NOT_BOOLS.keys())
+def test_non_bool_flag_rejected_by_name(argument, call):
     with pytest.raises(ValueError, match=argument):
         call()
