@@ -53,7 +53,9 @@ class ActorProfile:
             ) from None
         for t in raw:
             if not isinstance(t, str):
-                raise ValueError(f"generator tokens of actor {self.id!r} must be strings, got {t!r}")
+                raise ValueError(
+                    f"tokens of actor {self.id!r} must be strings, got {t!r} in its generators"
+                )
         tokens = frozenset(canon for canon in (t.strip().casefold() for t in raw) if canon)
         object.__setattr__(self, "generators", tokens)
 

@@ -12,9 +12,10 @@ members keep triggering draws within the period until a fixed point.
 ``detect_exact`` evaluates the one-period, one-hop closed form.
 ``simulate`` estimates the same quantities, plus the multi-period and
 cascading variants, by Monte Carlo. Trial randomness is counter-based:
-trial t always consumes its own block of the stream derived from the
-master seed, so reports are bit-identical for any worker count or chunk
-execution order.
+trial t owns its own block of the Philox stream derived from the master
+seed, and reads from it, by position, only the words it uses (its direct
+draws and the arcs of the members it catches), so reports are
+bit-identical for any worker count or chunk execution order.
 """
 
 from __future__ import annotations
@@ -29,8 +30,17 @@ from .graph import Graph, _is_int, _is_real, _out_arcs, _real_tuple
 from .measures import _WEIGHT_SUM_TOL
 
 _TRIALS_PER_CHUNK = 1 << 13
-# Most bytes of uniforms one chunk draws; a Philox counter yields 4 float64 (32 B).
+# Sizes chunks as if each row held its trial's whole block, 4 words (32 B) per
+# Philox counter. What a chunk holds in a period, its rows' direct words and the
+# arc words it keeps, stays within that plus the read gaps it reads through:
+# rows * (4 * stride + _READ_GAP) words.
 _DRAW_BUDGET_BYTES = 8 << 20
+# Word ranges closer than this share one read. A read costs about 4-7 us before
+# its words and a word about 7-11 ns, so reading through a shorter gap is cheaper
+# than a second read. Gaps of 512 and 1024 ran alike on a 300-member and a
+# 61-member network; at 128 the 61-member one ran 1.5-2x slower.
+_READ_GAP = 512
+_WORD = (1 << 64) - 1
 
 
 class InfeasiblePlanError(ValueError):
@@ -161,6 +171,52 @@ def detect_exact(g: Graph, plan: ScrutinyPlan, params: DetectionParams) -> Detec
     return _report(1.0 - hidden, params, "exact")
 
 
+def _philox_reader(seed: int, origin: int):
+    """``words(start, stop)``: uniforms [start, stop) of the stream from Philox counter ``origin``.
+
+    A read sets the whole 256-bit counter (so a stream past 2**64 carries as
+    it does when drawn), draws with ``Generator.random`` from there, and drops
+    the ``start % 4`` leading words of its first counter. It therefore equals
+    that slice of the stream drawn from ``origin`` in one call.
+    """
+    bitgen = np.random.Philox(key=seed)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+    counter = state["state"]["counter"]
+
+    def words(start: int, stop: int) -> np.ndarray:
+        at = origin + start // 4
+        counter[:] = (at & _WORD, at >> 64 & _WORD, at >> 128 & _WORD, at >> 192)
+        bitgen.state = state  # with an empty buffer, the next word comes from counter at + 1
+        skip = start % 4
+        return gen.random(stop - start + skip)[skip:]
+
+    return words
+
+
+def _gather(words, start: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read the ascending ranges [start, start + length) of the chunk's words.
+
+    Ranges less than ``_READ_GAP`` words apart share one read. Returns the
+    words read, back to back, and the index where each range begins in them.
+    """
+    if not start.size:
+        return np.empty(0), start
+    cut = np.flatnonzero(np.diff(start) - length > _READ_GAP) + 1
+    head = np.concatenate(([0], cut))
+    tail = np.append(cut, start.size) - 1
+    span = start[tail] + length - start[head]
+    begin = np.cumsum(span) - span
+    offset = np.repeat(begin - start[head], tail - head + 1) + start
+    if head.size == 1:
+        return words(int(start[0]), int(start[-1]) + length), offset
+    # filled read by read, so no read outlives its copy
+    got = np.empty(int(begin[-1] + span[-1]))
+    for a, size, to in zip(start[head].tolist(), span.tolist(), begin.tolist()):
+        got[to : to + size] = words(a, a + size)
+    return got, offset
+
+
 def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     """Per-member detection counts and detected-count histogram of trials [lo, hi).
 
@@ -168,24 +224,48 @@ def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     out-arcs (``arcs`` is ``Graph._arcs``, sorted by detector), reads only
     those arcs' indirect draws, and scatters the still-hidden targets it
     catches into the next frontier, so work scales with the ties of caught members.
+
+    The chunk's trial blocks lie back to back in the stream, so word j of row
+    i's block is chunk word ``i * 4 * stride + j``, and every read goes through
+    ``_gather``. A period reads each row's n direct words. One-hop, it then
+    reads the arc words its one round needs. Under cascade, a row that catches
+    a member directly reads the period's whole arc block and keeps it for every
+    round, since a cascade on a connected network soon needs most of it. When
+    the arc block is no longer than a read gap, every row reads it with its
+    direct words instead.
     """
     (n, arcs, alphas, gamma, cascade, periods, seed, stride, lo, hi) = args
     _, dst, _, first = arcs
+    m = len(dst)
     rows = hi - lo
-    gen = np.random.Generator(np.random.Philox(key=seed, counter=lo * stride))
-    draws = gen.random((rows, stride * 4))
+    rows_at = np.arange(rows) * (4 * stride)
+    words = _philox_reader(seed, lo * stride)
     alphas = np.asarray(alphas)
+    whole = m <= _READ_GAP
     detected = np.zeros((rows, n), dtype=bool)
     for period in range(periods):
-        base = period * (n + len(dst))
-        frontier = ~detected & (draws[:, base : base + n] < alphas)
+        base = period * (n + m)
+        got, at = _gather(words, rows_at + base, n + m if whole else n)
+        direct = np.lib.stride_tricks.sliding_window_view(got, n)[at]
+        frontier = ~detected & (direct < alphas)
         detected |= frontier
+        # once row i has its arc words of the period, word k is kept[kept_at[i] + k]
+        kept, kept_at = (got, at + n) if whole else (None, np.zeros(rows, dtype=np.int64))
         while frontier.any():
             row, det = np.nonzero(frontier)
             k, fanout = _out_arcs(first, det)
             row = np.repeat(row, fanout)
+            if cascade and kept is None:
+                # a row active in a later round is active in this first one, so keeps its block
+                fresh = np.unique(row)
+                kept, kept_at[fresh] = _gather(words, rows_at[fresh] + base + n, m)
+            if kept is None:
+                read, at = _gather(words, rows_at[row] + base + n + k, 1)
+                u = read[at]
+            else:
+                u = kept[kept_at[row] + k]
             target = dst[k]
-            hit = (draws[row, base + n + k] < gamma) & ~detected[row, target]
+            hit = (u < gamma) & ~detected[row, target]
             frontier = np.zeros_like(detected)
             frontier[row[hit], target[hit]] = True
             detected |= frontier
@@ -211,11 +291,13 @@ def simulate(
     periods and detected members are not re-drawn. One indirect draw exists
     per (detector, target) pair per period.
 
-    Trial t derives its randomness from ``(params.seed, t)`` alone: it
-    starts at Philox counter ``t * stride``. Chunks are therefore sized
-    from a fixed draws budget (about 8 MiB of uniforms per chunk, one trial
-    at least) whatever the trial count or horizon, and the report is
-    bit-identical for any ``workers`` value, chunking and across runs.
+    Trial t derives its randomness from ``(params.seed, t)`` alone: its
+    block starts at Philox counter ``t * stride``, and it reads by position
+    only the words it uses. Chunks are sized from a fixed budget
+    (``_DRAW_BUDGET_BYTES``, one trial at least) as if each row held its whole
+    block, which bounds the direct and cached arc words a chunk holds whatever
+    the trial count or horizon, and the report is bit-identical for any
+    ``workers`` value, chunking and across runs.
     """
     _require_runnable(g, plan)
     if not (_is_int(periods) and periods >= 1):

@@ -148,12 +148,12 @@ def load_actor_file(path: str | os.PathLike) -> list[ActorProfile]:
         if not isinstance(item, dict) or "id" not in item:
             raise ActorFileError(f"{p}: actor entries need an 'id', got {item!r}")
         generators = item.get("generators", [])
-        if not isinstance(generators, list) or not all(isinstance(t, str) for t in generators):
+        if not isinstance(generators, list):
             raise ActorFileError(
                 f"{p}: 'generators' of actor {item.get('id')!r} must be a list of strings"
             )
         try:
-            roster.append(ActorProfile(id=item["id"], generators=frozenset(generators)))
+            roster.append(ActorProfile(id=item["id"], generators=generators))
         except ValueError as err:
             raise ActorFileError(f"{p}: {err}") from err
     return roster

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -324,6 +325,40 @@ class TestSimulate:
             "--budget", "0.5", "--gamma", "0.5", "--cost-k", "1", "--exact",
         )
         assert doc["expected_detected"] == pytest.approx(0.43, abs=1e-12)
+
+    # sha256 of the reports on a fixed 61-member, 282-edge network, recorded when
+    # each trial still drew its whole block; n + arcs = 625 is not a multiple of 4
+    BIG_SEED = str(2**127 + 12345)
+    GOLDEN = {
+        ("onehop", "0"): "1dadc46105b3dffe6394d86f88a43d2cbf3e8b4eee14df89f720c7694cc74ab9",
+        ("onehop", "131"): "e6cea47639ef8b136842c55b75b935ad824fee9a2d5134b0efe966d6761c4b49",
+        ("onehop", BIG_SEED): "908863e4d79704afc56e6641cccdff9e5bffa659aa4656cef42c8604b0233752",
+        ("periods3", "0"): "c56008ac6a3e2680968280d5d3952ed6f288998431f35b638f014bb02664554f",
+        ("periods3", "131"): "b2a775cbdb0e4184d8c403879e81023b16f43b813ce42e04b707e88cd8058fa1",
+        ("periods3", BIG_SEED): "a058d44300d5d3f95a8e2bc9fe9821ce91f830bd2b789b99c55194792ece734b",
+        ("cascade", "0"): "62e6297221160619f4255b04048de2515d75d8dbaa44fa93c932328a57a57647",
+        ("cascade", "131"): "e3e69921a556c021c2ff0df2e4659a055db83fef0c2610a876c16c5bf9b5e207",
+        ("cascade", BIG_SEED): "21ba5a96e0afe01022a696347b3d3d7a4509a5c94fc3f6d70aeec839412df7b7",
+    }
+
+    @pytest.mark.parametrize("mode, seed", sorted(GOLDEN))
+    def test_monte_carlo_report_digest(self, capsys, tmp_path, mode, seed):
+        n = 61
+        edges = sorted(
+            {(min(i, j), max(i, j)) for i in range(n)
+             for j in ((i + 1) % n, (i * 7 + 11) % n, (i * 13 + 5) % n, (i * 17 + 29) % n,
+                       (i * 23 + 3) % n) if i != j}
+        )
+        path = tmp_path / "network.json"
+        path.write_text(json.dumps({"n": n, "edges": edges}))
+        alphas = ",".join(repr((i % 4) * 0.005) for i in range(n))
+        extra = {"onehop": [], "periods3": ["--periods", "3"], "cascade": ["--cascade"]}[mode]
+        code, out, err = run(
+            capsys, "simulate", str(path), "--alphas", alphas, "--budget", "0.5",
+            "--gamma", "0.5", "--cost-k", "1", "--trials", "3000", "--seed", seed, *extra,
+        )
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[mode, seed]
 
 
 class TestBuild:

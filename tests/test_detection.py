@@ -1,5 +1,6 @@
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -301,16 +302,21 @@ class TestSimulate:
 
 @st.composite
 def chunk_jobs(draw):
-    """A ``_simulate_chunk`` job on a small graph, carrying the graph's arcs."""
+    """A ``_simulate_chunk`` job on a small graph, carrying the graph's arcs.
+
+    Seeds span the whole key range; some chunks start just below the trial
+    whose counter ``lo * stride`` passes 2**64; and when n + arcs is not a
+    multiple of 4, later periods start mid-counter.
+    """
     g = draw(st.booleans().flatmap(lambda directed: graphs(min_n=1, max_n=6, directed=directed)))
     periods = draw(st.integers(1, 3))
     alphas = tuple(draw(st.lists(st.floats(0.0, 1.0), min_size=g.n, max_size=g.n)))
     gamma = draw(st.floats(0.0, 1.0, exclude_min=True))
-    lo = draw(st.integers(0, 500))
-    hi = lo + draw(st.integers(1, 64))
     stride = (periods * (g.n + len(g._arcs[1])) + 3) // 4
+    lo = draw(st.integers(0, 500) | st.integers(-64, 0).map(lambda d: (1 << 64) // stride + d))
+    hi = lo + draw(st.integers(1, 64))
     return (g.n, g._arcs, alphas, gamma, draw(st.booleans()), periods,
-            draw(st.integers(0, 1 << 64)), stride, lo, hi)
+            draw(st.integers(0, (1 << 128) - 1)), stride, lo, hi)
 
 
 def record_jobs(monkeypatch) -> list:
@@ -340,13 +346,23 @@ def random_network(n: int, m: int, seed: int):
 
 
 class TestSimulateChunk:
-    @settings(max_examples=150, deadline=None)
-    @given(chunk_jobs())
-    def test_matches_pair_loop_reference(self, job):
+    # the graphs are small, so gaps below their arc counts also try the ranged reads
+    @settings(max_examples=300, deadline=None)
+    @given(chunk_jobs(), st.sampled_from([0, 3, 8, detection._READ_GAP]))
+    def test_matches_pair_loop_reference(self, job, gap):
         expected = reference_simulate_chunk(job)
-        got = detection._simulate_chunk(job)
+        with mock.patch.object(detection, "_READ_GAP", gap):
+            got = detection._simulate_chunk(job)
         assert np.array_equal(got[0], expected[0])
         assert np.array_equal(got[1], expected[1])
+
+    def test_positioned_reads_match_drawn_stream(self):
+        # a stream crossing counter 2**64, read at every offset mod 4
+        origin = (1 << 64) - 3
+        drawn = np.random.Generator(np.random.Philox(key=(1 << 128) - 1, counter=origin)).random(64)
+        words = detection._philox_reader((1 << 128) - 1, origin)
+        for start in range(0, 40):
+            assert np.array_equal(words(start, start + 21), drawn[start : start + 21])
 
     def test_chunks_fit_draw_budget(self, monkeypatch):
         jobs = record_jobs(monkeypatch)
