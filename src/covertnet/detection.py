@@ -13,9 +13,8 @@ members keep triggering draws within the period until a fixed point.
 ``simulate`` estimates the same quantities, plus the multi-period and
 cascading variants, by Monte Carlo. Trial randomness is counter-based:
 trial t owns its own block of the Philox stream derived from the master
-seed, and reads from it, by position, only the words it uses (its direct
-draws and the arcs of the members it catches), so reports are
-bit-identical for any worker count or chunk execution order.
+seed and reads the words it uses from that block by position, so reports
+are bit-identical for any worker count or chunk execution order.
 """
 
 from __future__ import annotations
@@ -30,16 +29,17 @@ from .graph import Graph, _is_int, _is_real, _out_arcs, _real_tuple
 from .measures import _WEIGHT_SUM_TOL
 
 _TRIALS_PER_CHUNK = 1 << 13
-# Sizes chunks as if each row held its trial's whole block, 4 words (32 B) per
-# Philox counter. What a chunk holds in a period, its rows' direct words and the
-# arc words it keeps, stays within that plus the read gaps it reads through:
-# rows * (4 * stride + _READ_GAP) words.
+# Most bytes of one chunk's buffer: each row holds its trial's whole block, 4
+# words (32 B) per Philox counter, though reads fill only the words trials use.
 _DRAW_BUDGET_BYTES = 8 << 20
-# Word ranges closer than this share one read. A read costs about 4-7 us before
-# its words and a word about 7-11 ns, so reading through a shorter gap is cheaper
-# than a second read. Gaps of 512 and 1024 ran alike on a 300-member and a
-# 61-member network; at 128 the 61-member one ran 1.5-2x slower.
-_READ_GAP = 512
+# Word ranges closer than this share one read, and a read ending this close to
+# the chunk's end runs to it, so a chunk whose rows lie closer is read whole by
+# its first read. A read costs about 4 us plus 10 ns a word, but the words read
+# through a gap stay in the buffer, and later periods and cascades use many of
+# them. In a sweep over networks of 20-500 members with 5n edges (BENCH_11.json)
+# no chunk ran more than 3% slower than a whole-block draw at 2048; 512 and 1024
+# left 61-member ones 1.3-1.4x slower, and 4096 lost the 300-member one-hop gain.
+_READ_GAP = 2048
 _WORD = (1 << 64) - 1
 
 
@@ -171,50 +171,46 @@ def detect_exact(g: Graph, plan: ScrutinyPlan, params: DetectionParams) -> Detec
     return _report(1.0 - hidden, params, "exact")
 
 
-def _philox_reader(seed: int, origin: int):
-    """``words(start, stop)``: uniforms [start, stop) of the stream from Philox counter ``origin``.
+def _chunk_stream(seed: int, origin: int, shape: tuple[int, int]):
+    """A chunk's buffer of trial blocks and ``fill``, which reads words into it.
 
-    A read sets the whole 256-bit counter (so a stream past 2**64 carries as
-    it does when drawn), draws with ``Generator.random`` from there, and drops
-    the ``start % 4`` leading words of its first counter. It therefore equals
-    that slice of the stream drawn from ``origin`` in one call.
+    ``buf`` has the shape of the chunk's whole draw from Philox counter
+    ``origin`` (row i is the chunk's i-th trial block), but holds only the
+    words ``fill`` has read. A read sets the whole 256-bit counter (so a stream
+    past 2**64 carries as it does when drawn) and draws whole counters with
+    ``Generator.random`` into their place, so each word read equals the whole
+    draw's word there.
     """
     bitgen = np.random.Philox(key=seed)
     gen = np.random.Generator(bitgen)
     state = bitgen.state
     counter = state["state"]["counter"]
+    buf = np.empty(shape)
+    flat = buf.reshape(-1)
+    complete = False
 
-    def words(start: int, stop: int) -> np.ndarray:
-        at = origin + start // 4
-        counter[:] = (at & _WORD, at >> 64 & _WORD, at >> 128 & _WORD, at >> 192)
-        bitgen.state = state  # with an empty buffer, the next word comes from counter at + 1
-        skip = start % 4
-        return gen.random(stop - start + skip)[skip:]
+    def fill(start: np.ndarray, length: int) -> None:
+        """Read the ascending ranges [start, start + length) of ``buf.flat``.
 
-    return words
+        Ranges closer than ``_READ_GAP`` words share one read. Once a read has
+        covered the whole chunk, nothing more is read.
+        """
+        nonlocal complete
+        if complete or not start.size:
+            return
+        cut = np.flatnonzero(np.diff(start) > _READ_GAP + length)
+        begin = start[np.append(0, cut + 1)] & -4  # from a whole counter
+        end = start[np.append(cut, -1)] + length
+        if flat.size - end[-1] <= _READ_GAP:
+            end[-1] = flat.size
+        for a, b in zip(begin.tolist(), end.tolist()):
+            at = origin + a // 4
+            counter[:] = (at & _WORD, at >> 64 & _WORD, at >> 128 & _WORD, at >> 192)
+            bitgen.state = state  # with an empty buffer, the next word comes from counter at + 1
+            gen.random(out=flat[a:b])
+        complete = begin[0] == 0 and end[0] == flat.size
 
-
-def _gather(words, start: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read the ascending ranges [start, start + length) of the chunk's words.
-
-    Ranges less than ``_READ_GAP`` words apart share one read. Returns the
-    words read, back to back, and the index where each range begins in them.
-    """
-    if not start.size:
-        return np.empty(0), start
-    cut = np.flatnonzero(np.diff(start) - length > _READ_GAP) + 1
-    head = np.concatenate(([0], cut))
-    tail = np.append(cut, start.size) - 1
-    span = start[tail] + length - start[head]
-    begin = np.cumsum(span) - span
-    offset = np.repeat(begin - start[head], tail - head + 1) + start
-    if head.size == 1:
-        return words(int(start[0]), int(start[-1]) + length), offset
-    # filled read by read, so no read outlives its copy
-    got = np.empty(int(begin[-1] + span[-1]))
-    for a, size, to in zip(start[head].tolist(), span.tolist(), begin.tolist()):
-        got[to : to + size] = words(a, a + size)
-    return got, offset
+    return buf, fill
 
 
 def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
@@ -225,47 +221,37 @@ def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     those arcs' indirect draws, and scatters the still-hidden targets it
     catches into the next frontier, so work scales with the ties of caught members.
 
-    The chunk's trial blocks lie back to back in the stream, so word j of row
-    i's block is chunk word ``i * 4 * stride + j``, and every read goes through
-    ``_gather``. A period reads each row's n direct words. One-hop, it then
-    reads the arc words its one round needs. Under cascade, a row that catches
-    a member directly reads the period's whole arc block and keeps it for every
-    round, since a cascade on a connected network soon needs most of it. When
-    the arc block is no longer than a read gap, every row reads it with its
-    direct words instead.
+    Row i of the chunk's buffer is trial ``lo + i``'s block, and the trial's
+    words are read into it by position (``_chunk_stream``) before they are
+    compared. A period reads each row's n direct words. One-hop, it then reads
+    the arc words its round needs. Under cascade, a row that catches a member
+    directly reads the period's whole arc block, since a cascade on a
+    connected network soon needs most of it and a row active in any later
+    round is active in the first.
     """
     (n, arcs, alphas, gamma, cascade, periods, seed, stride, lo, hi) = args
     _, dst, _, first = arcs
     m = len(dst)
     rows = hi - lo
-    rows_at = np.arange(rows) * (4 * stride)
-    words = _philox_reader(seed, lo * stride)
+    rows_at = np.arange(0, rows * 4 * stride, 4 * stride)
+    draws, fill = _chunk_stream(seed, lo * stride, (rows, 4 * stride))
     alphas = np.asarray(alphas)
-    whole = m <= _READ_GAP
     detected = np.zeros((rows, n), dtype=bool)
     for period in range(periods):
         base = period * (n + m)
-        got, at = _gather(words, rows_at + base, n + m if whole else n)
-        direct = np.lib.stride_tricks.sliding_window_view(got, n)[at]
-        frontier = ~detected & (direct < alphas)
+        fill(rows_at + base, n)
+        frontier = ~detected & (draws[:, base : base + n] < alphas)
         detected |= frontier
-        # once row i has its arc words of the period, word k is kept[kept_at[i] + k]
-        kept, kept_at = (got, at + n) if whole else (None, np.zeros(rows, dtype=np.int64))
+        if cascade:
+            fill(rows_at[frontier.any(axis=1)] + base + n, m)
         while frontier.any():
             row, det = np.nonzero(frontier)
             k, fanout = _out_arcs(first, det)
             row = np.repeat(row, fanout)
-            if cascade and kept is None:
-                # a row active in a later round is active in this first one, so keeps its block
-                fresh = np.unique(row)
-                kept, kept_at[fresh] = _gather(words, rows_at[fresh] + base + n, m)
-            if kept is None:
-                read, at = _gather(words, rows_at[row] + base + n + k, 1)
-                u = read[at]
-            else:
-                u = kept[kept_at[row] + k]
+            if not cascade:
+                fill(rows_at[row] + (base + n) + k, 1)
             target = dst[k]
-            hit = (u < gamma) & ~detected[row, target]
+            hit = (draws[row, base + n + k] < gamma) & ~detected[row, target]
             frontier = np.zeros_like(detected)
             frontier[row[hit], target[hit]] = True
             detected |= frontier
@@ -292,12 +278,11 @@ def simulate(
     per (detector, target) pair per period.
 
     Trial t derives its randomness from ``(params.seed, t)`` alone: its
-    block starts at Philox counter ``t * stride``, and it reads by position
-    only the words it uses. Chunks are sized from a fixed budget
-    (``_DRAW_BUDGET_BYTES``, one trial at least) as if each row held its whole
-    block, which bounds the direct and cached arc words a chunk holds whatever
-    the trial count or horizon, and the report is bit-identical for any
-    ``workers`` value, chunking and across runs.
+    block starts at Philox counter ``t * stride``, and it reads the words it
+    uses from that block by position. Chunks are sized so that a buffer of
+    their whole blocks fits a fixed budget (``_DRAW_BUDGET_BYTES``, one trial
+    at least) whatever the trial count or horizon, and the report is
+    bit-identical for any ``workers`` value, chunking and across runs.
     """
     _require_runnable(g, plan)
     if not (_is_int(periods) and periods >= 1):

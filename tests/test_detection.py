@@ -345,24 +345,40 @@ def random_network(n: int, m: int, seed: int):
     return build_graph(n, edges=sorted(edges))
 
 
+def poisoned_stream(*args):
+    """``_chunk_stream`` whose unread words catch whatever compares them."""
+    draws, fill = chunk_stream(*args)
+    draws.fill(-1.0)
+    return draws, fill
+
+
+chunk_stream = detection._chunk_stream
+
+
 class TestSimulateChunk:
-    # the graphs are small, so gaps below their arc counts also try the ranged reads
+    # the graphs are small, so gaps below their block size also try unmerged reads
     @settings(max_examples=300, deadline=None)
     @given(chunk_jobs(), st.sampled_from([0, 3, 8, detection._READ_GAP]))
     def test_matches_pair_loop_reference(self, job, gap):
         expected = reference_simulate_chunk(job)
-        with mock.patch.object(detection, "_READ_GAP", gap):
+        with mock.patch.object(detection, "_READ_GAP", gap), \
+                mock.patch.object(detection, "_chunk_stream", poisoned_stream):
             got = detection._simulate_chunk(job)
         assert np.array_equal(got[0], expected[0])
         assert np.array_equal(got[1], expected[1])
 
-    def test_positioned_reads_match_drawn_stream(self):
-        # a stream crossing counter 2**64, read at every offset mod 4
-        origin = (1 << 64) - 3
-        drawn = np.random.Generator(np.random.Philox(key=(1 << 128) - 1, counter=origin)).random(64)
-        words = detection._philox_reader((1 << 128) - 1, origin)
-        for start in range(0, 40):
-            assert np.array_equal(words(start, start + 21), drawn[start : start + 21])
+    @pytest.mark.parametrize("gap", [0, detection._READ_GAP])
+    def test_filled_words_match_drawn_stream(self, gap):
+        # a chunk whose stream crosses counter 2**64, filled from every offset mod 4
+        seed, origin = (1 << 128) - 1, (1 << 64) - 3
+        drawn = np.random.Generator(np.random.Philox(key=seed, counter=origin)).random((3, 40))
+        for offset in range(8):
+            with mock.patch.object(detection, "_READ_GAP", gap):
+                buf, fill = detection._chunk_stream(seed, origin, (3, 40))
+                fill(np.arange(3) * 40 + offset, 13)
+            assert np.array_equal(buf[:, offset : offset + 13], drawn[:, offset : offset + 13])
+            if gap:  # rows and the chunk's end closer than a gap: one read of the whole chunk
+                assert np.array_equal(buf, drawn)
 
     def test_chunks_fit_draw_budget(self, monkeypatch):
         jobs = record_jobs(monkeypatch)
