@@ -99,6 +99,11 @@ class Graph:
         """Distance matrices by ``hop_mode``, filled by :func:`geodesic_distances`."""
         return {}
 
+    @cached_property
+    def _degrees(self) -> tuple[int, ...]:
+        """Out-arc count of each vertex, computed once."""
+        return tuple(np.diff(self._arcs[3]).tolist())
+
     def degree_sequence(self) -> tuple[int, ...]:
         """Undirected degrees d_0..d_{n-1}.
 
@@ -107,7 +112,7 @@ class Graph:
         """
         if self.directed:
             raise GraphError("degree_sequence is defined for undirected graphs")
-        return tuple(np.diff(self._arcs[3]).tolist())
+        return self._degrees
 
     def _check_vertex(self, i: int) -> None:
         if not (_is_int(i) and 0 <= i < self.n):

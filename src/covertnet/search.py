@@ -7,7 +7,11 @@ and the balance measure is invariant under relabeling anyway, so the only
 effect is that maximizer sets list every labeling of a shape.
 
 The mask space is partitioned into fixed-size chunks, and every mask of a
-chunk is evaluated at once by numpy bitset arithmetic (``_chunk_stats``).
+chunk is evaluated at once by numpy bitset arithmetic, with adjacency read
+from two per-order tables. An edge-count bound on the balance, proved in
+``_scan``, keeps the masks that cannot reach the result out of the distance
+loop, and the number of connected graphs comes from a recurrence instead
+of a count.
 Maximizers stay int64 edge masks up to the caller, and a ``Graph`` is built
 only for one that is read. Chunks may be processed by parallel workers;
 chunk boundaries never depend on the worker count and results are merged
@@ -133,49 +137,105 @@ def enumerate_connected(n: int, allow_large: bool = False) -> Iterator[Graph]:
 
     def generate() -> Iterator[Graph]:
         for lo, hi in _chunk_ranges(n):
-            for mask in _chunk_stats(n, lo, hi)[0].tolist():
+            for mask in _connected_stack(n, lo, hi)[0].tolist():
                 yield _graph_from_mask(mask, n)
 
     return generate()
 
 
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+#: Edge slots of a mask's low part. A chunk of 2^12 aligned masks shares its high part.
+_LOW_SLOTS = 12
+#: Margin of the pruning floor below L - tolerance. mu <= 1, so it covers any rounding.
+_BOUND_SLACK = 1e-9
+
+
+@functools.cache
+def _adjacency_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Adjacency rows of every low part and of every high part of an n-vertex mask.
+
+    Column c of ``low`` holds vertex v's neighbours, as a uint8 bitset in row v,
+    for the edges of the low 12 slots set in c; ``high`` does the same for the
+    remaining slots (one column when there are none), so a mask's adjacency is
+    ``low[:, mask & 4095] | high[:, mask >> 12]``. At n = 8 ``high`` is 512 KB.
+    """
+    slots = _edge_slots(n)
+
+    def table(part: Sequence[tuple[int, int]]) -> np.ndarray:
+        values = np.arange(1 << len(part), dtype=np.int64)
+        adj = np.zeros((n, len(values)), dtype=np.uint8)
+        for k, (i, j) in enumerate(part):
+            edge = (values >> k & 1).astype(np.uint8)
+            adj[i] |= edge << j
+            adj[j] |= edge << i
+        adj.setflags(write=False)
+        return adj
+
+    return table(slots[:_LOW_SLOTS]), table(slots[_LOW_SLOTS:])
+
+
+def _adjacency(n: int, masks: np.ndarray) -> np.ndarray:
+    """Row v holds vertex v's neighbours as one uint8 bitset per mask (n <= 8)."""
+    low, high = _adjacency_tables(n)
+    return low.take(masks & (1 << _LOW_SLOTS) - 1, axis=1) | high.take(masks >> _LOW_SLOTS, axis=1)
+
+
+def _connected_stack(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Connected masks in [lo, hi), with their adjacency columns and degrees (uint8, (n, masks)).
+
+    Every mask of the chunk is evaluated at once. Vertex 0's ball grows by
+    its members' neighbourhoods, one level at a time, and a mask is
+    connected when the ball holds all n vertices after n-2 levels.
+    """
+    masks = np.arange(lo, hi, dtype=np.int64)
+    adj = _adjacency(n, masks)
+    shifts = np.arange(n, dtype=np.uint8)[:, None]
+    ball = adj[0] | np.uint8(1)
+    for _ in range(n - 2):
+        ball = ball | np.bitwise_or.reduce((ball >> shifts & 1) * adj, axis=0)
+    connected = ball == (1 << n) - 1
+    adj = np.compress(connected, adj, axis=1)
+    return masks[connected], adj, _POPCOUNT.take(adj)
+
+
+def _total_distances(n: int, adj: np.ndarray) -> np.ndarray:
+    """Total distance T (int64) of each connected mask of ``adj``.
+
+    Row s of ``reach`` holds the vertices within the current level of source
+    s; a level grows each ball by the balls of the source's neighbours. An
+    ordered pair adds one to T for each level at which it is still
+    unreached, so T = sum over levels 0..n-2 of (n^2 - |reach|).
+    """
+    # near[v][s] is 0xFF where v is a neighbour of s, else 0
+    near = [(adj >> v & 1) * np.uint8(0xFF) for v in range(n)]
+    reach = np.repeat((1 << np.arange(n, dtype=np.uint8))[:, None], adj.shape[1], axis=1)
+    reached = _POPCOUNT.take(reach)  # at most n per level over n-1 levels: fits uint8
+    for _ in range(n - 2):
+        grown = reach.copy()
+        for v in range(n):
+            grown |= near[v] & reach[v]
+        reach = grown
+        reached += _POPCOUNT.take(reach)
+    return (n - 1) * n * n - reached.sum(axis=0, dtype=np.int64)
+
+
+def _degree_rows(counts: np.ndarray) -> np.ndarray:
+    """Degree counts as float64 rows, one per mask.
+
+    Row-major like one degree vector per row: the H matmul's summation order
+    follows layout.
+    """
+    return counts.T.astype(np.float64, order="C")
 
 
 def _chunk_stats(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Connected masks in [lo, hi) with their total distances and degrees.
 
-    Every mask of the chunk is evaluated at once. Row v of ``adj`` holds
-    vertex v's neighbours as one uint8 bitset per mask (n <= 8), and row s
-    of ``reach`` the vertices within the current level of source s; a level
-    grows each ball by the balls of the source's neighbours. An ordered
-    pair adds one to the total distance for each level at which it is still
-    unreached, so T = sum over levels 0..n-2 of (n^2 - |reach|), and a mask
-    is connected when every source reaches all n vertices by level n-1.
     Returns the masks (int64), T (float64) and the degree rows (float64,
     shape (masks, n)) of the connected masks, in mask order.
     """
-    masks = np.arange(lo, hi, dtype=np.int64)
-    adj = np.zeros((n, len(masks)), dtype=np.uint8)
-    for k, (i, j) in enumerate(_edge_slots(n)):
-        edge = (masks >> k & 1).astype(np.uint8)
-        adj[i] |= edge << j
-        adj[j] |= edge << i
-    # near[v][s] is 0xFF where v is a neighbour of s, else 0
-    near = [(adj >> v & 1) * np.uint8(0xFF) for v in range(n)]
-    reach = np.repeat((1 << np.arange(n, dtype=np.uint8))[:, None], len(masks), axis=1)
-    reached = np.zeros_like(reach)  # at most n per level over n-1 levels: fits uint8
-    for _ in range(n - 1):
-        reached += _POPCOUNT.take(reach)
-        grown = reach.copy()
-        for v in range(n):
-            grown |= near[v] & reach[v]
-        reach = grown
-    totals = (n - 1) * n * n - reached.sum(axis=0, dtype=np.int64)
-    connected = (reach == (1 << n) - 1).all(axis=0)
-    # row-major like one degree vector per row: the H matmul's summation order follows layout
-    degrees = _POPCOUNT.take(adj[:, connected].T).astype(np.float64, order="C")
-    return masks[connected], totals[connected].astype(np.float64), degrees
+    masks, adj, counts = _connected_stack(n, lo, hi)
+    return masks, _total_distances(n, adj).astype(np.float64), _degree_rows(counts)
 
 
 def _chunk_ranges(n: int) -> list[tuple[int, int]]:
@@ -183,17 +243,53 @@ def _chunk_ranges(n: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + _CHUNK_MASKS, space)) for lo in range(0, space, _CHUNK_MASKS)]
 
 
+@functools.cache
+def _count_connected(n: int) -> int:
+    """Connected labeled graphs on n vertices (OEIS A001187).
+
+    All 2^C(n,2) graphs, less those in which vertex 0's component has k < n
+    vertices: C(n-1, k-1) ways to choose it, c(k) to connect it and
+    2^C(n-k,2) for the rest (Harary & Palmer, *Graphical Enumeration*, 1973).
+    """
+    return (1 << math.comb(n, 2)) - sum(
+        math.comb(n - 1, k - 1) * _count_connected(k) * (1 << math.comb(n - k, 2)) for k in range(1, n)
+    )
+
+
+def _balance_bound(n: int, degree_sums: np.ndarray, hidden: np.ndarray) -> np.ndarray:
+    """B = N / (2N - 2m) * H, from the degree sums 2m; it equals mu at diameter <= 2."""
+    pairs = n * (n - 1)
+    return pairs / (2 * pairs - degree_sums) * hidden
+
+
+def _floor(n: int, p: float, weights: np.ndarray, tolerance: float) -> float:
+    """L - tolerance - slack, where L is the best mu of the complete graph and the n stars."""
+    degrees = np.ones((n + 1, n))
+    np.fill_diagonal(degrees, n - 1)  # rows 0..n-1: the star on each hub; row n: complete
+    degrees[n] = n - 1
+    best = _balance_bound(n, degrees.sum(axis=1), hidden_from_degrees(n, degrees, p, weights)).max()
+    return float(best) - tolerance - _BOUND_SLACK
+
+
 def _scan_optimal_chunk(args) -> tuple[int, tuple[np.ndarray, np.ndarray]]:
     """Connected masks in [lo, hi), then the chunk's candidates.
 
-    These are (masks within tolerance of the chunk's best balance, their mu),
-    empty without a connected mask.
+    These are (masks within tolerance of the chunk's best measured balance,
+    their mu), empty without a measured mask. H and the bound B come from
+    the stack of all the chunk's connected masks, the stack an unpruned scan
+    uses (BLAS may sum a row differently in another stack); only masks with
+    B >= ``floor`` reach the distance loop, and each one's mu reads that same H.
     """
-    n, lo, hi, p, weights, tolerance = args
-    masks, totals, degrees = _chunk_stats(n, lo, hi)
-    mu = n * (n - 1) / totals * hidden_from_degrees(n, degrees, p, np.asarray(weights))
+    n, lo, hi, p, weights, tolerance, floor = args
+    masks, adj, counts = _connected_stack(n, lo, hi)
+    connected = len(masks)
+    hidden = hidden_from_degrees(n, _degree_rows(counts), p, np.asarray(weights))
+    live = _balance_bound(n, counts.sum(axis=0, dtype=np.int64), hidden) >= floor
+    if not live.all():
+        masks, adj, hidden = masks[live], np.compress(live, adj, axis=1), hidden[live]
+    mu = n * (n - 1) / _total_distances(n, adj) * hidden
     keep = mu >= mu.max(initial=-math.inf) - tolerance
-    return len(masks), (masks[keep], mu[keep])
+    return connected, (masks[keep], mu[keep])
 
 
 def _check_tolerance(tolerance: float) -> None:
@@ -204,10 +300,26 @@ def _check_tolerance(tolerance: float) -> None:
 def _scan(
     n: int, p: float, weights: tuple[float, ...], tolerance: float, workers: int
 ) -> tuple[int, float, np.ndarray]:
-    """Connected-graph count, the best mu (or -inf) and the masks within tolerance of it."""
-    jobs = [(n, lo, hi, p, weights, tolerance) for lo, hi in _chunk_ranges(n)]
+    """Connected-graph count, the best mu and the masks within tolerance of it.
+
+    The scan skips every mask that a bound proves is not in the result. Let
+    N = n(n-1). A connected graph with m edges has N - 2m non-adjacent ordered
+    pairs, each at least 2 apart, so T >= 2N - 2m, and its balance
+    mu = N/T * H is at most B = N/(2N - 2m) * H, with H >= 0 a function of the
+    degrees alone. The complete graph and the n stars have diameter <= 2, so
+    each has mu = B; let L be the best of them. The best mu is at least L,
+    so a mask with B < L - tolerance is neither the best nor within tolerance
+    of it: only connected masks with B at or above that floor reach the
+    distance loop. In floating point mu <= B exactly, since both multiply
+    one H by N/T <= N/(2N - 2m), and the floor sits ``_BOUND_SLACK`` below
+    L - tolerance to absorb the rounding of L. L does not depend on
+    chunking, and the count of connected graphs comes from
+    ``_count_connected``, so neither the worker count nor the chunk
+    boundaries change the result.
+    """
+    floor = _floor(n, p, np.asarray(weights), tolerance)
+    jobs = [(n, lo, hi, p, weights, tolerance, floor) for lo, hi in _chunk_ranges(n)]
     results = run_chunks(_scan_optimal_chunk, jobs, workers)
-    enumerated = sum(count for count, _ in results)
     best = max((float(mu.max()) for _, (_, mu) in results if len(mu)), default=-math.inf)
     # swap each chunk's (masks, mu) for its kept masks as it is filtered, so the peak
     # holds 8 B per maximizer twice (kept and concatenated), not mu and copies besides
@@ -215,7 +327,7 @@ def _scan(
         results[k] = masks[mu >= best - tolerance]
     near = np.concatenate(results)
     near.setflags(write=False)
-    return enumerated, best, near
+    return _count_connected(n), best, near
 
 
 def find_optimal(

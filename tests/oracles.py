@@ -6,7 +6,7 @@ Everything here deliberately avoids the library's algorithms:
   paths (the library relaxes the arcs of every source at once until no
   distance falls),
 * connectivity inside the subset counter uses union-find (the library grows
-  each vertex's reach level by level with bitsets),
+  vertex 0's reach level by level with bitsets),
 * detection probabilities come from enumerating every combination of
   direct and indirect draws (the library uses a closed form),
 * that closed form is replayed by a sequential loop over the (detector,
@@ -16,7 +16,10 @@ Everything here deliberately avoids the library's algorithms:
 * affiliation ties come from intersecting the token sets of every actor
   pair (the library counts overlaps from a token index),
 * a lemma check's strongest rival comes from scoring every connected graph
-  of the order (the library scores two rivals that a bound proves enough).
+  of the order (the library scores two rivals that a bound proves enough),
+* the optimal-structure scan scores every connected mask, and counts them
+  (the library scores only the masks that the degree bound keeps, and
+  counts connected graphs by a recurrence).
 
 Oracles read only the public fields of a Graph (n, directed, edges).
 """
@@ -242,6 +245,24 @@ def reference_lemma_rows(
         mu_claimed = balance(claimed, SecrecyParams(p)).mu
         rows.append((p, mu_claimed >= max_other - tolerance, mu_claimed, max_other))
     return rows
+
+
+def reference_scan(n: int, p: float, weights, tolerance: float) -> tuple[int, float, np.ndarray]:
+    """(connected count, best mu, masks within tolerance of it) with no bound.
+
+    Every connected mask is scored as mu = N/T * H from ``search._chunk_stats``
+    rows (which ``TestChunkStats`` pins to the graph distances), one chunk's
+    stack at a time, and counted; the masks come out in ascending order.
+    """
+    weights = np.asarray(weights)
+    count, best, scored = 0, -math.inf, []
+    for lo, hi in search._chunk_ranges(n):
+        masks, totals, degrees = search._chunk_stats(n, lo, hi)
+        mu = n * (n - 1) / totals * hidden_from_degrees(n, degrees, p, weights)
+        count += len(masks)
+        best = max(best, float(mu.max(initial=-math.inf)))
+        scored.append((masks, mu))
+    return count, best, np.concatenate([masks[mu >= best - tolerance] for masks, mu in scored])
 
 
 # Weight grid for randomized weighted-distance tests. Dyadic values keep

@@ -6,16 +6,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import covertnet.search as search
 from covertnet.cli import main
 from covertnet.graph import build_graph, diameter, is_connected, total_distance
-from covertnet.measures import SecrecyParams, balance, make_structure
+from covertnet.measures import SecrecyParams, balance, hidden_from_degrees, make_structure
 from covertnet.search import enumerate_connected, find_optimal, verify_lemma
 
-from oracles import count_connected_graphs, reference_lemma_rows
+from oracles import count_connected_graphs, reference_lemma_rows, reference_scan
 
 LOW_GRID = [k / 20 for k in range(11)]
 HIGH_GRID = [0.5 + k / 20 for k in range(11)]
@@ -79,6 +79,94 @@ class TestChunkStats:
         assert [m for m, _, _ in expected] == masks.tolist()
         assert [t for _, t, _ in expected] == totals.tolist()
         assert [list(d) for _, _, d in expected] == degrees.tolist()
+
+
+class TestCountConnected:
+    def test_recurrence_matches_enumeration(self):
+        assert search._count_connected(1) == count_connected_graphs(1) == 1
+        for n in range(2, 7):
+            assert search._count_connected(n) == sum(1 for _ in enumerate_connected(n))
+
+    def test_orders_seven_and_eight(self):
+        assert search._count_connected(7) == 1_866_256  # OEIS A001187
+        assert search._count_connected(8) == 251_548_592
+
+
+@st.composite
+def scan_cases(draw):
+    """(n, p, weights, tolerance): random p including 0, 1/2 and 1, and normalized weights."""
+    n = draw(st.integers(2, 7), label="n")
+    p = draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)), label="p")
+    if draw(st.booleans(), label="uniform"):
+        weights = None
+    else:
+        raw = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n), label="raw weights")
+        assume(sum(raw) > 0)
+        weights = tuple(w / sum(raw) for w in raw)
+    tolerance = draw(st.one_of(st.sampled_from([0.0, 1e-12]), st.floats(0.0, 0.5)), label="tolerance")
+    return n, p, weights, tolerance
+
+
+def mask_bounds(n, p, weights, masks):
+    """B = N/(2N - 2m) * H of each mask, from its bits alone."""
+    degrees = np.zeros((len(masks), n))
+    for k, (i, j) in enumerate(itertools.combinations(range(n), 2)):
+        edge = masks >> k & 1
+        degrees[:, i] += edge
+        degrees[:, j] += edge
+    pairs = n * (n - 1)
+    hidden = ((1 - (p * degrees + 1) / n) * weights).sum(axis=1)
+    return pairs / (2 * pairs - degrees.sum(axis=1)) * hidden
+
+
+class TestPrunedScan:
+    @settings(max_examples=30, deadline=None)
+    @example((7, 0.5, None, 1e-12))  # p = 1/2: nothing is pruned, 676,456 ties
+    @example((2, 0.15, (0.4, 0.6), 1e-3))  # one connected mask: a one-row stack
+    @given(scan_cases())
+    def test_same_result_as_the_unpruned_scan(self, case):
+        n, p, weights, tolerance = case
+        params = SecrecyParams(p, weights)
+        result = find_optimal(n, params, tolerance=tolerance)
+        count, best, masks = reference_scan(n, p, params.weights_for(n), tolerance)
+        assert result.graphs_enumerated == count
+        assert result.best_mu == best
+        assert np.array_equal(result.argmax_graphs.masks, masks)
+        assert find_optimal(n, params, tolerance=tolerance, workers=2) == result
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 6), st.floats(0.0, 1.0), st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6))
+    def test_bound_holds_for_every_connected_mask(self, n, p, raw):
+        assume(sum(raw[:n]) > 0)
+        weights = np.array(raw[:n]) / sum(raw[:n])
+        for lo, hi in search._chunk_ranges(n):
+            masks, totals, degrees = search._chunk_stats(n, lo, hi)
+            mu = n * (n - 1) / totals * hidden_from_degrees(n, degrees, p, weights)
+            assert (mu <= mask_bounds(n, p, weights, masks) + 1e-12).all()
+
+    @pytest.mark.parametrize("n,p,measured", [(7, 0.3, range(1, 1000)), (6, 0.5, [26_704])])
+    def test_distance_loop_sees_only_masks_that_the_bound_keeps(self, monkeypatch, n, p, measured):
+        count, best, masks = reference_scan(n, p, [1 / n] * n, 1e-12)
+        columns, counts = [], []
+        real_total, real_run = search._total_distances, search.run_chunks
+
+        def total(order, adj):
+            columns.append(adj.shape[1])
+            return real_total(order, adj)
+
+        def run(fn, jobs, workers):
+            results = real_run(fn, jobs, workers)
+            counts.extend(connected for connected, _ in results)
+            return results
+
+        monkeypatch.setattr(search, "_total_distances", total)
+        monkeypatch.setattr(search, "run_chunks", run)
+        result = find_optimal(n, SecrecyParams(p))
+        assert (result.graphs_enumerated, result.best_mu) == (count, best)
+        assert np.array_equal(result.argmax_graphs.masks, masks)
+        assert sum(columns) in measured  # p = 1/2, uniform weights: every bound ties, nothing is pruned
+        # a chunk reports its connected masks, measured or not
+        assert len(counts) == len(search._chunk_ranges(n)) and sum(counts) == search._count_connected(n)
 
 
 class TestOrderSeven:
