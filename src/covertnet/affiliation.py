@@ -13,18 +13,22 @@ paired it. The cost therefore follows the shared tokens, not the square of
 the roster. Pairs are formed in blocks of consecutive lower endpoints of at
 most ``_PAIR_BUDGET`` pair codes (or one actor's pairs, if more), so a
 roster in which everyone shares one token needs scratch memory bounded by
-the budget instead of one code per actor pair.
+the budget instead of one code per actor pair. Each block keeps the codes
+and overlaps of its ties as arrays; blocks run in ascending lower endpoint
+and each block's codes are sorted, so the concatenated codes are already in
+canonical edge order, and the graph is built from them by
+``graph._from_canonical``, which checks them as arrays, not edge by edge.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph import Graph, _blocks, _is_int, _ranges, build_graph
+from .graph import Graph, _blocks, _from_canonical, _is_int, _ranges
 
 WEIGHT_MODES = ("overlap_count", "unit")
 
@@ -85,11 +89,20 @@ def build_from_actors(
     Vertices follow roster order; actors with too little overlap to tie to
     anyone stay as isolated vertices, keeping the vertex count equal to the
     roster size. Returns the undirected graph and the vertex-indexed label
-    map back to actor ids.
+    map back to actor ids. A roster that is not an iterable of ActorProfile
+    (a string included), an empty roster, duplicate ids, or a ``rule`` that
+    is not a TieRule raise ValueError.
     """
+    if not isinstance(rule, TieRule):
+        raise ValueError(f"rule must be a TieRule, got {rule!r}")
+    if isinstance(roster, str) or not isinstance(roster, Iterable):
+        raise ValueError(f"roster must be an iterable of ActorProfile, got {roster!r}")
     roster = list(roster)
     if not roster:
         raise ValueError("roster must contain at least one actor")
+    for actor in roster:
+        if not isinstance(actor, ActorProfile):
+            raise ValueError(f"roster must hold only ActorProfile items, got {actor!r}")
     ids = [actor.id for actor in roster]
     dupes = sorted(i for i, count in Counter(ids).items() if count > 1)
     if dupes:
@@ -110,14 +123,18 @@ def build_from_actors(
     group, mate = token[order], member[order]
     partners = np.searchsorted(group, group, side="right")[rank] - rank - 1
     first = np.concatenate(([0], np.cumsum(sizes)))
-    edges = []
+    codes, overlaps = [], []
     for lo, hi in _blocks(np.bincount(member, weights=partners, minlength=n), _PAIR_BUDGET):
         block = slice(first[lo], first[hi])
         count = partners[block]
         code = np.repeat(member[block] * n, count) + mate[_ranges(rank[block] + 1, count)]
         code, overlap = np.unique(code, return_counts=True)
         kept = overlap >= rule.threshold
-        i, j = np.divmod(code[kept], n)
-        weight = np.ones(i.size) if rule.weight_mode == "unit" else overlap[kept].astype(float)
-        edges.extend(zip(i.tolist(), j.tolist(), weight.tolist()))
-    return build_graph(n, directed=False, edges=edges), tuple(ids)
+        codes.append(code[kept])
+        overlaps.append(overlap[kept])
+    i, j = np.divmod(np.concatenate(codes), n)
+    if rule.weight_mode == "unit":
+        weight = np.ones(i.size)
+    else:
+        weight = np.concatenate(overlaps).astype(float)
+    return _from_canonical(n, i, j, weight), tuple(ids)

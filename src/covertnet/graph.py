@@ -65,7 +65,8 @@ class Graph:
     Edges are stored canonically: deduplicated, sorted, and (when
     undirected) with source < target. Use :func:`build_graph` instead of
     constructing directly; the factory validates and canonicalizes raw
-    edge lists.
+    edge lists. Internal producers whose edges are already canonical
+    arrays use :func:`_from_canonical`, which checks them as arrays.
     """
 
     n: int
@@ -183,6 +184,35 @@ def build_graph(
         canon[key] = w
     edge_tuple = tuple(sorted([(s, t, w) for (s, t), w in canon.items()]))
     return Graph(n=n, directed=directed, edges=edge_tuple)
+
+
+def _from_canonical(n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray) -> Graph:
+    """An undirected Graph from edge arrays that are already canonical.
+
+    ``src`` and ``dst`` are int64 and ``weight`` float64 arrays of one
+    length, with ``0 <= src < dst < n``, codes ``src * n + dst`` strictly
+    increasing (sorted, no duplicate) and every weight finite and
+    nonnegative. The invariants are checked as whole arrays rather than
+    edge by edge, and a violation raises GraphError. Outside input goes
+    through :func:`build_graph` instead.
+    """
+    if not _is_int(n) or n < 1:
+        raise GraphError(f"vertex count must be a positive integer, got {n!r}")
+    typed = zip((src, dst, weight), (np.int64, np.int64, np.float64))
+    if not all(isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype == t for a, t in typed):
+        raise GraphError("edge arrays must be one-dimensional int64, int64 and float64 arrays")
+    if not src.size == dst.size == weight.size:
+        raise GraphError(f"edge arrays differ in length: {src.size}, {dst.size}, {weight.size}")
+    if src.size:
+        if not (src.min() >= 0 and dst.max() < n and np.all(src < dst)):
+            raise GraphError(f"edges must satisfy 0 <= source < target < {n}")
+        code = src * n + dst
+        if not np.all(code[1:] > code[:-1]):
+            raise GraphError("edges must be sorted and distinct")
+        if not np.all((weight >= 0.0) & (weight < math.inf)):
+            raise GraphError("edge weights must be finite and nonnegative")
+    edges = tuple(zip(src.tolist(), dst.tolist(), weight.tolist()))
+    return Graph(n=n, directed=False, edges=edges)
 
 
 @dataclass(frozen=True)

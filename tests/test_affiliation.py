@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from covertnet import affiliation
 from covertnet.affiliation import WEIGHT_MODES, ActorProfile, TieRule, build_from_actors
-from covertnet.graph import is_connected
+from covertnet.graph import build_graph, is_connected
 
 from oracles import reference_affiliation_edges
 
@@ -148,7 +148,11 @@ def test_edges_equal_pair_loop_reference(token_sets, threshold, weight_mode, bud
     rule = TieRule(threshold=threshold, weight_mode=weight_mode)
     with mock.patch.object(affiliation, "_PAIR_BUDGET", budget):
         graph, _ = build_from_actors(roster, rule)
-    assert graph.edges == reference_affiliation_edges(roster, rule)
+    reference = reference_affiliation_edges(roster, rule)
+    assert graph.edges == reference
+    assert graph == build_graph(len(roster), edges=reference)
+    # tuple == takes 2 for 2.0 and np.int64(2) for 2, but the JSON writer needs builtins
+    assert all(type(s) is int and type(t) is int and type(w) is float for s, t, w in graph.edges)
 
 
 def one_hub_roster(n):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -397,6 +398,36 @@ class TestBuild:
         roster.write_text('[{"id": "a"}, {"id": "a"}]')
         code, _, err = run(capsys, "build", str(roster))
         assert code == 1 and "duplicate" in err
+
+    # sha256 of the graph documents of a fixed 300-actor roster, recorded when every
+    # tie still went through build_graph's per-edge loop
+    GOLDEN = {
+        ("1", "overlap_count"): "763978ef03a8b8652bf14f530a7241405f9ae91c9cedd4d18e64001189b0dc57",
+        ("1", "unit"): "c5c23e49925c0d1eec9bd6f9f221ecfdc56ced0ce3d4985bc3e15d4754aebe5f",
+        ("2", "overlap_count"): "b2e7629b9f9cb1a090f4d0d073c6636fe33cd7ef82c718eede143da3ee1d68d6",
+        ("2", "unit"): "ee6119fd5ac817ebdd4c38f58524e280cabcf756a1f8b38df5f39977c30433fc",
+    }
+
+    @pytest.mark.parametrize("threshold, weight_mode", sorted(GOLDEN))
+    def test_hub_roster_document_digest(self, capsys, tmp_path, threshold, weight_mode):
+        # 30 hub tokens over 300 actors tie thousands of pairs, some by two or three
+        # tokens; neighbours share two chain tokens, and spacing and case vary
+        rng = random.Random(2013)
+        actors = []
+        for i in range(300):
+            tokens = {
+                f" Hub{rng.randrange(30)}" if rng.random() < 0.3 else f"hub{rng.randrange(30)}"
+                for _ in range(3)
+            }
+            tokens.update(f"chain{k}.{c}" for k in (i - 1, i) if 0 <= k < 299 for c in "ab")
+            actors.append({"id": f"actor{i:03d}", "generators": sorted(tokens)})
+        roster = tmp_path / "roster.json"
+        roster.write_text(json.dumps(actors))
+        code, out, err = run(
+            capsys, "build", str(roster), "--threshold", threshold, "--weight-mode", weight_mode
+        )
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[threshold, weight_mode]
 
     def test_round_trip_through_metrics(self, capsys, tmp_path):
         roster = tmp_path / "roster.json"

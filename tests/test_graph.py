@@ -120,6 +120,74 @@ class TestBuildGraph:
             g.n = 5
 
 
+def canonical_arrays(src, dst, weight):
+    return (
+        np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64), np.array(weight, dtype=float)
+    )
+
+
+class TestFromCanonical:
+    def test_matches_build_graph_with_builtin_types(self):
+        arrays = canonical_arrays([0, 0, 2], [1, 3, 3], [1.0, 2.5, 0.0])
+        g = covertnet.graph._from_canonical(4, *arrays)
+        assert g == build_graph(4, edges=[(0, 1, 1.0), (0, 3, 2.5), (2, 3, 0.0)])
+        assert all(type(s) is int and type(t) is int and type(w) is float for s, t, w in g.edges)
+
+    def test_empty_arrays_give_isolated_vertices(self):
+        g = covertnet.graph._from_canonical(3, *canonical_arrays([], [], []))
+        assert g == build_graph(3) and g.m == 0 and not g.directed
+
+    @pytest.mark.parametrize("n", [0, 3.0, True])
+    def test_bad_vertex_count_rejected(self, n):
+        with pytest.raises(GraphError, match="vertex count"):
+            covertnet.graph._from_canonical(n, *canonical_arrays([], [], []))
+
+    @pytest.mark.parametrize(
+        "src, dst, weight",
+        [([0, 1], [1], [1.0, 1.0]), ([0], [1], [])],
+        ids=["src longer than dst", "weight shorter"],
+    )
+    def test_mismatched_lengths_rejected(self, src, dst, weight):
+        with pytest.raises(GraphError, match="differ in length"):
+            covertnet.graph._from_canonical(3, *canonical_arrays(src, dst, weight))
+
+    @pytest.mark.parametrize(
+        "src, dst",
+        [([1], [1]), ([0, 2], [1, 1]), ([-1], [1]), ([0], [3])],
+        ids=["self-loop", "reversed pair", "negative endpoint", "endpoint at n"],
+    )
+    def test_endpoints_out_of_order_or_range_rejected(self, src, dst):
+        with pytest.raises(GraphError, match="0 <= source < target < 3"):
+            covertnet.graph._from_canonical(3, *canonical_arrays(src, dst, [1.0] * len(src)))
+
+    @pytest.mark.parametrize(
+        "src, dst", [([0, 0], [2, 1]), ([0, 0], [1, 1]), ([1, 0], [2, 2])],
+        ids=["unsorted targets", "duplicate", "unsorted sources"],
+    )
+    def test_unsorted_or_duplicate_codes_rejected(self, src, dst):
+        with pytest.raises(GraphError, match="sorted and distinct"):
+            covertnet.graph._from_canonical(3, *canonical_arrays(src, dst, [1.0, 1.0]))
+
+    @pytest.mark.parametrize("weight", [-0.5, math.nan, math.inf, -math.inf])
+    def test_negative_or_non_finite_weight_rejected(self, weight):
+        with pytest.raises(GraphError, match="finite and nonnegative"):
+            covertnet.graph._from_canonical(3, *canonical_arrays([0, 1], [1, 2], [1.0, weight]))
+
+    @pytest.mark.parametrize(
+        "arrays",
+        [
+            (np.array([0]), np.array([1]), np.array([1], dtype=np.int64)),
+            (np.array([0.0]), np.array([1]), np.array([1.0])),
+            ([0], [1], [1.0]),
+            (np.array([[0]]), np.array([[1]]), np.array([[1.0]])),
+        ],
+        ids=["int weights", "float endpoints", "lists", "two-dimensional"],
+    )
+    def test_arrays_of_other_types_rejected(self, arrays):
+        with pytest.raises(GraphError, match="edge arrays must be"):
+            covertnet.graph._from_canonical(3, *arrays)
+
+
 class TestGeodesicDistances:
     def test_complete_graph_all_ones(self):
         dm = geodesic_distances(make_structure("complete", 4))

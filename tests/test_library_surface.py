@@ -2,7 +2,7 @@
 
 import pytest
 
-from covertnet.affiliation import ActorProfile, TieRule
+from covertnet.affiliation import ActorProfile, TieRule, build_from_actors
 from covertnet.detection import DetectionParams, ScrutinyPlan, simulate
 from covertnet.graph import build_graph, community, geodesic_distances
 from covertnet.measures import SecrecyParams, make_hierarchy, make_structure
@@ -89,5 +89,24 @@ NOT_BOOLS = {
 
 @pytest.mark.parametrize("argument, call", NOT_BOOLS.values(), ids=NOT_BOOLS.keys())
 def test_non_bool_flag_rejected_by_name(argument, call):
+    with pytest.raises(ValueError, match=argument):
+        call()
+
+
+# a string iterates like a roster of its characters, and an int or a None item has no
+# id or tokens; a rule that is not a TieRule has no threshold to read
+WRONG_TYPES = {
+    "build_from_actors roster=[1, 2]": ("roster", lambda: build_from_actors([1, 2])),
+    "build_from_actors roster='ab'": ("roster", lambda: build_from_actors("ab")),
+    "build_from_actors roster=None": ("roster", lambda: build_from_actors(None)),
+    "build_from_actors roster=[actor, None]": (
+        "roster", lambda: build_from_actors([ActorProfile("a"), None])
+    ),
+    "build_from_actors rule='x'": ("rule", lambda: build_from_actors([ActorProfile("a")], "x")),
+}
+
+
+@pytest.mark.parametrize("argument, call", WRONG_TYPES.values(), ids=WRONG_TYPES.keys())
+def test_wrongly_typed_argument_rejected_by_name(argument, call):
     with pytest.raises(ValueError, match=argument):
         call()
