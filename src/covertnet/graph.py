@@ -137,16 +137,20 @@ def build_graph(
     Raises
     ------
     GraphError
-        On a ``directed`` that is not a bool, an edge that is not a 2- or
-        3-sequence, an endpoint out of range, a self-loop, a duplicate edge,
-        or a weight that is not a real number (bool included), negative or
-        non-finite (an int too large for a float included); the offending
-        edge is named in the message.
+        On a ``directed`` that is not a bool, ``edges`` that are not
+        iterable, an edge that is not a 2- or 3-sequence, an endpoint out of
+        range, a self-loop, a duplicate edge, or a weight that is not a real
+        number (bool included), negative or non-finite (an int too large for
+        a float included); the offending edge is named in the message.
     """
     if not _is_int(n) or n < 1:
         raise GraphError(f"vertex count must be a positive integer, got {n!r}")
     if not isinstance(directed, bool):
         raise GraphError(f"directed must be a bool, got {directed!r}")
+    try:
+        edges = iter(edges)
+    except TypeError:
+        raise GraphError(f"edges must be an iterable of edges, got {edges!r}") from None
     canon: dict[tuple[int, int], float] = {}
     # Each check tests the exact builtin type first: the general test it short-cuts
     # (an ABC instance check for the weight) costs more than the rest of the loop.

@@ -77,6 +77,11 @@ class SecrecyParams:
         return np.asarray(self.sharing_weights)
 
 
+def _check_params(params) -> None:
+    if not isinstance(params, SecrecyParams):
+        raise ValueError(f"params must be a SecrecyParams, got {params!r}")
+
+
 @dataclass(frozen=True)
 class MeasureReport:
     """Balance value with its ingredients."""
@@ -97,12 +102,13 @@ def hidden_from_degrees(n: int, degrees: np.ndarray, p: float, weights: np.ndarr
     """Hidden-knowledge value H from degree data.
 
     ``degrees`` is one degree vector, giving a scalar H, or a stack of them
-    (one row per graph), giving one H per row. ``hidden_knowledge`` and the
-    structure search both take H from here. The formula is the same, but numpy
-    sums a stacked product in another order than a single one, so a stacked
-    row may differ from the single-graph value by one unit in the last place.
+    (one row per graph), giving one H per row. ``hidden_knowledge``, the
+    structure search and the lemma check all take H from here. Each row's
+    terms are summed along a C-contiguous last axis, so a row has the same
+    bits alone as in any stack, whatever the stack's size or memory layout.
     """
-    return (1.0 - exposure_from_degrees(n, degrees, p)) @ weights
+    terms = (1.0 - exposure_from_degrees(n, degrees, p)) * weights
+    return np.ascontiguousarray(terms).sum(axis=-1)
 
 
 def information_measure(g: Graph) -> float:
@@ -126,6 +132,7 @@ def exposure_fractions(g: Graph, params: SecrecyParams) -> np.ndarray:
     """
     if g.directed:
         raise GraphError("exposure fractions are defined for undirected graphs")
+    _check_params(params)
     degrees = np.asarray(g.degree_sequence())
     exposure = exposure_from_degrees(g.n, degrees, params.p)
     # d_i <= n-1 and p <= 1 keep exposure inside [0, 1]; violation means a bug
@@ -142,6 +149,7 @@ def hidden_knowledge(g: Graph, params: SecrecyParams) -> float:
     """
     if g.directed:
         raise GraphError("hidden knowledge is defined for undirected graphs")
+    _check_params(params)
     degrees = np.asarray(g.degree_sequence())
     return float(hidden_from_degrees(g.n, degrees, params.p, params.weights_for(g.n)))
 
@@ -184,7 +192,7 @@ def make_structure(kind: str, n: int) -> Graph:
     ``cycle``, and ``anarchy`` (no edges at all, so no member can expose
     another). Stars and paths need n >= 2, cycles n >= 3.
     """
-    if kind not in _STRUCTURE_MIN_N:
+    if not isinstance(kind, str) or kind not in _STRUCTURE_MIN_N:
         raise ValueError(f"unknown structure kind {kind!r}; expected one of {STRUCTURE_KINDS}")
     if not (_is_int(n) and n >= _STRUCTURE_MIN_N[kind]):
         raise ValueError(

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import run_chunks
-from .graph import Graph, _is_int, _is_real, _real_tuple, build_graph, is_connected
-from .measures import SecrecyParams, balance, hidden_from_degrees, make_structure
+from .graph import Graph, _is_int, _is_real, _real_tuple, build_graph
+from .measures import SecrecyParams, _check_params, hidden_from_degrees, make_structure
 
 #: Search orders above this need allow_large=True; 8 is the hard cap (2^28 subsets).
 DEFAULT_MAX_ORDER = 7
@@ -146,8 +146,6 @@ def enumerate_connected(n: int, allow_large: bool = False) -> Iterator[Graph]:
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 #: Edge slots of a mask's low part. A chunk of 2^12 aligned masks shares its high part.
 _LOW_SLOTS = 12
-#: Margin of the pruning floor below L - tolerance. mu <= 1, so it covers any rounding.
-_BOUND_SLACK = 1e-9
 
 
 @functools.cache
@@ -219,15 +217,6 @@ def _total_distances(n: int, adj: np.ndarray) -> np.ndarray:
     return (n - 1) * n * n - reached.sum(axis=0, dtype=np.int64)
 
 
-def _degree_rows(counts: np.ndarray) -> np.ndarray:
-    """Degree counts as float64 rows, one per mask.
-
-    Row-major like one degree vector per row: the H matmul's summation order
-    follows layout.
-    """
-    return counts.T.astype(np.float64, order="C")
-
-
 def _chunk_stats(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Connected masks in [lo, hi) with their total distances and degrees.
 
@@ -235,7 +224,7 @@ def _chunk_stats(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.n
     shape (masks, n)) of the connected masks, in mask order.
     """
     masks, adj, counts = _connected_stack(n, lo, hi)
-    return masks, _total_distances(n, adj).astype(np.float64), _degree_rows(counts)
+    return masks, _total_distances(n, adj).astype(np.float64), counts.T.astype(np.float64)
 
 
 def _chunk_ranges(n: int) -> list[tuple[int, int]]:
@@ -263,27 +252,26 @@ def _balance_bound(n: int, degree_sums: np.ndarray, hidden: np.ndarray) -> np.nd
 
 
 def _floor(n: int, p: float, weights: np.ndarray, tolerance: float) -> float:
-    """L - tolerance - slack, where L is the best mu of the complete graph and the n stars."""
+    """L - tolerance, where L is the best mu of the complete graph and the n stars."""
     degrees = np.ones((n + 1, n))
     np.fill_diagonal(degrees, n - 1)  # rows 0..n-1: the star on each hub; row n: complete
     degrees[n] = n - 1
     best = _balance_bound(n, degrees.sum(axis=1), hidden_from_degrees(n, degrees, p, weights)).max()
-    return float(best) - tolerance - _BOUND_SLACK
+    return float(best) - tolerance
 
 
 def _scan_optimal_chunk(args) -> tuple[int, tuple[np.ndarray, np.ndarray]]:
     """Connected masks in [lo, hi), then the chunk's candidates.
 
     These are (masks within tolerance of the chunk's best measured balance,
-    their mu), empty without a measured mask. H and the bound B come from
-    the stack of all the chunk's connected masks, the stack an unpruned scan
-    uses (BLAS may sum a row differently in another stack); only masks with
-    B >= ``floor`` reach the distance loop, and each one's mu reads that same H.
+    their mu), empty without a measured mask. Only masks whose bound B
+    reaches ``floor`` go on to the distance loop, and each one's mu reads
+    the H its bound used.
     """
     n, lo, hi, p, weights, tolerance, floor = args
     masks, adj, counts = _connected_stack(n, lo, hi)
     connected = len(masks)
-    hidden = hidden_from_degrees(n, _degree_rows(counts), p, np.asarray(weights))
+    hidden = hidden_from_degrees(n, counts.T, p, np.asarray(weights))
     live = _balance_bound(n, counts.sum(axis=0, dtype=np.int64), hidden) >= floor
     if not live.all():
         masks, adj, hidden = masks[live], np.compress(live, adj, axis=1), hidden[live]
@@ -310,12 +298,13 @@ def _scan(
     each has mu = B; let L be the best of them. The best mu is at least L,
     so a mask with B < L - tolerance is neither the best nor within tolerance
     of it: only connected masks with B at or above that floor reach the
-    distance loop. In floating point mu <= B exactly, since both multiply
-    one H by N/T <= N/(2N - 2m), and the floor sits ``_BOUND_SLACK`` below
-    L - tolerance to absorb the rounding of L. L does not depend on
-    chunking, and the count of connected graphs comes from
-    ``_count_connected``, so neither the worker count nor the chunk
-    boundaries change the result.
+    distance loop. This holds in floating point too. A row's H has the same
+    bits in any stack, so mu <= B exactly, both being one H times
+    N/T <= N/(2N - 2m); and the complete graph and the stars are masks of
+    the scan whose mu equals their bound in ``_floor`` bit for bit, so the
+    best mu is at least L exactly. Neither H nor L depends on chunking, and
+    the count of connected graphs comes from ``_count_connected``, so
+    neither the worker count nor the chunk boundaries change the result.
     """
     floor = _floor(n, p, np.asarray(weights), tolerance)
     jobs = [(n, lo, hi, p, weights, tolerance, floor) for lo, hi in _chunk_ranges(n)]
@@ -346,6 +335,7 @@ def find_optimal(
     """
     _check_order(n, _order_cap(allow_large))
     _check_tolerance(tolerance)
+    _check_params(params)
     weights = tuple(params.weights_for(n))
     enumerated, best, masks = _scan(n, params.p, weights, tolerance, workers)
     return SearchResult(
@@ -386,6 +376,10 @@ def verify_lemma(
     graphs of diameter <= 2 attain f: the star on hub n-1, and the complete
     graph less its last edge (complete claim) or the complete graph (star
     claim). At n = 2 no rival is left, and ``max_mu_other`` is -inf.
+
+    No distance is measured. The claimed structure and its rivals all have
+    diameter <= 2, so each one's balance is its bound N/(2N - 2m) * H, read
+    from its degrees as in the structure search.
     """
     if which not in _LEMMA_CLAIMS:
         raise ValueError(f"unknown claim {which!r}; expected 'complete_optimal' or 'star_optimal'")
@@ -397,19 +391,19 @@ def verify_lemma(
         if not lo_p <= p <= hi_p:
             raise ValueError(f"p={p} outside the stated interval [{lo_p}, {hi_p}] for {which}")
 
-    # the claims are stated for uniform sharing weights, SecrecyParams' default
     claimed = make_structure(kind, n)
     complete = make_structure("complete", n)
     star = build_graph(n, edges=[(j, n - 1) for j in range(n - 1)])
     dense = build_graph(n, edges=complete.edges[:-1]) if kind == "complete" else complete
-    rivals = [g for g in (star, dense) if g.edges != claimed.edges and is_connected(g)]
+    rivals = [star, dense] if n > 2 else []
+    stack = np.array([g.degree_sequence() for g in (claimed, *rivals)])
+    sums = stack.sum(axis=1)
+    uniform = np.full(n, 1.0 / n)  # the claims are stated for uniform sharing weights
     rows = []
     for p in p_grid:
-        params = SecrecyParams(p)
-        scored = [(balance(g, params).mu, g) for g in rivals]
-        max_other, strongest = max(scored, key=operator.itemgetter(0), default=(-math.inf, None))
-        mu_claimed = balance(claimed, params).mu
+        mu_claimed, *scores = _balance_bound(n, sums, hidden_from_degrees(n, stack, p, uniform)).tolist()
+        max_other = max(scores, default=-math.inf)
         passed = mu_claimed >= max_other - tolerance
-        counterexample = None if passed else strongest
+        counterexample = None if passed else rivals[scores.index(max_other)]
         rows.append(LemmaCheckRow(p, passed, mu_claimed, max_other, counterexample))
     return LemmaReport(which=which, n=n, tolerance=tolerance, rows=tuple(rows))

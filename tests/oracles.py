@@ -251,8 +251,8 @@ def reference_scan(n: int, p: float, weights, tolerance: float) -> tuple[int, fl
     """(connected count, best mu, masks within tolerance of it) with no bound.
 
     Every connected mask is scored as mu = N/T * H from ``search._chunk_stats``
-    rows (which ``TestChunkStats`` pins to the graph distances), one chunk's
-    stack at a time, and counted; the masks come out in ascending order.
+    rows (which ``TestChunkStats`` pins to the graph distances), chunk by
+    chunk, and counted; the masks come out in ascending order.
     """
     weights = np.asarray(weights)
     count, best, scored = 0, -math.inf, []

@@ -94,6 +94,11 @@ class TestBuildGraph:
         with pytest.raises(GraphError):
             build_graph(0)
 
+    @pytest.mark.parametrize("edges", [None, 5])
+    def test_edges_that_are_not_iterable_rejected(self, edges):
+        with pytest.raises(GraphError, match="edges must be an iterable"):
+            build_graph(3, edges=edges)
+
     @pytest.mark.parametrize("edge", [5, None, 1.5, (0,), (0, 1, 1.0, 2)])
     def test_edge_that_is_not_a_pair_or_triple_rejected(self, edge):
         with pytest.raises(GraphError, match=r"must be \(source, target\[, weight\]\)") as caught:

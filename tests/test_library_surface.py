@@ -5,7 +5,14 @@ import pytest
 from covertnet.affiliation import ActorProfile, TieRule, build_from_actors
 from covertnet.detection import DetectionParams, ScrutinyPlan, simulate
 from covertnet.graph import build_graph, community, geodesic_distances
-from covertnet.measures import SecrecyParams, make_hierarchy, make_structure
+from covertnet.measures import (
+    SecrecyParams,
+    balance,
+    exposure_fractions,
+    hidden_knowledge,
+    make_hierarchy,
+    make_structure,
+)
 from covertnet.search import enumerate_connected, find_optimal, verify_lemma
 
 PATH3 = build_graph(3, edges=[(0, 1), (1, 2)])
@@ -94,7 +101,8 @@ def test_non_bool_flag_rejected_by_name(argument, call):
 
 
 # a string iterates like a roster of its characters, and an int or a None item has no
-# id or tokens; a rule that is not a TieRule has no threshold to read
+# id or tokens; a rule that is not a TieRule has no threshold to read; a bare p is not
+# a SecrecyParams, a list is not a structure kind, and None or an int holds no edges
 WRONG_TYPES = {
     "build_from_actors roster=[1, 2]": ("roster", lambda: build_from_actors([1, 2])),
     "build_from_actors roster='ab'": ("roster", lambda: build_from_actors("ab")),
@@ -103,6 +111,13 @@ WRONG_TYPES = {
         "roster", lambda: build_from_actors([ActorProfile("a"), None])
     ),
     "build_from_actors rule='x'": ("rule", lambda: build_from_actors([ActorProfile("a")], "x")),
+    "find_optimal params=0.3": ("params", lambda: find_optimal(4, 0.3)),
+    "balance params=None": ("params", lambda: balance(PATH3, None)),
+    "hidden_knowledge params=0.3": ("params", lambda: hidden_knowledge(PATH3, 0.3)),
+    "exposure_fractions params=0.3": ("params", lambda: exposure_fractions(PATH3, 0.3)),
+    "make_structure kind=[]": ("kind", lambda: make_structure([], 3)),
+    "build_graph edges=None": ("edges", lambda: build_graph(3, edges=None)),
+    "build_graph edges=5": ("edges", lambda: build_graph(3, edges=5)),
 }
 
 

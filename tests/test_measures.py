@@ -11,6 +11,7 @@ from covertnet.measures import (
     SecrecyParams,
     balance,
     exposure_fractions,
+    hidden_from_degrees,
     hidden_knowledge,
     information_measure,
     make_hierarchy,
@@ -104,6 +105,31 @@ class TestHiddenKnowledge:
         h = hidden_knowledge(star, SecrecyParams(0.5, sharing_weights=(1.0, 0, 0, 0)))
         # all weight on the hub: H = u_hub = 1 - 0.625
         assert h == pytest.approx(0.375, abs=1e-12)
+
+
+@st.composite
+def degree_stacks(draw):
+    """(n, degrees, p, weights): a (rows, n) uint8 stack of degrees below n, 1-70 rows."""
+    n = draw(st.one_of(st.integers(2, 9), st.just(240)), label="n")
+    rows = draw(st.integers(1, 70), label="rows")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    degrees = rng.integers(0, n, size=(rows, n), dtype=np.uint8)
+    weights = rng.random(n)
+    return n, degrees, draw(st.floats(0.0, 1.0), label="p"), weights / weights.sum()
+
+
+class TestHiddenFromDegrees:
+    @settings(max_examples=150, deadline=None)
+    @given(degree_stacks())
+    def test_row_has_the_same_bits_in_any_stack(self, case):
+        n, degrees, p, weights = case
+        rows = degrees.astype(np.float64)
+        counts = np.ascontiguousarray(degrees.T)  # the search's (n, masks) layout
+        alone = [hidden_from_degrees(n, row, p, weights) for row in rows]
+        for stacked in (rows, np.asfortranarray(rows), counts.T):
+            got = hidden_from_degrees(n, stacked, p, weights)
+            assert got.shape == (len(rows),)
+            assert [h.hex() for h in got.tolist()] == [float(h).hex() for h in alone]
 
 
 class TestBalance:

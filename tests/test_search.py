@@ -271,6 +271,17 @@ class TestFindOptimal:
         ragged = find_optimal(5, SecrecyParams(0.45), workers=2)
         assert baseline == ragged
 
+    @pytest.mark.parametrize("n,p", [(6, 0.3), (6, 0.5), (7, 0.35), (7, 0.7)])
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_chunk_size_does_not_change_result(self, monkeypatch, n, p, uniform):
+        weights = None if uniform else tuple(w / sum(range(1, n + 1)) for w in range(1, n + 1))
+        params = SecrecyParams(p, weights)
+        baseline = find_optimal(n, params)
+        for chunk in (1 << 8, 1 << 11, 1 << 13, 1 << 16):
+            monkeypatch.setattr(search, "_CHUNK_MASKS", chunk)
+            result = find_optimal(n, params)
+            assert result == baseline and result.best_mu.hex() == baseline.best_mu.hex()
+
 
 class TestMaskBackedMaximizers:
     def test_half_ties_every_graph_of_diameter_two(self):
@@ -366,8 +377,12 @@ class TestVerifyLemma:
         monkeypatch.setattr(search, "run_chunks", scan)
         monkeypatch.setattr(search, "_chunk_stats", scan)
         for n in range(2, search.LEMMA_MAX_ORDER + 1):
-            assert verify_lemma("complete_optimal", n, [0.0, 0.5]).all_passed
-            assert verify_lemma("star_optimal", n, [0.5, 1.0]).all_passed
+            for which, grid in (("complete_optimal", LOW_GRID), ("star_optimal", HIGH_GRID)):
+                report = verify_lemma(which, n, grid)
+                assert report.all_passed
+                claimed = make_structure(search._LEMMA_CLAIMS[which][0], n)
+                for row in report.rows:  # scored from degrees, equal to the measured balance
+                    assert row.mu_claimed == balance(claimed, SecrecyParams(row.p)).mu
 
     def test_order_above_cap_rejected(self):
         with pytest.raises(ValueError, match="order"):
