@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, _blocks, _from_canonical, _is_int, _ranges
+from .graph import Graph, _blocks, _check_type, _from_canonical, _is_int, _ranges
 
 WEIGHT_MODES = ("overlap_count", "unit")
 
@@ -93,8 +93,7 @@ def build_from_actors(
     (a string included), an empty roster, duplicate ids, or a ``rule`` that
     is not a TieRule raise ValueError.
     """
-    if not isinstance(rule, TieRule):
-        raise ValueError(f"rule must be a TieRule, got {rule!r}")
+    _check_type(rule, TieRule, "rule")
     if isinstance(roster, str) or not isinstance(roster, Iterable):
         raise ValueError(f"roster must be an iterable of ActorProfile, got {roster!r}")
     roster = list(roster)

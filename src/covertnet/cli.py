@@ -7,6 +7,11 @@ newline; diagnostics go to stderr. Exit codes: 0 success, 1 malformed
 input file, 2 constraint or range violation, 3 lemma verification
 failure.
 
+The argument parser is built once per process (``_build_parser`` is cached,
+as the encoders are) and every ``main`` call reuses it: parsing reads the
+parser and never changes it, so a call that argparse rejects leaves later
+calls' output as it was.
+
 The document is written from calls to the C encoder, which ``indent``
 would bypass for the pure-Python one (about three times slower on a
 graph document): only the containers are walked in Python, and the
@@ -286,6 +291,7 @@ def _cmd_hierarchy(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="covertnet",

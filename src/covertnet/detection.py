@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import run_chunks
-from .graph import Graph, _is_int, _is_real, _out_arcs, _real_tuple
+from .graph import Graph, _check_type, _is_int, _is_real, _out_arcs, _real_tuple
 from .measures import _WEIGHT_SUM_TOL
 
 _TRIALS_PER_CHUNK = 1 << 13
@@ -74,6 +74,7 @@ def validate_plan(plan: ScrutinyPlan) -> PlanVerdict:
     [0, 1], and the alphas sum to at most the budget. Equality is admitted:
     the exact sum (``math.fsum``) may exceed the budget by 1e-12 of rounding.
     """
+    _check_type(plan, ScrutinyPlan, "plan")
     violations = []
     for i, a in enumerate(plan.alphas):
         if not 0.0 <= a <= 1.0:
@@ -128,10 +129,12 @@ class DetectionReport:
     per_member_stderr: tuple[float, ...] | None = None
 
 
-def _require_runnable(g: Graph, plan: ScrutinyPlan) -> None:
+def _require_runnable(g: Graph, plan: ScrutinyPlan, params: DetectionParams) -> None:
+    _check_type(g, Graph, "g")
     verdict = validate_plan(plan)
     if not verdict.valid:
         raise InfeasiblePlanError("; ".join(verdict.violations))
+    _check_type(params, DetectionParams, "params")
     if len(plan.alphas) != g.n:
         raise ValueError(
             f"plan covers {len(plan.alphas)} members but the graph has {g.n} vertices"
@@ -160,7 +163,7 @@ def detect_exact(g: Graph, plan: ScrutinyPlan, params: DetectionParams) -> Detec
     detector i with an information edge toward j, i is not directly caught
     with its indirect draw on j succeeding. All draws are independent.
     """
-    _require_runnable(g, plan)
+    _require_runnable(g, plan, params)
     if params.cascade:
         raise ValueError("exact mode covers one hop only; use simulate for cascades")
     src, dst, _, _ = g._arcs
@@ -284,7 +287,7 @@ def simulate(
     at least) whatever the trial count or horizon, and the report is
     bit-identical for any ``workers`` value, chunking and across runs.
     """
-    _require_runnable(g, plan)
+    _require_runnable(g, plan, params)
     if not (_is_int(periods) and periods >= 1):
         raise ValueError(f"periods must be a positive integer, got {periods}")
     trials = params.trials

@@ -58,6 +58,13 @@ def _real_tuple(values, name: str) -> tuple[float, ...]:
     return tuple(float(x) for x in items)
 
 
+def _check_type(value, cls: type, name: str) -> None:
+    """A ValueError naming ``name`` unless ``value`` is a ``cls``; a GraphError for a Graph."""
+    if not isinstance(value, cls):
+        error = GraphError if cls is Graph else ValueError
+        raise error(f"{name} must be a {cls.__name__}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple graph on vertices 0..n-1.
@@ -67,6 +74,10 @@ class Graph:
     constructing directly; the factory validates and canonicalizes raw
     edge lists. Internal producers whose edges are already canonical
     arrays use :func:`_from_canonical`, which checks them as arrays.
+
+    What is derived from the edges is computed at most once and kept on the
+    graph: the sorted arc arrays ``_arcs`` and the distance matrices by mode.
+    ``degree_sequence`` takes the degrees from the arc offsets on each call.
     """
 
     n: int
@@ -100,11 +111,6 @@ class Graph:
         """Distance matrices by ``hop_mode``, filled by :func:`geodesic_distances`."""
         return {}
 
-    @cached_property
-    def _degrees(self) -> tuple[int, ...]:
-        """Out-arc count of each vertex, computed once."""
-        return tuple(np.diff(self._arcs[3]).tolist())
-
     def degree_sequence(self) -> tuple[int, ...]:
         """Undirected degrees d_0..d_{n-1}.
 
@@ -113,7 +119,7 @@ class Graph:
         """
         if self.directed:
             raise GraphError("degree_sequence is defined for undirected graphs")
-        return self._degrees
+        return tuple(np.diff(self._arcs[3]).tolist())
 
     def _check_vertex(self, i: int) -> None:
         if not (_is_int(i) and 0 <= i < self.n):
@@ -310,6 +316,7 @@ def geodesic_distances(g: Graph, hop_mode: bool = True) -> DistanceMatrix:
     later calls return the same read-only object. Total distance,
     diameter, communities and connectivity are all read from it.
     """
+    _check_type(g, Graph, "g")
     if not isinstance(hop_mode, bool):
         raise GraphError(f"hop_mode must be a bool, got {hop_mode!r}")
     dm = g._distances.get(hop_mode)
@@ -363,6 +370,7 @@ def community(g: Graph, i: int, delta: float, hop_mode: bool = True) -> set[int]
     and unreachable vertices belong to no community. Returns the empty set
     when nothing lies at exactly ``delta``.
     """
+    _check_type(g, Graph, "g")
     g._check_vertex(i)
     if not _is_real(delta):
         raise GraphError(f"community distance delta must be a real number, got {delta!r}")

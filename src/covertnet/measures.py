@@ -30,6 +30,7 @@ from .graph import (
     DisconnectedGraphError,
     Graph,
     GraphError,
+    _check_type,
     _is_int,
     _is_real,
     _real_tuple,
@@ -75,11 +76,6 @@ class SecrecyParams:
                 f"graph has {n} vertices"
             )
         return np.asarray(self.sharing_weights)
-
-
-def _check_params(params) -> None:
-    if not isinstance(params, SecrecyParams):
-        raise ValueError(f"params must be a SecrecyParams, got {params!r}")
 
 
 @dataclass(frozen=True)
@@ -130,9 +126,10 @@ def exposure_fractions(g: Graph, params: SecrecyParams) -> np.ndarray:
     Member i with degree d_i exposes (p * d_i + 1) / n: itself plus the
     expected share of its links whose communication is detected.
     """
+    _check_type(g, Graph, "g")
     if g.directed:
         raise GraphError("exposure fractions are defined for undirected graphs")
-    _check_params(params)
+    _check_type(params, SecrecyParams, "params")
     degrees = np.asarray(g.degree_sequence())
     exposure = exposure_from_degrees(g.n, degrees, params.p)
     # d_i <= n-1 and p <= 1 keep exposure inside [0, 1]; violation means a bug
@@ -147,9 +144,10 @@ def hidden_knowledge(g: Graph, params: SecrecyParams) -> float:
     uniform weights this reduces to 1 - (2pm + n) / n^2 for a graph with m
     edges.
     """
+    _check_type(g, Graph, "g")
     if g.directed:
         raise GraphError("hidden knowledge is defined for undirected graphs")
-    _check_params(params)
+    _check_type(params, SecrecyParams, "params")
     degrees = np.asarray(g.degree_sequence())
     return float(hidden_from_degrees(g.n, degrees, params.p, params.weights_for(g.n)))
 
@@ -174,6 +172,7 @@ def balance(g: Graph, params: SecrecyParams) -> MeasureReport:
 
 
 def _require_measurable(g: Graph) -> None:
+    _check_type(g, Graph, "g")
     if g.directed:
         raise GraphError("secrecy measures are defined for undirected graphs")
     if g.n < 2:

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import run_chunks
-from .graph import Graph, _is_int, _is_real, _real_tuple, build_graph
-from .measures import SecrecyParams, _check_params, hidden_from_degrees, make_structure
+from .graph import Graph, _check_type, _is_int, _is_real, _real_tuple, build_graph
+from .measures import SecrecyParams, hidden_from_degrees
 
 #: Search orders above this need allow_large=True; 8 is the hard cap (2^28 subsets).
 DEFAULT_MAX_ORDER = 7
@@ -251,11 +251,17 @@ def _balance_bound(n: int, degree_sums: np.ndarray, hidden: np.ndarray) -> np.nd
     return pairs / (2 * pairs - degree_sums) * hidden
 
 
+@functools.cache
+def _closed_form_degrees(n: int) -> np.ndarray:
+    """Read-only degree rows: the stars on hubs 0..n-1, then K_n with and without edge (n-2, n-1)."""
+    degrees = np.vstack([np.eye(n) * (n - 2) + 1.0, [n - 1.0] * n, [n - 1.0] * (n - 2) + [n - 2.0] * 2])
+    degrees.setflags(write=False)
+    return degrees
+
+
 def _floor(n: int, p: float, weights: np.ndarray, tolerance: float) -> float:
     """L - tolerance, where L is the best mu of the complete graph and the n stars."""
-    degrees = np.ones((n + 1, n))
-    np.fill_diagonal(degrees, n - 1)  # rows 0..n-1: the star on each hub; row n: complete
-    degrees[n] = n - 1
+    degrees = _closed_form_degrees(n)[: n + 1]
     best = _balance_bound(n, degrees.sum(axis=1), hidden_from_degrees(n, degrees, p, weights)).max()
     return float(best) - tolerance
 
@@ -335,7 +341,7 @@ def find_optimal(
     """
     _check_order(n, _order_cap(allow_large))
     _check_tolerance(tolerance)
-    _check_params(params)
+    _check_type(params, SecrecyParams, "params")
     weights = tuple(params.weights_for(n))
     enumerated, best, masks = _scan(n, params.p, weights, tolerance, workers)
     return SearchResult(
@@ -377,9 +383,8 @@ def verify_lemma(
     graph less its last edge (complete claim) or the complete graph (star
     claim). At n = 2 no rival is left, and ``max_mu_other`` is -inf.
 
-    No distance is measured. The claimed structure and its rivals all have
-    diameter <= 2, so each one's balance is its bound N/(2N - 2m) * H, read
-    from its degrees as in the structure search.
+    Nothing is measured or built unless a row fails: at diameter <= 2 the
+    balance is its bound N/(2N - 2m) * H, read from a ``_closed_form_degrees`` row.
     """
     if which not in _LEMMA_CLAIMS:
         raise ValueError(f"unknown claim {which!r}; expected 'complete_optimal' or 'star_optimal'")
@@ -391,12 +396,8 @@ def verify_lemma(
         if not lo_p <= p <= hi_p:
             raise ValueError(f"p={p} outside the stated interval [{lo_p}, {hi_p}] for {which}")
 
-    claimed = make_structure(kind, n)
-    complete = make_structure("complete", n)
-    star = build_graph(n, edges=[(j, n - 1) for j in range(n - 1)])
-    dense = build_graph(n, edges=complete.edges[:-1]) if kind == "complete" else complete
-    rivals = [star, dense] if n > 2 else []
-    stack = np.array([g.degree_sequence() for g in (claimed, *rivals)])
+    claimed, dense = (n, n + 1) if kind == "complete" else (0, n)
+    stack = _closed_form_degrees(n)[[claimed, n - 1, dense] if n > 2 else [claimed]]
     sums = stack.sum(axis=1)
     uniform = np.full(n, 1.0 / n)  # the claims are stated for uniform sharing weights
     rows = []
@@ -404,6 +405,9 @@ def verify_lemma(
         mu_claimed, *scores = _balance_bound(n, sums, hidden_from_degrees(n, stack, p, uniform)).tolist()
         max_other = max(scores, default=-math.inf)
         passed = mu_claimed >= max_other - tolerance
-        counterexample = None if passed else rivals[scores.index(max_other)]
+        counterexample = None
+        if not passed:  # a structure of the table joins the pairs with an endpoint of degree n-1
+            full = stack[1 + scores.index(max_other)] == n - 1
+            counterexample = build_graph(n, edges=[(i, j) for i, j in _edge_slots(n) if full[i] or full[j]])
         rows.append(LemmaCheckRow(p, passed, mu_claimed, max_other, counterexample))
     return LemmaReport(which=which, n=n, tolerance=tolerance, rows=tuple(rows))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import covertnet.graph
+from covertnet import cli
 from covertnet.cli import _dumps, main
 from covertnet.io import load_graph_file
 
@@ -621,3 +622,39 @@ def test_stdout_is_the_indent_2_document(capsys, complete4, star4_csv, pair_grap
     code, out, err = run(capsys, *(a.format(**paths) for a in argv))
     assert code == 0, err
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_parser_is_built_once_per_process(capsys):
+    main(["verify-lemmas", "--n-max", "3"])
+    before = cli._build_parser.cache_info()
+    calls = [
+        ["verify-lemmas", "--n-max", "4"],
+        ["optimal", "--n", "3", "--p", "0.3"],
+        ["hierarchy", "--alphas", "0.1,0.2", "--n-linked", "1"],
+    ]
+    for argv in calls:
+        assert main(argv) == 0
+    after = cli._build_parser.cache_info()
+    assert after.misses == before.misses == 1
+    assert after.hits - before.hits == 3
+
+
+REJECTED = {
+    "missing required flag": ["optimal", "--n", "4"],
+    "value of the wrong type": ["optimal", "--n", "four", "--p", "0.3"],
+    "unknown option": ["optimal", "--n", "4", "--p", "0.3", "--bogus"],
+    "unknown command": ["optimise", "--n", "4"],
+    "bad choice": ["build", "roster.json", "--weight-mode", "squared"],
+}
+
+
+@pytest.mark.parametrize("rejected", REJECTED.values(), ids=REJECTED.keys())
+def test_rejected_call_leaves_the_shared_parser_unchanged(capsys, rejected):
+    valid = ["optimal", "--n", "4", "--p", "0.3"]
+    first = run(capsys, *valid)
+    with pytest.raises(SystemExit) as exit:
+        main(rejected)
+    assert exit.value.code == 2 and capsys.readouterr().out == ""
+    # a call with non-default values must not leave them as the next call's defaults
+    assert run(capsys, *valid, "--tolerance", "0.5", "--max-maximizers", "1")[0] == 0
+    assert run(capsys, *valid) == first

@@ -3,13 +3,22 @@
 import pytest
 
 from covertnet.affiliation import ActorProfile, TieRule, build_from_actors
-from covertnet.detection import DetectionParams, ScrutinyPlan, simulate
-from covertnet.graph import build_graph, community, geodesic_distances
+from covertnet.detection import DetectionParams, ScrutinyPlan, detect_exact, simulate, validate_plan
+from covertnet.graph import (
+    GraphError,
+    build_graph,
+    community,
+    diameter,
+    geodesic_distances,
+    is_connected,
+    total_distance,
+)
 from covertnet.measures import (
     SecrecyParams,
     balance,
     exposure_fractions,
     hidden_knowledge,
+    information_measure,
     make_hierarchy,
     make_structure,
 )
@@ -102,7 +111,9 @@ def test_non_bool_flag_rejected_by_name(argument, call):
 
 # a string iterates like a roster of its characters, and an int or a None item has no
 # id or tokens; a rule that is not a TieRule has no threshold to read; a bare p is not
-# a SecrecyParams, a list is not a structure kind, and None or an int holds no edges
+# a SecrecyParams, a list is not a structure kind, and None or an int holds no edges;
+# an edge list is not a Graph, a tuple of alphas not a ScrutinyPlan, and neither a
+# SecrecyParams nor a dict of its fields a DetectionParams
 WRONG_TYPES = {
     "build_from_actors roster=[1, 2]": ("roster", lambda: build_from_actors([1, 2])),
     "build_from_actors roster='ab'": ("roster", lambda: build_from_actors("ab")),
@@ -118,10 +129,41 @@ WRONG_TYPES = {
     "make_structure kind=[]": ("kind", lambda: make_structure([], 3)),
     "build_graph edges=None": ("edges", lambda: build_graph(3, edges=None)),
     "build_graph edges=5": ("edges", lambda: build_graph(3, edges=5)),
+    "geodesic_distances g=edges": ("g must be a Graph", lambda: geodesic_distances([(0, 1)])),
+    "total_distance g=None": ("g must be a Graph", lambda: total_distance(None)),
+    "diameter g='g'": ("g must be a Graph", lambda: diameter("g")),
+    "is_connected g=3": ("g must be a Graph", lambda: is_connected(3)),
+    "community g=None": ("g must be a Graph", lambda: community(None, 0, 1)),
+    "information_measure g=edges": ("g must be a Graph", lambda: information_measure([(0, 1)])),
+    "balance g=None": ("g must be a Graph", lambda: balance(None, SecrecyParams(0.3))),
+    "hidden_knowledge g='g'": ("g must be a Graph", lambda: hidden_knowledge("g", SecrecyParams(0.3))),
+    "exposure_fractions g=None": ("g must be a Graph", lambda: exposure_fractions(None, SecrecyParams(0.3))),
+    "detect_exact g=None": ("g must be a Graph", lambda: detect_exact(None, PLAN3, PARAMS3)),
+    "simulate g=edges": ("g must be a Graph", lambda: simulate([(0, 1), (1, 2)], PLAN3, PARAMS3)),
+    "validate_plan plan=alphas": ("plan must be a ScrutinyPlan", lambda: validate_plan((0.1, 0.1, 0.1))),
+    "detect_exact plan=alphas": (
+        "plan must be a ScrutinyPlan", lambda: detect_exact(PATH3, (0.1, 0.1, 0.1), PARAMS3)
+    ),
+    "simulate plan=None": ("plan must be a ScrutinyPlan", lambda: simulate(PATH3, None, PARAMS3)),
+    "detect_exact params=SecrecyParams": (
+        "params must be a DetectionParams", lambda: detect_exact(PATH3, PLAN3, SecrecyParams(0.3))
+    ),
+    "simulate params=dict": (
+        "params must be a DetectionParams", lambda: simulate(PATH3, PLAN3, {"gamma": 0.5, "cost_k": 1.0})
+    ),
 }
 
 
 @pytest.mark.parametrize("argument, call", WRONG_TYPES.values(), ids=WRONG_TYPES.keys())
 def test_wrongly_typed_argument_rejected_by_name(argument, call):
     with pytest.raises(ValueError, match=argument):
+        call()
+
+
+NOT_GRAPHS = {key: call for key, (_, call) in WRONG_TYPES.items() if " g=" in key}
+
+
+@pytest.mark.parametrize("call", NOT_GRAPHS.values(), ids=NOT_GRAPHS.keys())
+def test_non_graph_is_a_graph_error(call):
+    with pytest.raises(GraphError, match="g must be a Graph, got "):
         call()

@@ -365,24 +365,49 @@ class TestVerifyLemma:
                 assert_rows_match_scan(report, reference_lemma_rows(which, n, grid))
             failed = [row for row in report.rows if not row.passed]
             assert bool(failed) == (n > 2)
+            complete = make_structure("complete", n)
+            rivals = {
+                build_graph(n, edges=[(j, n - 1) for j in range(n - 1)]).edges,
+                complete.edges[:-1] if kind == "complete" else complete.edges,
+            }
             for row in failed:
                 rival = row.counterexample
                 assert is_connected(rival) and rival.edges != make_structure(kind, n).edges
+                assert rival.edges in rivals
                 assert balance(rival, SecrecyParams(row.p)).mu == row.max_mu_other
 
     def test_scans_no_mask_at_any_order(self, monkeypatch):
-        def scan(*args):
-            raise AssertionError("verify_lemma scanned edge masks")
+        def scan(*args, **kwargs):
+            raise AssertionError("verify_lemma scanned edge masks or built a graph")
 
-        monkeypatch.setattr(search, "run_chunks", scan)
-        monkeypatch.setattr(search, "_chunk_stats", scan)
+        for name in ("run_chunks", "_chunk_stats", "build_graph"):
+            monkeypatch.setattr(search, name, scan)
         for n in range(2, search.LEMMA_MAX_ORDER + 1):
+            complete = make_structure("complete", n)
+            star = build_graph(n, edges=[(j, n - 1) for j in range(n - 1)])
+            dense = {"complete": build_graph(n, edges=complete.edges[:-1]), "star": complete}
             for which, grid in (("complete_optimal", LOW_GRID), ("star_optimal", HIGH_GRID)):
+                kind = search._LEMMA_CLAIMS[which][0]
                 report = verify_lemma(which, n, grid)
                 assert report.all_passed
-                claimed = make_structure(search._LEMMA_CLAIMS[which][0], n)
-                for row in report.rows:  # scored from degrees, equal to the measured balance
-                    assert row.mu_claimed == balance(claimed, SecrecyParams(row.p)).mu
+                claimed = make_structure(kind, n)
+                rivals = [star, dense[kind]] if n > 2 else []
+                for row in report.rows:  # scored from degrees, bit for bit the measured balance
+                    params = SecrecyParams(row.p)
+                    assert row.mu_claimed == balance(claimed, params).mu
+                    assert row.max_mu_other == max((balance(g, params).mu for g in rivals), default=-math.inf)
+
+    def test_closed_form_rows_are_the_structures_degrees(self):
+        for n in range(2, 12):
+            complete = make_structure("complete", n)
+            graphs = [build_graph(n, edges=[e for e in complete.edges if h in e[:2]]) for h in range(n)]
+            graphs += [complete, build_graph(n, edges=complete.edges[:-1])]
+            table = search._closed_form_degrees(n)
+            assert np.array_equal(table, [g.degree_sequence() for g in graphs])
+            assert graphs[0].edges == make_structure("star", n).edges
+            for g, row in zip(graphs, table):  # the rule a failing row builds its counterexample by
+                full = row == n - 1
+                assert [e[:2] for e in g.edges] == [(i, j) for i, j in search._edge_slots(n) if full[i] or full[j]]
 
     def test_order_above_cap_rejected(self):
         with pytest.raises(ValueError, match="order"):
