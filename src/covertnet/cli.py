@@ -15,7 +15,11 @@ calls' output as it was.
 The document is written from calls to the C encoder, which ``indent``
 would bypass for the pure-Python one (about three times slower on a
 graph document): only the containers are walked in Python, and the
-scalars of a container are encoded together in one call.
+scalars of a container are encoded together in one call. The graph
+documents of ``build`` and ``hierarchy`` are written from the graph's
+edge columns, with no per-edge Python container: each vertex id and each
+distinct weight is encoded once, and the edge rows are those tokens and
+their separators, gathered by index into one list and joined.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ import functools
 import itertools
 import json
 import sys
+
+import numpy as np
 
 from . import __version__
 from .detection import DetectionParams, ScrutinyPlan, detect_exact, simulate
@@ -40,7 +46,6 @@ from .graph import (
 from .io import (
     ActorFileError,
     GraphFileError,
-    graph_to_json_dict,
     load_actor_file,
     load_graph_file,
     load_vector,
@@ -114,8 +119,36 @@ def _emit(doc: dict) -> None:
     print(_dumps(doc))
 
 
+def _graph_text(g: Graph, labels: tuple[str, ...] | None = None) -> str:
+    """``json.dumps(graph_to_json_dict(g, labels), indent=2)``, written from the columns.
+
+    The head (``directed``, ``n``, ``labels``) goes through ``_dumps``. Every
+    vertex id and each distinct weight is encoded once, weights told apart
+    by bit pattern so that ``-0.0`` keeps its sign. The edge rows are one
+    interleaved list of those tokens and the two separators between them,
+    gathered by index and joined, so no per-edge Python container is made.
+    """
+    head: dict = {"directed": g.directed, "n": g.n}
+    if labels is not None:
+        head["labels"] = list(labels)
+    # the head's text without its closing "\n}", continued by the edges key
+    text = _dumps(head)[:-2] + ',\n  "edges": '
+    if not g.m:
+        return text + "[]\n}"
+    bits, weight_slot = np.unique(g.weight.view(np.uint64), return_inverse=True)
+    tokens = _tokens(list(range(g.n))) + _tokens(bits.view(np.float64).tolist())
+    table = np.array(tokens + ["\n    ],\n    [\n      ", ",\n      "], dtype=object)
+    row_break, comma = table.size - 2, table.size - 1
+    index = np.empty((g.m, 6), dtype=np.intp)
+    index[:, 0], index[:, 2], index[:, 4] = row_break, comma, comma
+    index[:, 1], index[:, 3], index[:, 5] = g.src, g.dst, g.n + weight_slot.reshape(-1)
+    # the first row opens the list instead of following a row
+    rows = "".join(table[index.reshape(-1)[1:]].tolist())
+    return text + "[\n    [\n      " + rows + "\n    ]\n  ]\n}"
+
+
 def _edge_pairs(g: Graph) -> list[list[int]]:
-    return [[s, t] for s, t, _ in g.edges]
+    return np.stack((g.src, g.dst), axis=1).tolist()
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
@@ -280,14 +313,14 @@ def _cmd_build(args: argparse.Namespace) -> int:
     except ValueError as err:
         # duplicate ids are a document defect, not a parameter problem
         raise ActorFileError(f"{args.actors}: {err}") from err
-    _emit(graph_to_json_dict(graph, labels))
+    print(_graph_text(graph, labels))
     return EXIT_OK
 
 
 def _cmd_hierarchy(args: argparse.Namespace) -> int:
     alphas = load_vector(args.alphas)
     graph = make_hierarchy(alphas, args.n_linked)
-    _emit(graph_to_json_dict(graph))
+    print(_graph_text(graph))
     return EXIT_OK
 
 

@@ -1,9 +1,12 @@
 """Immutable graph representation and geodesic distance metrics.
 
 The graph model is deliberately small: a fixed vertex set labeled 0..n-1,
-optional direction, and finite nonnegative edge weights. Everything
-downstream (secrecy measures, structure search, detection simulation)
-reads from this representation and never mutates it.
+optional direction, and finite nonnegative edge weights. A graph keeps its
+canonical edges as three read-only columns, ``src``, ``dst`` and
+``weight``; the tuple of ``(source, target, weight)`` edges is a view built
+from them only when something reads it. Everything downstream (secrecy
+measures, structure search, detection simulation, the graph document
+writer) reads from this representation and never mutates it.
 
 Distances come in two flavours controlled by ``hop_mode``: unit hops (every
 edge counts 1, the default) or the stored edge weights. Unreachable pairs
@@ -15,6 +18,7 @@ for both; every distance-derived quantity reads that one matrix.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -65,29 +69,65 @@ def _check_type(value, cls: type, name: str) -> None:
         raise error(f"{name} must be a {cls.__name__}, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable simple graph on vertices 0..n-1.
 
-    Edges are stored canonically: deduplicated, sorted, and (when
-    undirected) with source < target. Use :func:`build_graph` instead of
-    constructing directly; the factory validates and canonicalizes raw
-    edge lists. Internal producers whose edges are already canonical
-    arrays use :func:`_from_canonical`, which checks them as arrays.
+    Edges are stored canonically, as three read-only columns of one length:
+    int64 ``src`` and ``dst`` and float64 ``weight``, deduplicated, sorted by
+    (source, target) and, when undirected, with source < target. ``edges``
+    is the same edges as a tuple of ``(source, target, weight)`` tuples of
+    Python numbers, built the first time it is read. Use
+    :func:`build_graph` instead of constructing directly; the factory
+    validates and canonicalizes raw edge lists. Internal producers whose
+    edges are already canonical arrays use :func:`_from_canonical`, which
+    checks them as arrays.
+
+    Two graphs are equal, and hash equal, when they have the same vertex
+    count, direction, edge pairs and weights, weights compared by value
+    (a ``-0.0`` weight equals ``0.0``).
 
     What is derived from the edges is computed at most once and kept on the
-    graph: the sorted arc arrays ``_arcs`` and the distance matrices by mode.
-    ``degree_sequence`` takes the degrees from the arc offsets on each call.
+    graph: the edge tuple, the sorted arc arrays ``_arcs`` and the distance
+    matrices by mode. ``degree_sequence`` takes the degrees from the arc
+    offsets on each call.
     """
 
     n: int
     directed: bool
-    edges: tuple[tuple[int, int, float], ...]
+    src: np.ndarray
+    dst: np.ndarray
+    weight: np.ndarray
+
+    def __post_init__(self) -> None:
+        for column in (self.src, self.dst, self.weight):
+            column.setflags(write=False)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return (
+            self.n == other.n
+            and self.directed == other.directed
+            and np.array_equal(self.src, other.src)
+            and np.array_equal(self.dst, other.dst)
+            and np.array_equal(self.weight, other.weight)
+        )
+
+    def __hash__(self) -> int:
+        # adding 0.0 turns -0.0 into 0.0, so weights equal by value hash alike
+        weight_bits = (self.weight + 0.0).tobytes()
+        return hash((self.n, self.directed, self.src.tobytes(), self.dst.tobytes(), weight_bits))
 
     @property
     def m(self) -> int:
         """Number of edges."""
-        return len(self.edges)
+        return self.src.size
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """The canonical edges as ``(source, target, weight)`` tuples."""
+        return tuple(zip(self.src.tolist(), self.dst.tolist(), self.weight.tolist()))
 
     @cached_property
     def _arcs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -96,7 +136,7 @@ class Graph:
         Arcs are sorted by (source, target) and an undirected tie appears once
         each way, so vertex v's out-arcs are ``first[v]:first[v + 1]``.
         """
-        s, t, w = np.array(self.edges, dtype=float).reshape(-1, 3).T
+        s, t, w = self.src, self.dst, self.weight
         if not self.directed:
             s, t, w = np.concatenate([s, t]), np.concatenate([t, s]), np.concatenate([w, w])
         order = np.lexsort((t, s))
@@ -192,8 +232,12 @@ def build_graph(
         if key in canon:
             raise GraphError(f"duplicate edge {raw!r}")
         canon[key] = w
-    edge_tuple = tuple(sorted([(s, t, w) for (s, t), w in canon.items()]))
-    return Graph(n=n, directed=directed, edges=edge_tuple)
+    m = len(canon)
+    ends = np.fromiter(itertools.chain.from_iterable(canon), np.int64, 2 * m).reshape(m, 2)
+    order = np.lexsort((ends[:, 1], ends[:, 0]))
+    src, dst = ends[order].T.copy()
+    weight = np.fromiter(canon.values(), np.float64, m)[order]
+    return Graph(n=n, directed=directed, src=src, dst=dst, weight=weight)
 
 
 def _from_canonical(n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray) -> Graph:
@@ -203,8 +247,9 @@ def _from_canonical(n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray
     length, with ``0 <= src < dst < n``, codes ``src * n + dst`` strictly
     increasing (sorted, no duplicate) and every weight finite and
     nonnegative. The invariants are checked as whole arrays rather than
-    edge by edge, and a violation raises GraphError. Outside input goes
-    through :func:`build_graph` instead.
+    edge by edge, and a violation raises GraphError. The graph keeps the
+    arrays themselves as its columns and makes them read-only. Outside
+    input goes through :func:`build_graph` instead.
     """
     if not _is_int(n) or n < 1:
         raise GraphError(f"vertex count must be a positive integer, got {n!r}")
@@ -221,8 +266,7 @@ def _from_canonical(n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray
             raise GraphError("edges must be sorted and distinct")
         if not np.all((weight >= 0.0) & (weight < math.inf)):
             raise GraphError("edge weights must be finite and nonnegative")
-    edges = tuple(zip(src.tolist(), dst.tolist(), weight.tolist()))
-    return Graph(n=n, directed=False, edges=edges)
+    return Graph(n=n, directed=False, src=src, dst=dst, weight=weight)
 
 
 @dataclass(frozen=True)

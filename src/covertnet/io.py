@@ -124,11 +124,19 @@ def _graph_from_csv(text: str, source: Path) -> tuple[Graph, tuple[str, ...] | N
 
 
 def graph_to_json_dict(g: Graph, labels: tuple[str, ...] | None = None) -> dict:
-    """JSON-serializable graph document; inverse of the JSON loader."""
+    """JSON-serializable graph document; inverse of the JSON loader.
+
+    The library's dict form of a graph document: one ``[source, target,
+    weight]`` list of Python numbers per edge, read from the graph's
+    columns (``g.edges`` is not built). The ``build`` and ``hierarchy``
+    commands write the same document's text straight from the columns,
+    without this dict; ``json.dumps(graph_to_json_dict(g, labels),
+    indent=2)`` is that text.
+    """
     doc: dict = {"directed": g.directed, "n": g.n}
     if labels is not None:
         doc["labels"] = list(labels)
-    doc["edges"] = [[s, t, w] for s, t, w in g.edges]
+    doc["edges"] = [list(edge) for edge in zip(g.src.tolist(), g.dst.tolist(), g.weight.tolist())]
     return doc
 
 

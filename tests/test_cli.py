@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 import covertnet.graph
 from covertnet import cli
 from covertnet.cli import _dumps, main
-from covertnet.io import load_graph_file
+from covertnet.io import graph_to_json_dict, load_graph_file
+
+from strategies import graphs
 
 
 def run(capsys, *argv):
@@ -602,6 +604,26 @@ _JSON_VALUES = st.recursive(_SCALARS, _containers, max_leaves=40)
 @given(_JSON_VALUES)
 def test_writer_matches_indent_2(value):
     assert _dumps(value) == json.dumps(value, indent=2)
+
+
+# Signed zero, a subnormal, a value with no short decimal form, integral floats and the
+# edge of the float range: each must print as json.dumps prints it.
+_WRITER_WEIGHTS = (-0.0, 0.0, 5e-324, 0.1, 1e16, 1.0, 2.0, 3.0, 1.7e308)
+
+
+def _labelled(g):
+    return st.tuples(st.just(g), st.none() | st.lists(_TEXT, min_size=g.n, max_size=g.n).map(tuple))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.booleans().flatmap(
+        lambda directed: graphs(min_n=1, max_n=12, weighted=True, directed=directed, weights=_WRITER_WEIGHTS)
+    ).flatmap(_labelled)
+)
+def test_graph_writer_matches_the_dict_document(graph_and_labels):
+    g, labels = graph_and_labels
+    assert cli._graph_text(g, labels) == json.dumps(graph_to_json_dict(g, labels), indent=2)
 
 
 SUBCOMMANDS = {

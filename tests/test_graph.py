@@ -1,6 +1,7 @@
 import dataclasses
 import enum
 import fractions
+import json
 import math
 import random
 
@@ -9,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import covertnet.cli
 import covertnet.graph
+from covertnet.affiliation import ActorProfile, build_from_actors
 from covertnet.graph import (
     UNREACHABLE,
     DisconnectedGraphError,
@@ -21,6 +24,7 @@ from covertnet.graph import (
     is_connected,
     total_distance,
 )
+from covertnet.io import graph_to_json_dict
 from covertnet.measures import make_structure
 
 from oracles import brute_force_apsp, random_connected_graph
@@ -191,6 +195,47 @@ class TestFromCanonical:
     def test_arrays_of_other_types_rejected(self, arrays):
         with pytest.raises(GraphError, match="edge arrays must be"):
             covertnet.graph._from_canonical(3, *arrays)
+
+
+class TestGraphContract:
+    def test_same_edges_from_either_factory_are_equal_and_hash_alike(self):
+        canonical = covertnet.graph._from_canonical(4, *canonical_arrays([0, 0, 2], [1, 3, 3], [1.0, 2.5, 0.0]))
+        built = build_graph(4, edges=[(3, 2, 0.0), (0, 1), (3, 0, 2.5)])
+        assert canonical == built and hash(canonical) == hash(built)
+
+    def test_negative_zero_weight_equals_zero_and_still_prints_its_sign(self):
+        negative, positive = (build_graph(3, edges=[(0, 1, w), (1, 2, 1.0)]) for w in (-0.0, 0.0))
+        assert negative == positive and hash(negative) == hash(positive)
+        text = covertnet.cli._graph_text(negative)
+        assert text == json.dumps(graph_to_json_dict(negative), indent=2)
+        assert json.loads(text)["edges"][0] == [0, 1, -0.0] and "-0.0" in text
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            build_graph(3, directed=True, edges=[(0, 1), (1, 2)]),
+            build_graph(4, edges=[(0, 1), (1, 2)]),
+            build_graph(3, edges=[(0, 1), (1, 2, 2.0)]),
+            build_graph(3, edges=[(0, 1), (0, 2)]),
+            ((0, 1, 1.0), (1, 2, 1.0)),
+        ],
+        ids=["directed", "another order", "another weight", "another pair", "the edge tuple"],
+    )
+    def test_graphs_differing_in_any_part_are_unequal(self, other):
+        assert build_graph(3, edges=[(0, 1), (1, 2)]) != other
+
+    def test_columns_are_read_only(self):
+        g = path4()
+        for column in (g.src, g.dst, g.weight):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+
+    def test_build_op_does_not_materialize_the_edge_tuple(self):
+        roster = [ActorProfile(id=f"a{i}", generators={"x", f"t{i % 3}"}) for i in range(6)]
+        g, labels = build_from_actors(roster)
+        covertnet.cli._graph_text(g, labels)
+        assert "edges" not in g.__dict__ and g.m == 15
+        assert g.edges[0] == (0, 1, 1.0) and "edges" in g.__dict__
 
 
 class TestGeodesicDistances:
