@@ -16,8 +16,8 @@ roster in which everyone shares one token needs scratch memory bounded by
 the budget instead of one code per actor pair. Each block keeps the codes
 and overlaps of its ties as arrays; blocks run in ascending lower endpoint
 and each block's codes are sorted, so the concatenated codes are already in
-canonical edge order, and the graph is built from them by
-``graph._from_canonical``, which checks them as arrays, not edge by edge.
+canonical edge order, and the graph is built from them by the ``Graph``
+constructor, which checks them as whole arrays.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, _blocks, _check_type, _from_canonical, _is_int, _ranges
+from .graph import Graph, _blocks, _check_type, _is_int, _ranges
 
 WEIGHT_MODES = ("overlap_count", "unit")
 
@@ -136,4 +136,4 @@ def build_from_actors(
         weight = np.ones(i.size)
     else:
         weight = np.concatenate(overlaps).astype(float)
-    return _from_canonical(n, i, j, weight), tuple(ids)
+    return Graph(n, False, i, j, weight), tuple(ids)

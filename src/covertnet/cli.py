@@ -153,7 +153,7 @@ def _edge_pairs(g: Graph) -> list[list[int]]:
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     graph, labels = load_graph_file(args.input)
-    weights = load_vector(args.sharing_weights) if args.sharing_weights else None
+    weights = None if args.sharing_weights is None else load_vector(args.sharing_weights)
     params = SecrecyParams(p=args.p, sharing_weights=weights)
     hop_mode = not args.edge_weighted
     report = balance(graph, params)

@@ -4,9 +4,10 @@ The graph model is deliberately small: a fixed vertex set labeled 0..n-1,
 optional direction, and finite nonnegative edge weights. A graph keeps its
 canonical edges as three read-only columns, ``src``, ``dst`` and
 ``weight``; the tuple of ``(source, target, weight)`` edges is a view built
-from them only when something reads it. Everything downstream (secrecy
-measures, structure search, detection simulation, the graph document
-writer) reads from this representation and never mutates it.
+from them only when something reads it. The ``Graph`` constructor checks
+the columns as whole arrays, whoever builds them. Everything downstream
+(secrecy measures, structure search, detection simulation, the graph
+document writer) reads from this representation and never mutates it.
 
 Distances come in two flavours controlled by ``hop_mode``: unit hops (every
 edge counts 1, the default) or the stored edge weights. Unreachable pairs
@@ -18,7 +19,6 @@ for both; every distance-derived quantity reads that one matrix.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -74,14 +74,14 @@ class Graph:
     """Immutable simple graph on vertices 0..n-1.
 
     Edges are stored canonically, as three read-only columns of one length:
-    int64 ``src`` and ``dst`` and float64 ``weight``, deduplicated, sorted by
-    (source, target) and, when undirected, with source < target. ``edges``
-    is the same edges as a tuple of ``(source, target, weight)`` tuples of
-    Python numbers, built the first time it is read. Use
-    :func:`build_graph` instead of constructing directly; the factory
-    validates and canonicalizes raw edge lists. Internal producers whose
-    edges are already canonical arrays use :func:`_from_canonical`, which
-    checks them as arrays.
+    int64 ``src`` and ``dst`` and float64 ``weight``, with endpoints in [0, n),
+    source < target when undirected and no self-loop when directed, (source,
+    target) pairs strictly increasing (sorted and distinct) and finite
+    nonnegative weights. The constructor is the one check of this, on whole
+    arrays; it raises GraphError naming the first edge that breaks it, and
+    keeps its own read-only copy of each column, so no outside array can
+    change a checked graph. :func:`build_graph` makes columns of raw edge
+    lists; ``edges`` holds the edges as Python tuples, built when read.
 
     Two graphs are equal, and hash equal, when they have the same vertex
     count, direction, edge pairs and weights, weights compared by value
@@ -89,8 +89,7 @@ class Graph:
 
     What is derived from the edges is computed at most once and kept on the
     graph: the edge tuple, the sorted arc arrays ``_arcs`` and the distance
-    matrices by mode. ``degree_sequence`` takes the degrees from the arc
-    offsets on each call.
+    matrices by mode; ``degree_sequence`` reads the arc offsets on each call.
     """
 
     n: int
@@ -100,8 +99,22 @@ class Graph:
     weight: np.ndarray
 
     def __post_init__(self) -> None:
-        for column in (self.src, self.dst, self.weight):
+        if not _is_int(self.n) or self.n < 1:
+            raise GraphError(f"vertex count must be a positive integer, got {self.n!r}")
+        if not isinstance(self.directed, bool):
+            raise GraphError(f"directed must be a bool, got {self.directed!r}")
+        for name, dtype in (("src", "int64"), ("dst", "int64"), ("weight", "float64")):
+            column = getattr(self, name)
+            if not (isinstance(column, np.ndarray) and column.ndim == 1 and column.dtype == dtype):
+                got = type(column).__name__
+                if isinstance(column, np.ndarray):
+                    got = f"a {column.ndim}-dimensional {column.dtype} array"
+                raise GraphError(f"edge column {name} must be a one-dimensional {dtype} array, got {got}")
+            column = np.array(column)  # the graph's own copy: no outside view can write it
             column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        if fault := _fault(self.n, self.directed, self.src, self.dst, self.weight):
+            raise GraphError(fault)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -166,6 +179,37 @@ class Graph:
             raise GraphError(f"vertex {i!r} out of range for graph on {self.n} vertices")
 
 
+def _fault(n: int, directed: bool, src: np.ndarray, dst: np.ndarray, weight: np.ndarray) -> str | None:
+    """None when edge columns meet every invariant of a Graph, else the first edge's fault."""
+    if not src.size == dst.size == weight.size:
+        return f"edge columns differ in length: {src.size}, {dst.size}, {weight.size}"
+    if not src.size:
+        return None
+    # whole-array tests; argmin and argmax read extremes at a fraction of a reduction's cost
+    ok = src != dst if directed else src < dst
+    ok[1:] &= src[1:] > src[:-1] - (dst[1:] > dst[:-1])  # a source repeats only where the target rises
+    valid = ok[ok.argmin()] and src[0] >= 0 and int(dst[dst.argmax()]) < n  # rising: src[0] is least
+    valid = valid and (not directed or int(src[-1]) < n and dst[dst.argmin()] >= 0)
+    if valid and 0.0 <= weight[weight.argmin()] and weight[weight.argmax()] < math.inf:  # NaN fails both
+        return None
+    previous = None  # columns that fail are walked edge by edge, to name the fault
+    for s, t, w in zip(src.tolist(), dst.tolist(), weight.tolist()):
+        if not (0 <= s < n and 0 <= t < n):
+            return f"edge {(s, t, w)} has an endpoint out of range [0, {n})"
+        if s == t:
+            return f"edge {(s, t, w)} is a self-loop"
+        if not directed and s > t:
+            return f"edge {(s, t, w)} is not sorted: an undirected edge needs source < target"
+        if previous == (s, t):
+            return f"duplicate edge {(s, t, w)}"
+        if previous is not None and previous > (s, t):
+            return f"edge {(s, t, w)} is not sorted: it comes after {previous}"
+        if not 0.0 <= w < math.inf:
+            return f"edge {(s, t, w)} has {'a negative' if math.isfinite(w) else 'a non-finite'} weight"
+        previous = (s, t)
+    return None
+
+
 def build_graph(
     n: int,
     directed: bool = False,
@@ -191,13 +235,11 @@ def build_graph(
     """
     if not _is_int(n) or n < 1:
         raise GraphError(f"vertex count must be a positive integer, got {n!r}")
-    if not isinstance(directed, bool):
-        raise GraphError(f"directed must be a bool, got {directed!r}")
     try:
         edges = iter(edges)
     except TypeError:
         raise GraphError(f"edges must be an iterable of edges, got {edges!r}") from None
-    canon: dict[tuple[int, int], float] = {}
+    sources, targets, weights = [], [], []
     # Each check tests the exact builtin type first: the general test it short-cuts
     # (an ABC instance check for the weight) costs more than the rest of the loop.
     for raw in edges:
@@ -216,8 +258,6 @@ def build_graph(
             raise GraphError(f"edge {raw!r} has non-integer endpoints")
         if not (0 <= s < n and 0 <= t < n):
             raise GraphError(f"edge {raw!r} has an endpoint out of range [0, {n})")
-        if s == t:
-            raise GraphError(f"edge {raw!r} is a self-loop")
         if type(w) is not float:
             if not _is_real(w):
                 raise GraphError(f"edge {raw!r} has a non-numeric weight")
@@ -225,48 +265,14 @@ def build_graph(
                 w = float(w)
             except OverflowError:  # an int or a Fraction beyond the float range
                 w = math.inf
-        if not 0.0 <= w < math.inf:
-            problem = "a negative" if math.isfinite(w) else "a non-finite"
-            raise GraphError(f"edge {raw!r} has {problem} weight")
-        key = (s, t) if directed or s < t else (t, s)
-        if key in canon:
-            raise GraphError(f"duplicate edge {raw!r}")
-        canon[key] = w
-    m = len(canon)
-    ends = np.fromiter(itertools.chain.from_iterable(canon), np.int64, 2 * m).reshape(m, 2)
-    order = np.lexsort((ends[:, 1], ends[:, 0]))
-    src, dst = ends[order].T.copy()
-    weight = np.fromiter(canon.values(), np.float64, m)[order]
-    return Graph(n=n, directed=directed, src=src, dst=dst, weight=weight)
-
-
-def _from_canonical(n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray) -> Graph:
-    """An undirected Graph from edge arrays that are already canonical.
-
-    ``src`` and ``dst`` are int64 and ``weight`` float64 arrays of one
-    length, with ``0 <= src < dst < n``, codes ``src * n + dst`` strictly
-    increasing (sorted, no duplicate) and every weight finite and
-    nonnegative. The invariants are checked as whole arrays rather than
-    edge by edge, and a violation raises GraphError. The graph keeps the
-    arrays themselves as its columns and makes them read-only. Outside
-    input goes through :func:`build_graph` instead.
-    """
-    if not _is_int(n) or n < 1:
-        raise GraphError(f"vertex count must be a positive integer, got {n!r}")
-    typed = zip((src, dst, weight), (np.int64, np.int64, np.float64))
-    if not all(isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype == t for a, t in typed):
-        raise GraphError("edge arrays must be one-dimensional int64, int64 and float64 arrays")
-    if not src.size == dst.size == weight.size:
-        raise GraphError(f"edge arrays differ in length: {src.size}, {dst.size}, {weight.size}")
-    if src.size:
-        if not (src.min() >= 0 and dst.max() < n and np.all(src < dst)):
-            raise GraphError(f"edges must satisfy 0 <= source < target < {n}")
-        code = src * n + dst
-        if not np.all(code[1:] > code[:-1]):
-            raise GraphError("edges must be sorted and distinct")
-        if not np.all((weight >= 0.0) & (weight < math.inf)):
-            raise GraphError("edge weights must be finite and nonnegative")
-    return Graph(n=n, directed=False, src=src, dst=dst, weight=weight)
+        sources.append(s)
+        targets.append(t)
+        weights.append(w)
+    src, dst = np.array(sources, dtype=np.int64), np.array(targets, dtype=np.int64)
+    if not directed:
+        src, dst = np.minimum(src, dst), np.maximum(src, dst)
+    order = np.lexsort((dst, src))
+    return Graph(n=n, directed=directed, src=src[order], dst=dst[order], weight=np.array(weights)[order])
 
 
 @dataclass(frozen=True)

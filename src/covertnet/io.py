@@ -171,8 +171,10 @@ def load_vector(value: str) -> tuple[float, ...]:
     """Parse numbers given inline ('0.1,0.2') or as a path to a text file.
 
     Inline parsing wins when the value parses; otherwise it is treated as
-    a file of whitespace- or comma-separated numbers.
+    a file of whitespace- or comma-separated numbers. A blank value is empty, never a path.
     """
+    if not value.strip():
+        raise ValueError("empty vector")
     try:
         return _parse_numbers(value.replace(",", " ").split())
     except ValueError:

@@ -98,10 +98,11 @@ def hidden_from_degrees(n: int, degrees: np.ndarray, p: float, weights: np.ndarr
     """Hidden-knowledge value H from degree data.
 
     ``degrees`` is one degree vector, giving a scalar H, or a stack of them
-    (one row per graph), giving one H per row. ``hidden_knowledge``, the
-    structure search and the lemma check all take H from here. Each row's
-    terms are summed along a C-contiguous last axis, so a row has the same
-    bits alone as in any stack, whatever the stack's size or memory layout.
+    (one row per graph), giving one H per row; ``p`` may be a (p, 1, 1) grid.
+    ``hidden_knowledge``, the structure search and the lemma check all take
+    H from here. Each row's terms are summed along a C-contiguous last axis,
+    so a row has the same bits alone as in any stack, whatever the stack's
+    size or memory layout.
     """
     terms = (1.0 - exposure_from_degrees(n, degrees, p)) * weights
     return np.ascontiguousarray(terms).sum(axis=-1)

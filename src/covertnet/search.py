@@ -217,16 +217,6 @@ def _total_distances(n: int, adj: np.ndarray) -> np.ndarray:
     return (n - 1) * n * n - reached.sum(axis=0, dtype=np.int64)
 
 
-def _chunk_stats(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Connected masks in [lo, hi) with their total distances and degrees.
-
-    Returns the masks (int64), T (float64) and the degree rows (float64,
-    shape (masks, n)) of the connected masks, in mask order.
-    """
-    masks, adj, counts = _connected_stack(n, lo, hi)
-    return masks, _total_distances(n, adj).astype(np.float64), counts.T.astype(np.float64)
-
-
 def _chunk_ranges(n: int) -> list[tuple[int, int]]:
     space = 1 << len(_edge_slots(n))
     return [(lo, min(lo + _CHUNK_MASKS, space)) for lo in range(0, space, _CHUNK_MASKS)]
@@ -398,11 +388,10 @@ def verify_lemma(
 
     claimed, dense = (n, n + 1) if kind == "complete" else (0, n)
     stack = _closed_form_degrees(n)[[claimed, n - 1, dense] if n > 2 else [claimed]]
-    sums = stack.sum(axis=1)
-    uniform = np.full(n, 1.0 / n)  # the claims are stated for uniform sharing weights
+    # uniform sharing weights, as the claims state; the grid is one (p, rows, n) stack: rows keep their bits
+    hidden = hidden_from_degrees(n, stack, np.array(p_grid)[:, None, None], np.full(n, 1.0 / n))
     rows = []
-    for p in p_grid:
-        mu_claimed, *scores = _balance_bound(n, sums, hidden_from_degrees(n, stack, p, uniform)).tolist()
+    for p, (mu_claimed, *scores) in zip(p_grid, _balance_bound(n, stack.sum(axis=1), hidden).tolist()):
         max_other = max(scores, default=-math.inf)
         passed = mu_claimed >= max_other - tolerance
         counterexample = None

@@ -26,9 +26,11 @@ Oracles read only the public fields of a Graph (n, directed, edges).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -215,17 +217,58 @@ def reference_affiliation_edges(roster, rule) -> tuple[tuple[int, int, float], .
     return tuple(edges)
 
 
+def chunk_stats(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Connected masks in [lo, hi) with their total distances and degrees.
+
+    Returns the masks (int64), T (float64) and the degree rows (float64,
+    shape (masks, n)) of the connected masks, in mask order, from the
+    search's chunk kernels; ``TestChunkStats`` pins them to the graph
+    distances.
+    """
+    masks, adj, counts = search._connected_stack(n, lo, hi)
+    return masks, search._total_distances(n, adj).astype(np.float64), counts.T.astype(np.float64)
+
+
+@functools.cache
+def _order_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``chunk_stats`` of every chunk of order n, joined and kept: T as uint16, degree rows as uint8.
+
+    T is at most (n - 1) n^2 and a degree at most n - 1, so both are exact;
+    at n = 7 the tables hold about 32 MB.
+    """
+    parts = [
+        (masks, totals.astype(np.uint16), degrees.astype(np.uint8))
+        for masks, totals, degrees in (chunk_stats(n, lo, hi) for lo, hi in search._chunk_ranges(n))
+    ]
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+#: Rows of an order's tables scored at once; bounds an oracle's float64 scratch.
+_ORACLE_ROWS = 1 << 16
+
+
+def order_stats(n: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``chunk_stats`` over every connected mask of order n, in slices of ascending masks.
+
+    The tables are computed once per order and kept, so an oracle called
+    for many examples of one order pays for them once.
+    """
+    masks, totals, degrees = _order_tables(n)
+    for lo in range(0, len(masks), _ORACLE_ROWS):
+        rows = slice(lo, lo + _ORACLE_ROWS)
+        yield masks[rows], totals[rows].astype(np.float64), degrees[rows].astype(np.float64)
+
+
 def reference_lemma_rows(
     which: str, n: int, p_grid, tolerance: float = 1e-12
 ) -> list[tuple[float, bool, float, float]]:
     """(p, passed, mu_claimed, max_mu_other) per grid p, by scanning every edge mask.
 
     The rivals are every connected graph on n vertices but the claimed
-    structure, scored with uniform weights from ``search._chunk_stats`` rows
-    (which ``TestChunkStats`` pins to the graph distances); ``max_mu_other``
-    is -inf when there is none. The claimed structure is scored by
-    ``balance``, and a row passes when it is within ``tolerance`` of the
-    best rival.
+    structure, scored with uniform weights from ``order_stats`` rows;
+    ``max_mu_other`` is -inf when there is none. The claimed structure is
+    scored by ``balance``, and a row passes when it is within ``tolerance``
+    of the best rival.
     """
     kind = search._LEMMA_CLAIMS[which][0]
     claimed = make_structure(kind, n)
@@ -233,8 +276,7 @@ def reference_lemma_rows(
     claimed_mask = sum(1 << slots.index((s, t)) for s, t, _ in claimed.edges)
     weights = np.full(n, 1.0 / n)
     best = [-math.inf] * len(p_grid)
-    for lo, hi in search._chunk_ranges(n):
-        masks, totals, degrees = search._chunk_stats(n, lo, hi)
+    for masks, totals, degrees in order_stats(n):
         other = masks != claimed_mask
         info = n * (n - 1) / totals[other]
         for k, p in enumerate(p_grid):
@@ -250,14 +292,12 @@ def reference_lemma_rows(
 def reference_scan(n: int, p: float, weights, tolerance: float) -> tuple[int, float, np.ndarray]:
     """(connected count, best mu, masks within tolerance of it) with no bound.
 
-    Every connected mask is scored as mu = N/T * H from ``search._chunk_stats``
-    rows (which ``TestChunkStats`` pins to the graph distances), chunk by
-    chunk, and counted; the masks come out in ascending order.
+    Every connected mask is scored as mu = N/T * H from ``order_stats``
+    rows and counted; the masks come out in ascending order.
     """
     weights = np.asarray(weights)
     count, best, scored = 0, -math.inf, []
-    for lo, hi in search._chunk_ranges(n):
-        masks, totals, degrees = search._chunk_stats(n, lo, hi)
+    for masks, totals, degrees in order_stats(n):
         mu = n * (n - 1) / totals * hidden_from_degrees(n, degrees, p, weights)
         count += len(masks)
         best = max(best, float(mu.max(initial=-math.inf)))

@@ -477,6 +477,22 @@ class TestHierarchy:
         assert code == 2 and out == "" and "[0, 1]" in err
 
 
+# a blank vector once fell back to a path, and Path("") is the current directory
+@pytest.mark.parametrize("blank", ["", "   "], ids=["empty", "spaces"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "{graph}", "--alphas={blank}", "--budget", "0.5", "--gamma", "0.5", "--cost-k", "1"],
+        ["hierarchy", "--alphas={blank}", "--n-linked", "1"],
+        ["metrics", "{graph}", "--p", "0.3", "--sharing-weights={blank}"],
+    ],
+    ids=["simulate --alphas", "hierarchy --alphas", "metrics --sharing-weights"],
+)
+def test_blank_vector_exits_2(capsys, pair_graph, argv, blank):
+    code, out, err = run(capsys, *[a.format(graph=pair_graph, blank=blank) for a in argv])
+    assert code == 2 and out == "" and "empty vector" in err
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 @pytest.mark.parametrize(
     "argv",

@@ -1,13 +1,14 @@
 import dataclasses
 import enum
 import fractions
+import itertools
 import json
 import math
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import covertnet.cli
@@ -16,6 +17,7 @@ from covertnet.affiliation import ActorProfile, build_from_actors
 from covertnet.graph import (
     UNREACHABLE,
     DisconnectedGraphError,
+    Graph,
     GraphError,
     build_graph,
     community,
@@ -136,20 +138,22 @@ def canonical_arrays(src, dst, weight):
 
 
 class TestFromCanonical:
+    """``Graph(...)`` on edge columns, canonical or not: it checks them itself."""
+
     def test_matches_build_graph_with_builtin_types(self):
         arrays = canonical_arrays([0, 0, 2], [1, 3, 3], [1.0, 2.5, 0.0])
-        g = covertnet.graph._from_canonical(4, *arrays)
+        g = Graph(4, False, *arrays)
         assert g == build_graph(4, edges=[(0, 1, 1.0), (0, 3, 2.5), (2, 3, 0.0)])
         assert all(type(s) is int and type(t) is int and type(w) is float for s, t, w in g.edges)
 
     def test_empty_arrays_give_isolated_vertices(self):
-        g = covertnet.graph._from_canonical(3, *canonical_arrays([], [], []))
+        g = Graph(3, False, *canonical_arrays([], [], []))
         assert g == build_graph(3) and g.m == 0 and not g.directed
 
     @pytest.mark.parametrize("n", [0, 3.0, True])
     def test_bad_vertex_count_rejected(self, n):
         with pytest.raises(GraphError, match="vertex count"):
-            covertnet.graph._from_canonical(n, *canonical_arrays([], [], []))
+            Graph(n, False, *canonical_arrays([], [], []))
 
     @pytest.mark.parametrize(
         "src, dst, weight",
@@ -158,48 +162,209 @@ class TestFromCanonical:
     )
     def test_mismatched_lengths_rejected(self, src, dst, weight):
         with pytest.raises(GraphError, match="differ in length"):
-            covertnet.graph._from_canonical(3, *canonical_arrays(src, dst, weight))
+            Graph(3, False, *canonical_arrays(src, dst, weight))
 
     @pytest.mark.parametrize(
-        "src, dst",
-        [([1], [1]), ([0, 2], [1, 1]), ([-1], [1]), ([0], [3])],
+        "src, dst, problem",
+        [
+            ([1], [1], r"edge \(1, 1, 1.0\) is a self-loop"),
+            ([0, 2], [1, 1], r"edge \(2, 1, 1.0\) is not sorted: an undirected edge needs source < target"),
+            ([-1], [1], r"edge \(-1, 1, 1.0\) has an endpoint out of range \[0, 3\)"),
+            ([0], [3], r"edge \(0, 3, 1.0\) has an endpoint out of range \[0, 3\)"),
+        ],
         ids=["self-loop", "reversed pair", "negative endpoint", "endpoint at n"],
     )
-    def test_endpoints_out_of_order_or_range_rejected(self, src, dst):
-        with pytest.raises(GraphError, match="0 <= source < target < 3"):
-            covertnet.graph._from_canonical(3, *canonical_arrays(src, dst, [1.0] * len(src)))
+    def test_endpoints_out_of_order_or_range_rejected(self, src, dst, problem):
+        with pytest.raises(GraphError, match=problem):
+            Graph(3, False, *canonical_arrays(src, dst, [1.0] * len(src)))
 
     @pytest.mark.parametrize(
-        "src, dst", [([0, 0], [2, 1]), ([0, 0], [1, 1]), ([1, 0], [2, 2])],
+        "src, dst, problem",
+        [
+            ([0, 0], [2, 1], r"edge \(0, 1, 1.0\) is not sorted: it comes after \(0, 2\)"),
+            ([0, 0], [1, 1], r"duplicate edge \(0, 1, 1.0\)"),
+            ([1, 0], [2, 2], r"edge \(0, 2, 1.0\) is not sorted: it comes after \(1, 2\)"),
+        ],
         ids=["unsorted targets", "duplicate", "unsorted sources"],
     )
-    def test_unsorted_or_duplicate_codes_rejected(self, src, dst):
-        with pytest.raises(GraphError, match="sorted and distinct"):
-            covertnet.graph._from_canonical(3, *canonical_arrays(src, dst, [1.0, 1.0]))
-
-    @pytest.mark.parametrize("weight", [-0.5, math.nan, math.inf, -math.inf])
-    def test_negative_or_non_finite_weight_rejected(self, weight):
-        with pytest.raises(GraphError, match="finite and nonnegative"):
-            covertnet.graph._from_canonical(3, *canonical_arrays([0, 1], [1, 2], [1.0, weight]))
+    def test_unsorted_or_duplicate_codes_rejected(self, src, dst, problem):
+        with pytest.raises(GraphError, match=problem):
+            Graph(3, False, *canonical_arrays(src, dst, [1.0, 1.0]))
 
     @pytest.mark.parametrize(
-        "arrays",
+        "weight, problem",
+        [(-0.5, "a negative"), (math.nan, "a non-finite"), (math.inf, "a non-finite"),
+         (-math.inf, "a non-finite")],
+        ids=["-0.5", "nan", "inf", "-inf"],
+    )
+    def test_negative_or_non_finite_weight_rejected(self, weight, problem):
+        with pytest.raises(GraphError, match=rf"edge \(1, 2, {weight}\) has {problem} weight"):
+            Graph(3, False, *canonical_arrays([0, 1], [1, 2], [1.0, weight]))
+
+    @pytest.mark.parametrize(
+        "arrays, problem",
         [
-            (np.array([0]), np.array([1]), np.array([1], dtype=np.int64)),
-            (np.array([0.0]), np.array([1]), np.array([1.0])),
-            ([0], [1], [1.0]),
-            (np.array([[0]]), np.array([[1]]), np.array([[1.0]])),
+            ((np.array([0]), np.array([1]), np.array([1])), "weight .* float64 .* 1-dimensional int64"),
+            ((np.array([0.0]), np.array([1]), np.array([1.0])), "src .* int64 .* 1-dimensional float64"),
+            (([0], [1], [1.0]), "src .* int64 array, got list"),
+            ((np.array([[0]]), np.array([[1]]), np.array([[1.0]])), "src .* int64 .* 2-dimensional int64"),
         ],
         ids=["int weights", "float endpoints", "lists", "two-dimensional"],
     )
-    def test_arrays_of_other_types_rejected(self, arrays):
-        with pytest.raises(GraphError, match="edge arrays must be"):
-            covertnet.graph._from_canonical(3, *arrays)
+    def test_arrays_of_other_types_rejected(self, arrays, problem):
+        with pytest.raises(GraphError, match=f"^edge column {problem}") as caught:
+            Graph(3, False, *arrays)
+        assert "must be a one-dimensional" in str(caught.value)
+
+    @pytest.mark.parametrize("directed", [1, "yes", None])
+    def test_non_bool_direction_rejected(self, directed):
+        with pytest.raises(GraphError, match="directed must be a bool"):
+            Graph(3, directed, *canonical_arrays([0], [1], [1.0]))
+
+    def test_directed_columns_keep_both_ways_and_any_order_of_a_pair(self):
+        g = Graph(3, True, *canonical_arrays([0, 1, 2], [1, 0, 0], [1.0, 2.0, 3.0]))
+        assert g == build_graph(3, directed=True, edges=[(2, 0, 3.0), (1, 0, 2.0), (0, 1, 1.0)])
+
+    @pytest.mark.parametrize(
+        "src, dst, problem",
+        [
+            ([0, 1], [1, 3], r"edge \(1, 3, 1.0\) has an endpoint out of range"),
+            ([0, 1], [-1, 0], r"edge \(0, -1, 1.0\) has an endpoint out of range"),
+            ([1, 1], [0, 0], r"duplicate edge \(1, 0, 1.0\)"),
+            ([0, 2], [1, 2], r"edge \(2, 2, 1.0\) is a self-loop"),
+        ],
+        ids=["target at n", "negative target", "duplicate", "self-loop"],
+    )
+    def test_directed_faults_rejected(self, src, dst, problem):
+        with pytest.raises(GraphError, match=problem):
+            Graph(3, True, *canonical_arrays(src, dst, [1.0, 1.0]))
+
+    def test_first_faulty_edge_is_named(self):
+        # edge 1 repeats edge 0, and edge 2 is out of range besides
+        arrays = canonical_arrays([0, 0, 0], [1, 1, 7], [1.0, 1.0, -1.0])
+        with pytest.raises(GraphError, match=r"^duplicate edge \(0, 1, 1.0\)$"):
+            Graph(3, False, *arrays)
+
+    def test_vertex_count_beyond_int64_compares_exactly(self):
+        top = 2**63 - 1  # the largest int64 endpoint is a vertex of a graph this large
+        g = Graph(2**64, True, *canonical_arrays([0, top], [top, 0], [1.0, 2.0]))
+        assert g.edges == ((0, top, 1.0), (top, 0, 2.0))
+
+
+GOOD_WEIGHTS = (1.0, 0.5, 0.0, -0.0, 2.5, 1e300)
+BAD_WEIGHTS = (-1.0, -5e-324, math.nan, math.inf, -math.inf)
+
+
+def _passed(own, form):
+    """Array ``own`` as passed in ``form``, and the arrays a caller could still write into it."""
+    if form == "strided view":
+        base = np.repeat(own, 2)
+        return base[::2], [base]
+    if form == "slice of a longer array":
+        base = np.append(own, own[:1])
+        return base[: own.size], [base]
+    if form == "read-only view":
+        base = own.copy()
+        view = base[:]
+        view.setflags(write=False)
+        return view, [base]
+    return own, [own[:]]  # "own data", with a view the caller made before the call
+
+
+@st.composite
+def column_cases(draw):
+    """(n, directed, columns, rows, bases) for ``Graph(n, directed, *columns)``.
+
+    ``rows`` are the edges the columns hold, or None when an argument is of
+    the wrong type, shape or length and the call must raise; ``bases`` are
+    arrays the caller keeps, which write into the columns passed. Rows start
+    sorted and distinct; faults are then drawn into them.
+    """
+    n = draw(st.integers(1, 5), label="n")
+    directed = draw(st.booleans(), label="directed")
+    pairs = list((itertools.permutations if directed else itertools.combinations)(range(n), 2))
+    chosen = sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else []
+    rows = [[s, t, draw(st.sampled_from(GOOD_WEIGHTS))] for s, t in chosen]
+    faults = ("endpoint", "self-loop", "reversed", "repeated", "shuffled", "weight")
+    for fault in draw(st.lists(st.sampled_from(faults), max_size=2), label="faults") if rows else ():
+        k = draw(st.sampled_from([0, len(rows) - 1]) | st.integers(0, len(rows) - 1))  # the ends often
+        if fault == "endpoint":
+            end = draw(st.sampled_from([-2, -1, n, n + 1]) | st.integers(0, n - 1))
+            rows[k][draw(st.integers(0, 1))] = end
+        elif fault == "self-loop":
+            rows[k][1] = rows[k][0]
+        elif fault == "reversed":
+            rows[k][:2] = rows[k][1::-1]
+        elif fault == "repeated":
+            rows.insert(k, list(rows[k]))
+        elif fault == "shuffled":
+            rows = draw(st.permutations(rows))
+        else:
+            rows[k][2] = draw(st.sampled_from(BAD_WEIGHTS))
+    dtypes = [np.int64, np.int64, np.float64]
+    wrong, hit = None, draw(st.integers(0, 2))  # hit: the column a wrong argument is
+    if draw(st.integers(0, 3)) == 0:  # one case in four passes an argument of the wrong kind
+        wrong = draw(st.sampled_from(["n", "directed", "dtype", "list", "2-D", "length"]), label="wrong")
+    if wrong == "n":
+        n = draw(st.sampled_from([0, -1, float(n), True, str(n)]))
+    elif wrong == "directed":
+        directed = draw(st.sampled_from([1, 0, "yes", None]))
+    elif wrong == "dtype":
+        accepted = dtypes[hit]
+        dtypes[hit] = draw(st.sampled_from([np.int32, np.float64, np.float32, np.int64, np.uint64, bool]))
+        if dtypes[hit] == accepted:
+            dtypes[hit] = np.float32  # one that no column accepts
+    columns, bases = [], []
+    for index, values in enumerate(map(list, zip(*rows)) if rows else [[], [], []]):
+        if wrong == "length" and index == hit:
+            values = values[:-1] if values else [0]
+        with np.errstate(all="ignore"):  # a wrong dtype may not hold every value
+            own = np.array(values, dtype=np.float64 if index == 2 else np.int64).astype(dtypes[index])
+        forms = ["own data", "strided view", "slice of a longer array", "read-only view"]
+        passed, kept = _passed(own, draw(st.sampled_from(forms)))
+        if index == hit and wrong == "list":
+            passed = values
+        elif index == hit and wrong == "2-D":
+            passed = passed.reshape(1, -1)
+        columns.append(passed)
+        bases.extend(kept)
+    return n, directed, columns, None if wrong else [tuple(row) for row in rows], bases
+
+
+def canonical_rows(n, directed, rows) -> bool:
+    """The invariants of a Graph, checked edge by edge in Python."""
+    pairs = [(s, t) for s, t, _ in rows]
+    return (
+        all(0 <= s < n and 0 <= t < n and (s != t if directed else s < t) for s, t in pairs)
+        and all(a < b for a, b in zip(pairs, pairs[1:]))
+        and all(0.0 <= w < math.inf for _, _, w in rows)
+    )
+
+
+class TestGraphColumns:
+    @settings(max_examples=300, deadline=None)
+    @example((3, False, [*canonical_arrays([-1, 0], [1, 1], [1.0, 1.0])], [(-1, 1, 1.0), (0, 1, 1.0)], []))
+    @example((3, True, [*canonical_arrays([0, 3], [1, 0], [1.0, 1.0])], [(0, 1, 1.0), (3, 0, 1.0)], []))
+    @given(column_cases())
+    def test_rejects_or_equals_build_graph_of_its_edges(self, case):
+        n, directed, columns, rows, bases = case
+        if rows is None or not canonical_rows(n, directed, rows):
+            with pytest.raises(GraphError):
+                Graph(n, directed, *columns)
+            return
+        g = Graph(n, directed, *columns)
+        built = build_graph(n, directed=directed, edges=g.edges)
+        assert g == built and hash(g) == hash(built)
+        assert g.edges == tuple(rows)
+        for base in bases:  # whatever the caller still holds, the checked graph stays as it was
+            base[...] = -5
+        assert list(zip(g.src.tolist(), g.dst.tolist(), g.weight.tolist())) == rows
+        assert not any(column.flags.writeable for column in (g.src, g.dst, g.weight))
 
 
 class TestGraphContract:
     def test_same_edges_from_either_factory_are_equal_and_hash_alike(self):
-        canonical = covertnet.graph._from_canonical(4, *canonical_arrays([0, 0, 2], [1, 3, 3], [1.0, 2.5, 0.0]))
+        canonical = Graph(4, False, *canonical_arrays([0, 0, 2], [1, 3, 3], [1.0, 2.5, 0.0]))
         built = build_graph(4, edges=[(3, 2, 0.0), (0, 1), (3, 0, 2.5)])
         assert canonical == built and hash(canonical) == hash(built)
 

@@ -131,6 +131,13 @@ class TestLoadVector:
         path = write(tmp_path, "v.txt", "0.1, 0.2\n")
         assert load_vector(str(path)) == (0.1, 0.2)
 
+    @pytest.mark.parametrize("blank", ["", " ", "\n\t"])
+    def test_blank_is_an_empty_vector_not_a_path(self, blank, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / " ").write_text("0.5\n")  # a file the blank value must not be read as
+        with pytest.raises(ValueError, match="empty vector"):
+            load_vector(blank)
+
     def test_nonsense_rejected(self):
         with pytest.raises(ValueError, match="neither"):
             load_vector("not-a-number-or-file")

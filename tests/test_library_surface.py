@@ -1,10 +1,12 @@
 """Argument checks of the public library entry points."""
 
+import numpy as np
 import pytest
 
 from covertnet.affiliation import ActorProfile, TieRule, build_from_actors
 from covertnet.detection import DetectionParams, ScrutinyPlan, detect_exact, simulate, validate_plan
 from covertnet.graph import (
+    Graph,
     GraphError,
     build_graph,
     community,
@@ -167,3 +169,48 @@ NOT_GRAPHS = {key: call for key, (_, call) in WRONG_TYPES.items() if " g=" in ke
 def test_non_graph_is_a_graph_error(call):
     with pytest.raises(GraphError, match="g must be a Graph, got "):
         call()
+
+
+def columns(src, dst, weight):
+    return np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64), np.array(weight, dtype=np.float64)
+
+
+# Graphs built directly, not through build_graph: a negative weight made weighted distances
+# loop forever, an endpoint past n gave a wrong distance matrix, a repeated pair counted
+# twice in a degree, and a list column or a string n raised a bare AttributeError or TypeError
+GRAPH_FAULTS = {
+    "negative weight": (
+        r"edge \(0, 1, -2.0\) has a negative weight",
+        lambda: geodesic_distances(Graph(3, False, *columns([0], [1], [-2.0])), hop_mode=False),
+    ),
+    "endpoint 5 of 3 vertices": (
+        r"edge \(1, 5, 1.0\) has an endpoint out of range \[0, 3\)",
+        lambda: geodesic_distances(Graph(3, False, *columns([0, 1], [1, 5], [1.0, 1.0]))),
+    ),
+    "duplicate pair": (
+        r"duplicate edge \(0, 1, 1.0\)",
+        lambda: Graph(3, False, *columns([0, 0], [1, 1], [1.0, 1.0])).degree_sequence(),
+    ),
+    "list column": (
+        "edge column src must be a one-dimensional int64 array, got list",
+        lambda: Graph(3, False, [0], [1], [-2.0]),
+    ),
+    "n='3'": (
+        "vertex count must be a positive integer, got '3'",
+        lambda: Graph("3", False, *columns([0], [1], [1.0])),
+    ),
+}
+
+
+@pytest.mark.parametrize("problem, call", GRAPH_FAULTS.values(), ids=GRAPH_FAULTS.keys())
+def test_direct_graph_fault_is_a_graph_error(problem, call):
+    with pytest.raises(GraphError, match=problem):
+        call()
+
+
+def test_direct_graph_keeps_its_weights_when_the_callers_base_is_written():
+    base = np.array([1.0, 2.0])
+    g = Graph(3, False, *columns([0], [1], [0.0])[:2], base[:1])
+    base[0] = -5.0
+    assert g.weight.tolist() == [1.0] and g.edges == ((0, 1, 1.0),)
+    assert geodesic_distances(g, hop_mode=False).dist[0, 1] == 1.0

@@ -15,7 +15,7 @@ from covertnet.graph import build_graph, diameter, is_connected, total_distance
 from covertnet.measures import SecrecyParams, balance, hidden_from_degrees, make_structure
 from covertnet.search import enumerate_connected, find_optimal, verify_lemma
 
-from oracles import count_connected_graphs, reference_lemma_rows, reference_scan
+from oracles import chunk_stats, count_connected_graphs, order_stats, reference_lemma_rows, reference_scan
 
 LOW_GRID = [k / 20 for k in range(11)]
 HIGH_GRID = [0.5 + k / 20 for k in range(11)]
@@ -67,7 +67,7 @@ class TestChunkStats:
     @given(mask_windows())
     def test_matches_graph_distances(self, window):
         n, lo, hi = window
-        masks, totals, degrees = search._chunk_stats(n, lo, hi)
+        masks, totals, degrees = chunk_stats(n, lo, hi)
         assert masks.dtype == np.int64 and totals.dtype == np.float64
         assert degrees.dtype == np.float64 and degrees.shape == (len(masks), n)
         slots = list(itertools.combinations(range(n), 2))
@@ -139,8 +139,7 @@ class TestPrunedScan:
     def test_bound_holds_for_every_connected_mask(self, n, p, raw):
         assume(sum(raw[:n]) > 0)
         weights = np.array(raw[:n]) / sum(raw[:n])
-        for lo, hi in search._chunk_ranges(n):
-            masks, totals, degrees = search._chunk_stats(n, lo, hi)
+        for masks, totals, degrees in order_stats(n):
             mu = n * (n - 1) / totals * hidden_from_degrees(n, degrees, p, weights)
             assert (mu <= mask_bounds(n, p, weights, masks) + 1e-12).all()
 
@@ -380,7 +379,7 @@ class TestVerifyLemma:
         def scan(*args, **kwargs):
             raise AssertionError("verify_lemma scanned edge masks or built a graph")
 
-        for name in ("run_chunks", "_chunk_stats", "build_graph"):
+        for name in ("run_chunks", "_connected_stack", "build_graph"):
             monkeypatch.setattr(search, name, scan)
         for n in range(2, search.LEMMA_MAX_ORDER + 1):
             complete = make_structure("complete", n)
