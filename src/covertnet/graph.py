@@ -13,8 +13,10 @@ Distances come in two flavours controlled by ``hop_mode``: unit hops (every
 edge counts 1, the default) or the stored edge weights. Unreachable pairs
 are marked with ``UNREACHABLE`` (infinity) rather than a large finite
 number, so a disconnected pair can never silently corrupt a distance sum.
-Each graph computes its distance matrix once per flavour, with one kernel
-for both; every distance-derived quantity reads that one matrix.
+Each graph computes its distance matrix once per flavour, each flavour with
+one kernel: hop counts from a breadth-first sweep over bit rows, 64 targets
+to a machine word, and weighted lengths from a relaxation of float sums,
+which bits cannot hold. Every distance-derived quantity reads that matrix.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ import numpy as np
 UNREACHABLE = math.inf
 # Most arcs one relaxation slice of _all_pairs expands; bounds its scratch memory.
 _RELAX_BUDGET = 1 << 14
+# Most 64-bit words one level slice of _hop_pairs gathers (1 MiB); bounds its scratch memory.
+_SWEEP_BUDGET = 1 << 17
 
 
 class GraphError(ValueError):
@@ -132,6 +136,10 @@ class Graph:
         weight_bits = (self.weight + 0.0).tobytes()
         return hash((self.n, self.directed, self.src.tobytes(), self.dst.tobytes(), weight_bits))
 
+    def __reduce__(self):
+        # pickle and deepcopy rebuild through the constructor, which checks and copies the columns
+        return Graph, (self.n, self.directed, self.src, self.dst, self.weight)
+
     @property
     def m(self) -> int:
         """Number of edges."""
@@ -229,9 +237,10 @@ def build_graph(
     GraphError
         On a ``directed`` that is not a bool, ``edges`` that are not
         iterable, an edge that is not a 2- or 3-sequence, an endpoint out of
-        range, a self-loop, a duplicate edge, or a weight that is not a real
-        number (bool included), negative or non-finite (an int too large for
-        a float included); the offending edge is named in the message.
+        range or beyond the int64 range of the edge columns, a self-loop, a
+        duplicate edge, or a weight that is not a real number (bool
+        included), negative or non-finite (an int too large for a float
+        included); the offending edge is named in the message.
     """
     if not _is_int(n) or n < 1:
         raise GraphError(f"vertex count must be a positive integer, got {n!r}")
@@ -240,6 +249,7 @@ def build_graph(
     except TypeError:
         raise GraphError(f"edges must be an iterable of edges, got {edges!r}") from None
     sources, targets, weights = [], [], []
+    end = min(n, 1 << 63)  # endpoints past the int64 range cannot be stored
     # Each check tests the exact builtin type first: the general test it short-cuts
     # (an ABC instance check for the weight) costs more than the rest of the loop.
     for raw in edges:
@@ -256,7 +266,9 @@ def build_graph(
             raise GraphError(f"edge {raw!r} must be (source, target[, weight])")
         if not (type(s) is int and type(t) is int or _is_int(s) and _is_int(t)):
             raise GraphError(f"edge {raw!r} has non-integer endpoints")
-        if not (0 <= s < n and 0 <= t < n):
+        if not (0 <= s < end and 0 <= t < end):
+            if 0 <= s < n and 0 <= t < n:
+                raise GraphError(f"edge {raw!r} has an endpoint beyond the int64 range of the edge columns")
             raise GraphError(f"edge {raw!r} has an endpoint out of range [0, {n})")
         if type(w) is not float:
             if not _is_real(w):
@@ -325,8 +337,60 @@ def _out_arcs(first: np.ndarray, vertices: np.ndarray) -> tuple[np.ndarray, np.n
     return _ranges(start, fanout), fanout
 
 
-def _all_pairs(g: Graph, hop_mode: bool) -> np.ndarray:
-    """All-pairs shortest path lengths, relaxed from every source at once.
+def _hop_pairs(g: Graph) -> np.ndarray:
+    """All-pairs hop counts, by a breadth-first sweep of every source at once.
+
+    Row u of ``front`` holds, one bit per target, the targets exactly ``level``
+    hops from u: since dist(u, t) = 1 + min over u's out-neighbours w of
+    dist(w, t), u's next row is the OR of its out-neighbours' rows less the
+    targets u has already reached. Arcs are sorted by source, so one
+    ``reduceat`` per slice of at most ``_SWEEP_BUDGET`` words (or one source's
+    arcs) makes the OR. Every level reads every arc: picking out the arcs into
+    non-empty rows cost more numpy calls than the rows it skipped. Each level
+    is ORed into the bit planes of its binary digits, so the matrix is read
+    out once per plane, not once per level.
+    """
+    n = g.n
+    _, dst, _, first = g._arcs
+    words = -(-n // 64)
+    tail = np.flatnonzero(np.diff(first))  # the sources of arcs
+    slices = []
+    for lo, hi in _blocks(np.diff(first)[tail] * words, _SWEEP_BUDGET):
+        a, b = first[tail[lo]], first[tail[hi - 1] + 1]
+        slices.append((tail[lo:hi], dst[a:b], first[tail[lo:hi]] - a))
+    vertex = np.arange(n)
+    front = np.zeros((n, words), dtype=np.uint64)
+    front[vertex, vertex >> 6] = np.left_shift(np.uint64(1), (vertex & 63).astype(np.uint64))
+    unseen = ~front
+    planes, level = [], 0
+    while True:
+        reached = np.zeros_like(front)
+        for rows, heads, offsets in slices:
+            reached[rows] = np.bitwise_or.reduceat(np.take(front, heads, axis=0), offsets, axis=0)
+        reached &= unseen
+        if not reached.any():
+            break
+        level += 1
+        unseen ^= reached
+        if level.bit_length() > len(planes):
+            planes.append(np.zeros_like(front))
+        for j, plane in enumerate(planes):
+            if level >> j & 1:
+                plane |= reached
+        front = reached
+    hops = np.zeros((n, n), dtype=np.min_scalar_type((1 << len(planes)) - 1))
+    for j, plane in enumerate(planes):
+        hops |= _bits(plane, n).astype(hops.dtype) << j
+    return np.where(_bits(unseen, n), UNREACHABLE, hops)
+
+
+def _bits(rows: np.ndarray, n: int) -> np.ndarray:
+    """The first ``n`` bits of each row of 64-bit words, bit k of word i as column 64i + k."""
+    return np.unpackbits(rows.astype("<u8", copy=False).view(np.uint8), axis=1, count=n, bitorder="little")
+
+
+def _all_pairs(g: Graph) -> np.ndarray:
+    """All-pairs shortest path lengths by edge weight, relaxed from every source at once.
 
     Each round relaxes the out-arcs of the (source, vertex) cells whose distance
     fell in the round before, in slices of at most ``_RELAX_BUDGET`` arcs (or one
@@ -335,7 +399,6 @@ def _all_pairs(g: Graph, hop_mode: bool) -> np.ndarray:
     """
     n = g.n
     _, dst, weight, first = g._arcs
-    weight = np.ones_like(weight) if hop_mode else weight
     dist = np.full(n * n, UNREACHABLE)
     fell = np.zeros(n * n, dtype=bool)
     frontier = np.arange(n) * (n + 1)
@@ -358,9 +421,11 @@ def _all_pairs(g: Graph, hop_mode: bool) -> np.ndarray:
 def geodesic_distances(g: Graph, hop_mode: bool = True) -> DistanceMatrix:
     """All-pairs shortest distances of ``g``.
 
-    With ``hop_mode`` every edge counts one step; otherwise path length is
-    the sum of stored edge weights. Entries for unreachable pairs are
-    ``UNREACHABLE``; the matrix is asymmetric only when ``g`` is directed.
+    With ``hop_mode`` every edge counts one step, and the counts come from
+    the bit sweep of ``_hop_pairs``; otherwise path length is the sum of
+    stored edge weights, relaxed by ``_all_pairs``. Entries for unreachable
+    pairs are ``UNREACHABLE``; the matrix is asymmetric only when ``g`` is
+    directed.
 
     The matrix is computed once per graph and mode and kept on the graph;
     later calls return the same read-only object. Total distance,
@@ -371,7 +436,7 @@ def geodesic_distances(g: Graph, hop_mode: bool = True) -> DistanceMatrix:
         raise GraphError(f"hop_mode must be a bool, got {hop_mode!r}")
     dm = g._distances.get(hop_mode)
     if dm is None:
-        dist = _all_pairs(g, hop_mode)
+        dist = _hop_pairs(g) if hop_mode else _all_pairs(g)
         dm = g._distances[hop_mode] = DistanceMatrix(n=g.n, dist=dist, hop_mode=hop_mode)
     return dm
 

@@ -4,7 +4,10 @@ Everything here deliberately avoids the library's algorithms:
 
 * shortest distances come from exhaustive depth-first enumeration of simple
   paths (the library relaxes the arcs of every source at once until no
-  distance falls),
+  weighted distance falls),
+* hop counts on graphs too large to enumerate come from a queue-driven
+  breadth-first search from each source in turn (the library sweeps every
+  source at once, level by level, over rows of 64-bit words),
 * connectivity inside the subset counter uses union-find (the library grows
   vertex 0's reach level by level with bitsets),
 * detection probabilities come from enumerating every combination of
@@ -26,6 +29,7 @@ Oracles read only the public fields of a Graph (n, directed, edges).
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -75,6 +79,28 @@ def brute_force_apsp(g: Graph, hop_mode: bool = True) -> np.ndarray:
                     else:
                         stack.append((v, nl, visited | (1 << v)))
             dist[source, target] = best
+    return dist
+
+
+def bfs_hops(g: Graph) -> np.ndarray:
+    """All-pairs hop counts by a breadth-first search from each source in turn."""
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for s, t, _ in g.edges:
+        adj[s].append(t)
+        if not g.directed:
+            adj[t].append(s)
+    dist = np.full((g.n, g.n), math.inf)
+    for source in range(g.n):
+        hops = {source: 0}
+        queue = collections.deque([source])
+        while queue:
+            u = queue.popleft()
+            for v in adj[u]:
+                if v not in hops:
+                    hops[v] = hops[u] + 1
+                    queue.append(v)
+        for v, h in hops.items():
+            dist[source, v] = h
     return dist
 
 

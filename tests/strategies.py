@@ -45,3 +45,25 @@ def graphs(
         w = draw(st.sampled_from(weights)) if weighted else 1.0
         edges.append((i, j, w))
     return build_graph(n, directed=directed, edges=edges)
+
+
+@st.composite
+def sparse_graphs(draw, max_n: int = 200) -> Graph:
+    """Unweighted graphs of up to ``max_n`` vertices and at most 3n drawn edges.
+
+    Directed or not; with a random spanning path overlaid (both ways when
+    directed) on about half the draws, so many draws span several 64-bit
+    words and both connected and disconnected graphs occur.
+    """
+    n = draw(st.integers(1, max_n))
+    directed = draw(st.booleans())
+    vertex = st.integers(0, n - 1)
+    pairs = set(draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n)))
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        pairs.update(zip(order, order[1:]))
+        if directed:
+            pairs.update(zip(order[1:], order))
+    if not directed:
+        pairs = {(min(a, b), max(a, b)) for a, b in pairs}
+    return build_graph(n, directed=directed, edges=sorted((a, b) for a, b in pairs if a != b))

@@ -93,16 +93,21 @@ class TestMetrics:
     ):
         path = tmp_path / "weighted5.json"
         path.write_text('{"n": 5, "edges": [[0, 1, 2.0], [1, 2], [2, 3, 0.5], [3, 4], [0, 4]]}')
-        passes = {True: 0, False: 0}
-        kernel = covertnet.graph._all_pairs
+        passes = {"_hop_pairs": 0, "_all_pairs": 0}
 
-        def counted(g, hop_mode):
-            passes[hop_mode] += 1
-            return kernel(g, hop_mode)
+        def counting(name):
+            kernel = getattr(covertnet.graph, name)
 
-        monkeypatch.setattr(covertnet.graph, "_all_pairs", counted)
+            def counted(g):
+                passes[name] += 1
+                return kernel(g)
+
+            return counted
+
+        for name in passes:
+            monkeypatch.setattr(covertnet.graph, name, counting(name))
         run_json(capsys, "metrics", str(path), "--p", "0.3", *extra)
-        assert passes == {True: hop_passes, False: weighted_passes}
+        assert passes == {"_hop_pairs": hop_passes, "_all_pairs": weighted_passes}
 
     def test_non_finite_csv_weight_exits_1(self, capsys, tmp_path):
         path = tmp_path / "inf.csv"

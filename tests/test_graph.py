@@ -1,9 +1,11 @@
+import copy
 import dataclasses
 import enum
 import fractions
 import itertools
 import json
 import math
+import pickle
 import random
 
 import numpy as np
@@ -29,8 +31,8 @@ from covertnet.graph import (
 from covertnet.io import graph_to_json_dict
 from covertnet.measures import make_structure
 
-from oracles import brute_force_apsp, random_connected_graph
-from strategies import graphs
+from oracles import bfs_hops, brute_force_apsp, random_connected_graph
+from strategies import graphs, sparse_graphs
 
 
 class _Vertex(enum.IntEnum):
@@ -395,6 +397,27 @@ class TestGraphContract:
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = 0
 
+    @pytest.mark.parametrize(
+        "round_trip", [lambda g: pickle.loads(pickle.dumps(g)), copy.deepcopy], ids=["pickle", "deepcopy"]
+    )
+    def test_round_trip_keeps_a_checked_read_only_graph(self, round_trip):
+        g = build_graph(4, directed=True, edges=[(0, 1, 2.0), (1, 2, 0.5), (3, 0)])
+        geodesic_distances(g)
+        h = round_trip(g)
+        assert h == g and hash(h) == hash(g) and h.edges == g.edges
+        for column in (h.src, h.dst, h.weight):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+        assert np.array_equal(geodesic_distances(h).dist, geodesic_distances(g).dist)
+
+    def test_unpickling_checks_the_columns(self):
+        class Forged:
+            def __reduce__(self):
+                return Graph, (3, False, *canonical_arrays([0], [1], [-2.0]))
+
+        with pytest.raises(GraphError, match="negative weight"):
+            pickle.loads(pickle.dumps(Forged()))
+
     def test_build_op_does_not_materialize_the_edge_tuple(self):
         roster = [ActorProfile(id=f"a{i}", generators={"x", f"t{i % 3}"}) for i in range(6)]
         g, labels = build_from_actors(roster)
@@ -464,7 +487,7 @@ class TestGeodesicDistances:
     def test_long_path(self):
         n = 300
         g = build_graph(n, edges=[(i, i + 1, 0.5) for i in range(n - 1)])
-        gap = np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)
+        gap = gap_matrix(n)
         assert np.array_equal(geodesic_distances(g).dist, gap)
         assert np.array_equal(geodesic_distances(g, hop_mode=False).dist, gap / 2)
 
@@ -479,6 +502,60 @@ class TestGeodesicDistances:
         gap = np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)
         assert np.array_equal(geodesic_distances(g).dist, np.minimum(gap, 1.0))
         assert np.array_equal(geodesic_distances(g, hop_mode=False).dist, gap)
+
+
+def gap_matrix(n: int) -> np.ndarray:
+    """|i - j| for every pair: the hop distances of the path 0-1-...-(n-1)."""
+    return np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)
+
+
+def hop_cases():
+    """Paths, cycles, directed paths and two paths side by side, around the 64-bit word edges."""
+    for n in (63, 64, 65, 128, 129):
+        chain = [(i, i + 1) for i in range(n - 1)]
+        yield f"path {n}", build_graph(n, edges=chain)
+        yield f"cycle {n}", build_graph(n, edges=chain + [(0, n - 1)])
+        yield f"directed path {n}", build_graph(n, directed=True, edges=chain)
+        half = n // 2
+        yield f"two components {n}", build_graph(n, edges=[(i, j) for i, j in chain if j != half])
+
+
+class TestHopSweep:
+    """Hop counts from the bit sweep, on graphs whose rows span several 64-bit words."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_graphs())
+    def test_matches_breadth_first_search(self, g):
+        assert np.array_equal(geodesic_distances(g).dist, bfs_hops(g))
+
+    @pytest.mark.parametrize("g", [g for _, g in hop_cases()], ids=[name for name, _ in hop_cases()])
+    def test_word_edges(self, g):
+        dist = geodesic_distances(g).dist
+        assert np.array_equal(dist, bfs_hops(g))
+        if g.m == g.n - 1 and not g.directed:
+            assert np.array_equal(dist, gap_matrix(g.n))
+
+    def test_path_of_1000(self):
+        g = build_graph(1000, edges=[(i, i + 1) for i in range(999)])
+        assert np.array_equal(geodesic_distances(g).dist, gap_matrix(1000))
+
+    def test_complete_300_swept_in_slices(self):
+        n = 300
+        words = -(-n // 64)
+        assert n * (n - 1) * words > covertnet.graph._SWEEP_BUDGET
+        g = make_structure("complete", n)
+        assert np.array_equal(geodesic_distances(g).dist, np.ones((n, n)) - np.eye(n))
+
+    @pytest.mark.parametrize("budget", [1, 7, 64])
+    def test_slice_budget_does_not_change_result(self, monkeypatch, budget):
+        monkeypatch.setattr(covertnet.graph, "_SWEEP_BUDGET", budget)
+        rng = random.Random(budget)
+        for n, directed in ((70, False), (130, True), (200, False)):
+            arcs = {(rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)}
+            if not directed:
+                arcs = {(min(a, b), max(a, b)) for a, b in arcs}
+            g = build_graph(n, directed, sorted((a, b) for a, b in arcs if a != b))
+            assert np.array_equal(geodesic_distances(g).dist, bfs_hops(g))
 
 
 class TestTotalDistance:

@@ -214,3 +214,10 @@ def test_direct_graph_keeps_its_weights_when_the_callers_base_is_written():
     base[0] = -5.0
     assert g.weight.tolist() == [1.0] and g.edges == ((0, 1, 1.0),)
     assert geodesic_distances(g, hop_mode=False).dist[0, 1] == 1.0
+
+
+def test_endpoint_past_the_int64_range_is_a_graph_error():
+    # in range for a vertex count above 2**63, but an int64 column cannot hold it
+    with pytest.raises(GraphError, match=r"edge \(0, 9223372036854775808\) has an endpoint beyond the int64 range"):
+        build_graph(2**64, edges=[(0, 2**63)])
+    assert build_graph(2**64, edges=[(0, 2**63 - 1)]).edges == ((0, 2**63 - 1, 1.0),)
