@@ -17,6 +17,15 @@ Each graph computes its distance matrix once per flavour, each flavour with
 one kernel: hop counts from a breadth-first sweep over bit rows, 64 targets
 to a machine word, and weighted lengths from a relaxation of float sums,
 which bits cannot hold. Every distance-derived quantity reads that matrix.
+
+The weighted relaxation is Delta-stepping (Meyer and Sanders, 2003) run
+from every source at once: a (source, vertex) cell whose distance fell is
+pending, and each round expands only the pending cells within half the mean
+arc weight of their source's least pending distance, so a cell is seldom
+expanded before its distance is final. The order of expansion cannot change
+a distance: adding a nonnegative weight is monotone in floating point, so
+every cell settles at the least of its paths' sums, taken from the source
+outward.
 """
 
 from __future__ import annotations
@@ -31,7 +40,8 @@ import numpy as np
 
 #: Marker stored in a DistanceMatrix for pairs with no connecting path.
 UNREACHABLE = math.inf
-# Most arcs one relaxation slice of _all_pairs expands; bounds its scratch memory.
+# Most arcs one relaxation slice of _all_pairs expands, and most pending cells it reads at once;
+# bounds its scratch memory.
 _RELAX_BUDGET = 1 << 14
 # Most 64-bit words one level slice of _hop_pairs gathers (1 MiB); bounds its scratch memory.
 _SWEEP_BUDGET = 1 << 17
@@ -313,7 +323,8 @@ class DistanceMatrix:
 
 def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
     """The ranges ``start[k] .. start[k] + count[k] - 1`` concatenated in order."""
-    return np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
+    ends = count.cumsum()
+    return np.arange(ends[-1] if ends.size else 0) + (start - ends + count).repeat(count)
 
 
 def _blocks(load: np.ndarray, budget: int) -> Iterator[tuple[int, int]]:
@@ -321,11 +332,11 @@ def _blocks(load: np.ndarray, budget: int) -> Iterator[tuple[int, int]]:
 
     A range holds one index alone when that index's load exceeds the budget.
     """
-    ends = np.cumsum(load)
+    ends = load.cumsum()
     lo = 0
     while lo < ends.size:
         done = ends[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, done + budget, side="right")))
+        hi = max(lo + 1, int(ends.searchsorted(done + budget, side="right")))
         yield lo, hi
         lo = hi
 
@@ -390,31 +401,59 @@ def _bits(rows: np.ndarray, n: int) -> np.ndarray:
 
 
 def _all_pairs(g: Graph) -> np.ndarray:
-    """All-pairs shortest path lengths by edge weight, relaxed from every source at once.
+    """All-pairs shortest path lengths by edge weight, by Delta-stepping from every source at once.
 
-    Each round relaxes the out-arcs of the (source, vertex) cells whose distance
-    fell in the round before, in slices of at most ``_RELAX_BUDGET`` arcs (or one
-    vertex's arcs). Weights are nonnegative and float addition is monotone, so
-    every cell settles at the least source-to-target sum over the paths to it.
+    A (source, vertex) cell is pending from the time its distance falls until
+    its out-arcs are relaxed from that distance. Each round relaxes the
+    pending cells within ``width`` of their own source's least pending
+    distance; the others wait, and a cell that falls again is pending again.
+    A round reads the pending cells in parts of at most ``_RELAX_BUDGET`` and
+    relaxes arcs in slices of at most as many (or one cell's arcs), so its
+    scratch memory does not grow with the number of pending cells. A width no
+    greater than the least arc weight would expand each cell once, at its
+    final distance, but spend a round on every band of distances that wide;
+    half the mean arc weight expands each cell of the benchmark graphs once.
+    A bucket per source keeps every source advancing a hop a round along a
+    path; one bucket for all sources holds back those that drift ahead.
+
+    Expansion order cannot change the result. A candidate is a path sum taken
+    from the source outward, and adding a nonnegative weight is monotone in
+    floating point (a <= b gives a + w <= b + w after rounding), so the least
+    candidate for a cell extends the least sum of a predecessor, and every
+    cell settles at the least sum over its paths. A sum beyond the float range
+    is infinite and lowers no cell; :func:`geodesic_distances` names the pair.
     """
     n = g.n
     _, dst, weight, first = g._arcs
+    degree = first[1:] - first[:-1]
+    width = float((g.weight / (2 * g.m)).sum()) if g.m else 0.0  # summed in halves: cannot overflow
     dist = np.full(n * n, UNREACHABLE)
-    fell = np.zeros(n * n, dtype=bool)
-    frontier = np.arange(n) * (n + 1)
-    dist[frontier] = 0.0
-    while frontier.size:
-        for lo, hi in _blocks(np.diff(first)[frontier % n], _RELAX_BUDGET):
-            source, vertex = np.divmod(frontier[lo:hi], n)
-            arc, fanout = _out_arcs(first, vertex)
-            cell = np.repeat(source * n, fanout) + dst[arc]
-            length = np.repeat(dist[frontier[lo:hi]], fanout) + weight[arc]
-            shorter = length < dist[cell]
-            cell = cell[shorter]
-            np.minimum.at(dist, cell, length[shorter])
-            fell[cell] = True
-        frontier = np.flatnonzero(fell)
-        fell[frontier] = False
+    pending = np.zeros(n * n, dtype=bool)
+    low = np.empty(n)  # each source's least pending distance
+    queue = np.arange(n) * (n + 1)  # the pending cells, ascending: at first the diagonal
+    dist[queue] = 0.0
+    # array methods, not numpy functions: on small graphs their call cost is most of a round
+    with np.errstate(over="ignore"):
+        while queue.size:
+            parts = [queue[lo : lo + _RELAX_BUDGET] for lo in range(0, queue.size, _RELAX_BUDGET)]
+            low.fill(UNREACHABLE)
+            for part in parts:
+                np.minimum.at(low, part // n, dist[part])
+            for part in parts:
+                cells = part[dist[part] <= low[part // n] + width]
+                pending[cells] = False
+                vertex = cells % n
+                load = degree[vertex]
+                for lo, hi in _blocks(load, _RELAX_BUDGET):
+                    fanout = load[lo:hi]
+                    arc = _ranges(first[vertex[lo:hi]], fanout)
+                    cell = (cells[lo:hi] - vertex[lo:hi]).repeat(fanout) + dst[arc]
+                    length = dist[cells[lo:hi]].repeat(fanout) + weight[arc]
+                    fell = (length < dist[cell]).nonzero()[0]
+                    cell = cell[fell]
+                    np.minimum.at(dist, cell, length[fell])
+                    pending[cell] = True
+            queue = pending.nonzero()[0]
     return dist.reshape(n, n)
 
 
@@ -422,14 +461,23 @@ def geodesic_distances(g: Graph, hop_mode: bool = True) -> DistanceMatrix:
     """All-pairs shortest distances of ``g``.
 
     With ``hop_mode`` every edge counts one step, and the counts come from
-    the bit sweep of ``_hop_pairs``; otherwise path length is the sum of
-    stored edge weights, relaxed by ``_all_pairs``. Entries for unreachable
+    the bit sweep of ``_hop_pairs``; otherwise path length is the least sum
+    of stored edge weights over a pair's paths, each sum taken from the
+    source outward. ``_all_pairs`` finds it by relaxing cells in distance
+    buckets, in an order that cannot change a distance, so the matrix has
+    the bits of a Dijkstra search from each source. Entries for unreachable
     pairs are ``UNREACHABLE``; the matrix is asymmetric only when ``g`` is
     directed.
 
     The matrix is computed once per graph and mode and kept on the graph;
     later calls return the same read-only object. Total distance,
     diameter, communities and connectivity are all read from it.
+
+    Raises
+    ------
+    GraphError
+        If a weighted distance exceeds the float range, naming the first
+        such pair: its infinite sum would read as no path at all.
     """
     _check_type(g, Graph, "g")
     if not isinstance(hop_mode, bool):
@@ -437,6 +485,13 @@ def geodesic_distances(g: Graph, hop_mode: bool = True) -> DistanceMatrix:
     dm = g._distances.get(hop_mode)
     if dm is None:
         dist = _hop_pairs(g) if hop_mode else _all_pairs(g)
+        if not hop_mode and np.isinf(dist).any():
+            lost = np.isinf(dist) & ~np.isinf(geodesic_distances(g).dist)
+            if lost.any():
+                s, t = divmod(int(lost.argmax()), g.n)
+                raise GraphError(
+                    f"the weighted distance from {s} to {t} overflows: its least path sum exceeds the float range"
+                )
         dm = g._distances[hop_mode] = DistanceMatrix(n=g.n, dist=dist, hop_mode=hop_mode)
     return dm
 
@@ -461,13 +516,19 @@ def total_distance(g: Graph, hop_mode: bool = True) -> float:
     ------
     DisconnectedGraphError
         If any pair is unreachable; the sum would be infinite.
+    GraphError
+        If the sum of finite distances exceeds the float range.
     """
     dm = geodesic_distances(g, hop_mode=hop_mode)
     if not dm.all_reachable():
         raise DisconnectedGraphError(
             "total distance is undefined for a disconnected graph"
         )
-    return float(dm.dist.sum())
+    with np.errstate(over="ignore"):
+        total = float(dm.dist.sum())
+    if total == math.inf:
+        raise GraphError("total distance overflows: the sum of the distances exceeds the float range")
+    return total
 
 
 def diameter(g: Graph, hop_mode: bool = True) -> float:

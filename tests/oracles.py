@@ -8,6 +8,9 @@ Everything here deliberately avoids the library's algorithms:
 * hop counts on graphs too large to enumerate come from a queue-driven
   breadth-first search from each source in turn (the library sweeps every
   source at once, level by level, over rows of 64-bit words),
+* weighted distances on graphs too large to enumerate come from a heap
+  Dijkstra search from each source in turn (the library relaxes every
+  source at once, in buckets of distance),
 * connectivity inside the subset counter uses union-find (the library grows
   vertex 0's reach level by level with bitsets),
 * detection probabilities come from enumerating every combination of
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import heapq
 import itertools
 import math
 import random
@@ -101,6 +105,36 @@ def bfs_hops(g: Graph) -> np.ndarray:
                     queue.append(v)
         for v, h in hops.items():
             dist[source, v] = h
+    return dist
+
+
+def dijkstra_apsp(g: Graph) -> np.ndarray:
+    """All-pairs weighted distances by a heap Dijkstra search from each source in turn.
+
+    Each distance is summed from the source outward, one edge weight at a
+    time, so it is the least such float sum over the pair's paths.
+    """
+    adj: list[list[tuple[int, float]]] = [[] for _ in range(g.n)]
+    for s, t, w in g.edges:
+        adj[s].append((t, w))
+        if not g.directed:
+            adj[t].append((s, w))
+    dist = np.full((g.n, g.n), math.inf)
+    for source in range(g.n):
+        best = {source: 0.0}
+        done = set()
+        heap = [(0.0, source)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if u in done:
+                continue
+            done.add(u)
+            for v, w in adj[u]:
+                if d + w < best.get(v, math.inf):
+                    best[v] = d + w
+                    heapq.heappush(heap, (d + w, v))
+        for v, d in best.items():
+            dist[source, v] = d
     return dist
 
 

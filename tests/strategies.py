@@ -47,14 +47,8 @@ def graphs(
     return build_graph(n, directed=directed, edges=edges)
 
 
-@st.composite
-def sparse_graphs(draw, max_n: int = 200) -> Graph:
-    """Unweighted graphs of up to ``max_n`` vertices and at most 3n drawn edges.
-
-    Directed or not; with a random spanning path overlaid (both ways when
-    directed) on about half the draws, so many draws span several 64-bit
-    words and both connected and disconnected graphs occur.
-    """
+def _sparse_pairs(draw, max_n: int) -> tuple[int, bool, list[tuple[int, int]]]:
+    """A vertex count, a direction and the sorted pairs of a sparse graph (see ``sparse_graphs``)."""
     n = draw(st.integers(1, max_n))
     directed = draw(st.booleans())
     vertex = st.integers(0, n - 1)
@@ -66,4 +60,39 @@ def sparse_graphs(draw, max_n: int = 200) -> Graph:
             pairs.update(zip(order[1:], order))
     if not directed:
         pairs = {(min(a, b), max(a, b)) for a, b in pairs}
-    return build_graph(n, directed=directed, edges=sorted((a, b) for a, b in pairs if a != b))
+    return n, directed, sorted((a, b) for a, b in pairs if a != b)
+
+
+@st.composite
+def sparse_graphs(draw, max_n: int = 200) -> Graph:
+    """Unweighted graphs of up to ``max_n`` vertices and at most 3n drawn edges.
+
+    Directed or not; with a random spanning path overlaid (both ways when
+    directed) on about half the draws, so many draws span several 64-bit
+    words and both connected and disconnected graphs occur.
+    """
+    n, directed, pairs = _sparse_pairs(draw, max_n)
+    return build_graph(n, directed=directed, edges=pairs)
+
+
+@st.composite
+def weighted_sparse_graphs(draw, weights: tuple[float, ...], max_n: int = 150) -> Graph:
+    """Graphs shaped as ``sparse_graphs`` draws them, under one of four weightings.
+
+    Each edge weighs a draw from ``weights``; or every edge weighs 0; or
+    each edge a positive draw from ``weights`` but one edge 0; or each edge
+    a draw spread evenly over the orders of magnitude from 1e-9 to 1e9.
+    """
+    n, directed, pairs = _sparse_pairs(draw, max_n)
+    scheme = draw(st.sampled_from(("drawn", "all zero", "one zero", "spread")))
+    count = len(pairs)
+    if scheme == "all zero":
+        drawn = [0.0] * count
+    elif scheme == "spread":
+        drawn = draw(st.lists(st.floats(-9, 9).map(lambda e: 10.0**e), min_size=count, max_size=count))
+    else:
+        choices = weights if scheme == "drawn" else tuple(w for w in weights if w > 0)
+        drawn = draw(st.lists(st.sampled_from(choices), min_size=count, max_size=count))
+        if scheme == "one zero" and count:
+            drawn[draw(st.integers(0, count - 1))] = 0.0
+    return build_graph(n, directed=directed, edges=[(a, b, w) for (a, b), w in zip(pairs, drawn)])

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -108,6 +109,23 @@ class TestMetrics:
             monkeypatch.setattr(covertnet.graph, name, counting(name))
         run_json(capsys, "metrics", str(path), "--p", "0.3", *extra)
         assert passes == {"_hop_pairs": hop_passes, "_all_pairs": weighted_passes}
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ("[[0, 1, 1e308], [1, 2, 1e308]]", "the weighted distance from 0 to 2 overflows"),
+            ("[[0, 1, 1e308], [1, 2, 5e307]]", "total distance overflows"),
+        ],
+        ids=["path sum", "total"],
+    )
+    def test_weighted_sum_beyond_float_range_exits_2(self, capsys, tmp_path, edges, message):
+        path = tmp_path / "huge.json"
+        path.write_text(f'{{"n": 3, "edges": {edges}}}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "metrics", str(path), "--p", "0.3", "--edge-weighted")
+        assert code == 2 and out == "" and err.startswith(f"error: {message}")
+        assert "disconnected" not in err
 
     def test_non_finite_csv_weight_exits_1(self, capsys, tmp_path):
         path = tmp_path / "inf.csv"

@@ -31,8 +31,8 @@ from covertnet.graph import (
 from covertnet.io import graph_to_json_dict
 from covertnet.measures import make_structure
 
-from oracles import bfs_hops, brute_force_apsp, random_connected_graph
-from strategies import graphs, sparse_graphs
+from oracles import bfs_hops, brute_force_apsp, dijkstra_apsp, random_connected_graph
+from strategies import graphs, sparse_graphs, weighted_sparse_graphs
 
 
 class _Vertex(enum.IntEnum):
@@ -520,6 +520,11 @@ def hop_cases():
         yield f"two components {n}", build_graph(n, edges=[(i, j) for i, j in chain if j != half])
 
 
+# Non-dyadic weights round in path sums, so adding a path in another order
+# than source to target (as Floyd-Warshall does) changes some distances.
+ROUNDING_WEIGHTS = (0.0, 0.1, 1 / 3, 0.7, 2.2)
+
+
 class TestHopSweep:
     """Hop counts from the bit sweep, on graphs whose rows span several 64-bit words."""
 
@@ -556,6 +561,33 @@ class TestHopSweep:
                 arcs = {(min(a, b), max(a, b)) for a, b in arcs}
             g = build_graph(n, directed, sorted((a, b) for a, b in arcs if a != b))
             assert np.array_equal(geodesic_distances(g).dist, bfs_hops(g))
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """True when two float arrays hold the same bit patterns, cell by cell."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestWeightedKernel:
+    """Weighted distances from the bucketed relaxation, against a Dijkstra search per source."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(weighted_sparse_graphs(ROUNDING_WEIGHTS))
+    def test_same_bits_as_dijkstra(self, g):
+        assert same_bits(geodesic_distances(g, hop_mode=False).dist, dijkstra_apsp(g))
+
+    @pytest.mark.parametrize("budget", [1, 7, 64])
+    def test_slice_budget_does_not_change_result(self, monkeypatch, budget):
+        monkeypatch.setattr(covertnet.graph, "_RELAX_BUDGET", budget)
+        rng = random.Random(budget)
+        cases = ((70, False, ROUNDING_WEIGHTS), (130, True, (0.5, 1.0, 3.0)), (150, False, (1e-9, 1.0, 1e9)))
+        for n, directed, weights in cases:
+            arcs = {(rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)}
+            if not directed:
+                arcs = {(min(a, b), max(a, b)) for a, b in arcs}
+            edges = [(a, b, rng.choice(weights)) for a, b in sorted(arcs) if a != b]
+            g = build_graph(n, directed, edges)
+            assert same_bits(geodesic_distances(g, hop_mode=False).dist, dijkstra_apsp(g))
 
 
 class TestTotalDistance:
@@ -657,11 +689,6 @@ def test_distances_match_brute_force(g):
     for hop_mode in (True, False):
         dm = geodesic_distances(g, hop_mode=hop_mode)
         assert np.array_equal(dm.dist, brute_force_apsp(g, hop_mode=hop_mode))
-
-
-# Non-dyadic weights round in path sums, so adding a path in another order
-# than source to target (as Floyd-Warshall does) changes some distances.
-ROUNDING_WEIGHTS = (0.0, 0.1, 1 / 3, 0.7, 2.2)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,5 +1,7 @@
 """Argument checks of the public library entry points."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -221,3 +223,42 @@ def test_endpoint_past_the_int64_range_is_a_graph_error():
     with pytest.raises(GraphError, match=r"edge \(0, 9223372036854775808\) has an endpoint beyond the int64 range"):
         build_graph(2**64, edges=[(0, 2**63)])
     assert build_graph(2**64, edges=[(0, 2**63 - 1)]).edges == ((0, 2**63 - 1, 1.0),)
+
+
+# a weighted sum past the float maximum is infinite; it must not read as "no path"
+# (nor print numpy's overflow warning), nor reach a caller as an infinite total
+OVERFLOWS = {
+    "geodesic_distances two 1e308 steps": (
+        "the weighted distance from 0 to 2 overflows",
+        lambda: geodesic_distances(build_graph(3, edges=[(0, 1, 1e308), (1, 2, 1e308)]), hop_mode=False),
+    ),
+    "geodesic_distances directed, later pair": (
+        "the weighted distance from 1 to 3 overflows",
+        lambda: geodesic_distances(
+            build_graph(4, directed=True, edges=[(1, 2, 1.7e308), (2, 3, 1.7e308)]), hop_mode=False
+        ),
+    ),
+    "total_distance of finite distances": (
+        "total distance overflows",
+        lambda: total_distance(build_graph(2, edges=[(0, 1, 1.7e308)]), hop_mode=False),
+    ),
+}
+
+
+@pytest.mark.parametrize("problem, call", OVERFLOWS.values(), ids=OVERFLOWS.keys())
+def test_weighted_sum_beyond_float_range_is_a_graph_error(problem, call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GraphError, match=problem):
+            call()
+
+
+def test_sums_near_the_float_maximum_stay_exact_and_silent():
+    # the bucket width and every candidate sum stay below the maximum, or are dropped silently
+    big = 1.7e308
+    g = build_graph(3, edges=[(0, 1, big), (1, 2, 0.0), (0, 2, big)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dist = geodesic_distances(g, hop_mode=False).dist
+        assert dist.tolist() == [[0.0, big, big], [big, 0.0, 0.0], [big, 0.0, 0.0]]
+        assert diameter(g, hop_mode=False) == big
