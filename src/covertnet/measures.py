@@ -98,14 +98,24 @@ def hidden_from_degrees(n: int, degrees: np.ndarray, p: float, weights: np.ndarr
     """Hidden-knowledge value H from degree data.
 
     ``degrees`` is one degree vector, giving a scalar H, or a stack of them
-    (one row per graph), giving one H per row; ``p`` may be a (p, 1, 1) grid.
-    ``hidden_knowledge``, the structure search and the lemma check all take
-    H from here. Each row's terms are summed along a C-contiguous last axis,
-    so a row has the same bits alone as in any stack, whatever the stack's
-    size or memory layout.
+    with vertices on the last axis (one row per graph), giving one H per
+    row; ``p`` may be a (p, 1, 1) grid. ``hidden_knowledge``, the structure
+    search and the lemma check all take H from here.
+
+    A row's terms t_v = (1 - e_v) * w_v are summed as a left fold in vertex
+    order, ((t_0 + t_1) + t_2) + ..., so a row has the same bits alone as in
+    any stack, whatever the stack's size or memory layout, and the fold's
+    rounding error is at most (n - 1) * 2^-53 * sum |t_v| to first order
+    (Higham, SIAM J. Sci. Comput. 14, 1993). A stack costs one vectorized
+    add per vertex.
     """
     terms = (1.0 - exposure_from_degrees(n, degrees, p)) * weights
-    return np.ascontiguousarray(terms).sum(axis=-1)
+    if terms.ndim == 1:
+        return np.add.accumulate(terms)[-1]
+    total = terms[..., 0]
+    for v in range(1, terms.shape[-1]):
+        total = total + terms[..., v]
+    return total
 
 
 def information_measure(g: Graph) -> float:

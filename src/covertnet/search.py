@@ -8,10 +8,13 @@ effect is that maximizer sets list every labeling of a shape.
 
 The mask space is partitioned into fixed-size chunks, and every mask of a
 chunk is evaluated at once by numpy bitset arithmetic, with adjacency read
-from two per-order tables. An edge-count bound on the balance, proved in
-``_scan``, keeps the masks that cannot reach the result out of the distance
-loop, and the number of connected graphs comes from a recurrence instead
-of a count.
+from two per-order tables. Two bounds on the balance, proved in ``_scan``,
+keep the masks that cannot reach the result out of the work: a gate on
+the edge count, built once per scan from the sorted edge scores, spares
+most masks their hidden knowledge H, and a bound from each mask's own
+degrees keeps the rest out of the distance loop. A chunk with no mask
+left runs no distance loop, and the number of connected graphs comes from
+a recurrence instead of a count.
 Maximizers stay int64 edge masks up to the caller, and a ``Graph`` is built
 only for one that is read. Chunks may be processed by parallel workers;
 chunk boundaries never depend on the worker count and results are merged
@@ -137,13 +140,16 @@ def enumerate_connected(n: int, allow_large: bool = False) -> Iterator[Graph]:
 
     def generate() -> Iterator[Graph]:
         for lo, hi in _chunk_ranges(n):
-            for mask in _connected_stack(n, lo, hi)[0].tolist():
+            masks, _, connected = _connectivity(n, lo, hi)
+            for mask in masks[connected].tolist():
                 yield _graph_from_mask(mask, n)
 
     return generate()
 
 
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+#: Set bits of each 16-bit value; two lookups count the edges of a mask (at most 28 slots).
+_POPCOUNT16 = np.add.outer(_POPCOUNT, _POPCOUNT).ravel()
 #: Edge slots of a mask's low part. A chunk of 2^12 aligned masks shares its high part.
 _LOW_SLOTS = 12
 
@@ -178,8 +184,8 @@ def _adjacency(n: int, masks: np.ndarray) -> np.ndarray:
     return low.take(masks & (1 << _LOW_SLOTS) - 1, axis=1) | high.take(masks >> _LOW_SLOTS, axis=1)
 
 
-def _connected_stack(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Connected masks in [lo, hi), with their adjacency columns and degrees (uint8, (n, masks)).
+def _connectivity(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The masks [lo, hi), their adjacency columns (uint8, (n, masks)) and which are connected.
 
     Every mask of the chunk is evaluated at once. Vertex 0's ball grows by
     its members' neighbourhoods, one level at a time, and a mask is
@@ -191,9 +197,7 @@ def _connected_stack(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, 
     ball = adj[0] | np.uint8(1)
     for _ in range(n - 2):
         ball = ball | np.bitwise_or.reduce((ball >> shifts & 1) * adj, axis=0)
-    connected = ball == (1 << n) - 1
-    adj = np.compress(connected, adj, axis=1)
-    return masks[connected], adj, _POPCOUNT.take(adj)
+    return masks, adj, ball == (1 << n) - 1
 
 
 def _total_distances(n: int, adj: np.ndarray) -> np.ndarray:
@@ -256,24 +260,48 @@ def _floor(n: int, p: float, weights: np.ndarray, tolerance: float) -> float:
     return float(best) - tolerance
 
 
+def _edge_gate(n: int, p: float, weights: np.ndarray, floor: float) -> np.ndarray:
+    """Open[m]: whether a connected mask with m edges may have a bound B at or above ``floor``.
+
+    Row m is Bmax[m] + margin >= floor, for m = 0..C(n, 2), with Bmax from
+    the ascending prefix sums of the edge scores w_i + w_j; ``_scan`` proves
+    that no mask of a closed edge count reaches the floor.
+    """
+    scores = np.sort([weights[i] + weights[j] for i, j in _edge_slots(n)])
+    least = np.concatenate([[0.0], np.cumsum(scores)])
+    weight_sum = weights.sum()
+    edges = np.arange(len(least))
+    bmax = _balance_bound(n, 2 * edges, (1.0 - 1.0 / n) * weight_sum - p / n * least)
+    margin = (2 * n + len(scores) + 16) * np.finfo(np.float64).eps * weight_sum
+    return bmax + margin >= floor
+
+
 def _scan_optimal_chunk(args) -> tuple[int, tuple[np.ndarray, np.ndarray]]:
     """Connected masks in [lo, hi), then the chunk's candidates.
 
     These are (masks within tolerance of the chunk's best measured balance,
-    their mu), empty without a measured mask. Only masks whose bound B
+    their mu), empty without a measured mask. H and the bound B are taken
+    only for masks whose edge count the gate leaves open, only masks whose B
     reaches ``floor`` go on to the distance loop, and each one's mu reads
-    the H its bound used.
+    the H its bound used. A chunk with no such mask runs no distance loop.
     """
-    n, lo, hi, p, weights, tolerance, floor = args
-    masks, adj, counts = _connected_stack(n, lo, hi)
-    connected = len(masks)
-    hidden = hidden_from_degrees(n, counts.T, p, np.asarray(weights))
-    live = _balance_bound(n, counts.sum(axis=0, dtype=np.int64), hidden) >= floor
-    if not live.all():
-        masks, adj, hidden = masks[live], np.compress(live, adj, axis=1), hidden[live]
+    n, lo, hi, p, weights, tolerance, floor, gate = args
+    masks, adj, connected = _connectivity(n, lo, hi)
+    found = int(np.count_nonzero(connected))
+    edges = _POPCOUNT16.take(masks & 0xFFFF) + _POPCOUNT16.take(masks >> 16)
+    live = np.flatnonzero(connected & gate.take(edges))
+    if len(live):
+        adj = adj.take(live, axis=1)
+        degrees = _POPCOUNT.take(adj)
+        hidden = hidden_from_degrees(n, degrees.T, p, np.asarray(weights))
+        reach = _balance_bound(n, degrees.sum(axis=0, dtype=np.int64), hidden) >= floor
+        if not reach.all():
+            live, adj, hidden = live[reach], np.compress(reach, adj, axis=1), hidden[reach]
+    if not len(live):
+        return found, (masks[live], np.empty(0))
     mu = n * (n - 1) / _total_distances(n, adj) * hidden
-    keep = mu >= mu.max(initial=-math.inf) - tolerance
-    return connected, (masks[keep], mu[keep])
+    keep = mu >= mu.max() - tolerance
+    return found, (masks[live[keep]], mu[keep])
 
 
 def _check_tolerance(tolerance: float) -> None:
@@ -294,16 +322,38 @@ def _scan(
     each has mu = B; let L be the best of them. The best mu is at least L,
     so a mask with B < L - tolerance is neither the best nor within tolerance
     of it: only connected masks with B at or above that floor reach the
-    distance loop. This holds in floating point too. A row's H has the same
-    bits in any stack, so mu <= B exactly, both being one H times
-    N/T <= N/(2N - 2m); and the complete graph and the stars are masks of
-    the scan whose mu equals their bound in ``_floor`` bit for bit, so the
-    best mu is at least L exactly. Neither H nor L depends on chunking, and
-    the count of connected graphs comes from ``_count_connected``, so
-    neither the worker count nor the chunk boundaries change the result.
+    distance loop. This holds in floating point too. A row's H is one left
+    fold, with the same bits in any stack, so mu <= B exactly, both being
+    one H times N/T <= N/(2N - 2m); and the complete graph and the stars are
+    masks of the scan whose mu equals their bound in ``_floor`` bit for bit,
+    so the best mu is at least L exactly.
+
+    An edge-count gate keeps most masks from taking H at all. With W the sum
+    of the weights (which is 1 only within the weights' tolerance), H is
+    linear in the edges: H = (1 - 1/n) W - (p/n) * sum over edges ij of
+    (w_i + w_j). So a graph with m edges has H <= Hmax[m] = (1 - 1/n) W -
+    (p/n) S_m, where S_m sums the m least edge scores w_i + w_j, and
+    B <= Bmax[m] = N/(2N - 2m) * Hmax[m]. ``_edge_gate`` closes m when
+    Bmax[m] + margin < floor, all in floating point, with
+    margin = (2n + C(n, 2) + 16) * 2u * W and u = 2^-53. To first order in u,
+    with weights >= 0 and p in [0, 1]: a term of H is within 5u w_i of its
+    value and the fold adds at most (n - 1)uW, so a mask's computed B is
+    within (n + 6)uW of B; the edge scores, their sort and running sum, and
+    the products leave the computed Bmax[m] within (n + m + 7)uW of Bmax[m];
+    and the sum with the margin rounds by at most 2uW. The margin is about
+    twice these together, which covers the second-order terms and the
+    rounding of W itself, so a mask with a closed edge count has a computed
+    B below the floor and would be dropped by its own bound. A mask with an
+    open edge count still meets that bound, so the gate changes no result.
+
+    Neither H nor L depends on chunking, and the count of connected graphs
+    comes from ``_count_connected``, so neither the worker count nor the
+    chunk boundaries change the result.
     """
-    floor = _floor(n, p, np.asarray(weights), tolerance)
-    jobs = [(n, lo, hi, p, weights, tolerance, floor) for lo, hi in _chunk_ranges(n)]
+    weights_array = np.asarray(weights)
+    floor = _floor(n, p, weights_array, tolerance)
+    gate = _edge_gate(n, p, weights_array, floor)
+    jobs = [(n, lo, hi, p, weights, tolerance, floor, gate) for lo, hi in _chunk_ranges(n)]
     results = run_chunks(_scan_optimal_chunk, jobs, workers)
     best = max((float(mu.max()) for _, (_, mu) in results if len(mu)), default=-math.inf)
     # swap each chunk's (masks, mu) for its kept masks as it is filtered, so the peak

@@ -285,8 +285,10 @@ def chunk_stats(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.nd
     search's chunk kernels; ``TestChunkStats`` pins them to the graph
     distances.
     """
-    masks, adj, counts = search._connected_stack(n, lo, hi)
-    return masks, search._total_distances(n, adj).astype(np.float64), counts.T.astype(np.float64)
+    masks, adj, connected = search._connectivity(n, lo, hi)
+    adj = np.compress(connected, adj, axis=1)
+    degrees = search._POPCOUNT.take(adj).T.astype(np.float64)
+    return masks[connected], search._total_distances(n, adj).astype(np.float64), degrees
 
 
 @functools.cache

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -130,6 +132,26 @@ class TestHiddenFromDegrees:
             got = hidden_from_degrees(n, stacked, p, weights)
             assert got.shape == (len(rows),)
             assert [h.hex() for h in got.tolist()] == [float(h).hex() for h in alone]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([1, 2, 7, 8, 9, 240]), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_sums_each_row_as_a_left_fold_in_vertex_order(self, n, p, seed):
+        # functools.reduce, not the builtin sum: from Python 3.12 sum compensates float rounding
+        rng = np.random.default_rng(seed)
+        degrees = rng.integers(0, n, size=(33, n)).astype(np.float64)
+        weights = rng.random(n)
+        weights /= weights.sum()
+        grid = np.array([0.0, p, 0.5, 1.0])[:, None, None]
+
+        def fold(degrees, p):
+            terms = (1.0 - (p * degrees + 1.0) / n) * weights
+            return np.asarray(functools.reduce(operator.add, np.moveaxis(terms, -1, 0)))
+
+        counts = np.ascontiguousarray(degrees.T)  # the search's (n, masks) layout
+        for stack, grid_p in ((degrees[0], p), (degrees, p), (counts.T, p), (degrees, grid)):
+            got = np.asarray(hidden_from_degrees(n, stack, grid_p, weights))
+            assert got.shape == fold(stack, grid_p).shape
+            assert got.tobytes() == fold(stack, grid_p).tobytes()
 
 
 class TestBalance:

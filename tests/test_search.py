@@ -119,6 +119,21 @@ def mask_bounds(n, p, weights, masks):
     return pairs / (2 * pairs - degrees.sum(axis=1)) * hidden
 
 
+@st.composite
+def gate_cases(draw):
+    """(n, p, weights, tolerance) for n = 2..6, with weights that sum to 1, or to 1 -+ 1e-12."""
+    n = draw(st.integers(2, 6), label="n")
+    p = draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)), label="p")
+    if draw(st.booleans(), label="uniform"):
+        weights = np.full(n, 1.0 / n)
+    else:
+        raw = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n), label="raw weights"))
+        assume(raw.sum() > 0)
+        weights = raw / raw.sum() * draw(st.sampled_from([1 - 1e-12, 1.0, 1 + 1e-12]), label="weight sum")
+    tolerance = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.5)), label="tolerance")
+    return n, p, weights, tolerance
+
+
 class TestPrunedScan:
     @settings(max_examples=30, deadline=None)
     @example((7, 0.5, None, 1e-12))  # p = 1/2: nothing is pruned, 676,456 ties
@@ -143,6 +158,24 @@ class TestPrunedScan:
             mu = n * (n - 1) / totals * hidden_from_degrees(n, degrees, p, weights)
             assert (mu <= mask_bounds(n, p, weights, masks) + 1e-12).all()
 
+    @settings(max_examples=60, deadline=None)
+    @example((6, 0.3, np.full(6, 1 / 6), 0.0))  # K6 is tight: its bound is the floor
+    @example((6, 0.7, np.full(6, 1 / 6), 0.0))  # so are the six stars
+    @example((5, 0.8, np.array([0.1, 0.3, 0.2, 0.15, 0.25]) * (1 + 1e-12), 0.0))
+    @given(gate_cases())
+    def test_gate_opens_every_edge_count_that_reaches_the_floor(self, case):
+        n, p, weights, tolerance = case
+        floor = search._floor(n, p, weights, tolerance)
+        gate = search._edge_gate(n, p, weights, floor)
+        for masks, _, degrees in order_stats(n):
+            reach = mask_bounds(n, p, weights, masks) >= floor
+            assert gate[degrees[reach].sum(axis=1).astype(int) // 2].all()
+        # the rows that set the floor, in the library's own bits: K_n for p < 1/2, the stars for p > 1/2
+        closed = search._closed_form_degrees(n)[: n + 1]
+        bounds = search._balance_bound(n, closed.sum(axis=1), hidden_from_degrees(n, closed, p, weights))
+        tight = bounds >= floor
+        assert tight.any() and gate[closed[tight].sum(axis=1).astype(int) // 2].all()
+
     @pytest.mark.parametrize("n,p,measured", [(7, 0.3, range(1, 1000)), (6, 0.5, [26_704])])
     def test_distance_loop_sees_only_masks_that_the_bound_keeps(self, monkeypatch, n, p, measured):
         count, best, masks = reference_scan(n, p, [1 / n] * n, 1e-12)
@@ -164,6 +197,7 @@ class TestPrunedScan:
         assert (result.graphs_enumerated, result.best_mu) == (count, best)
         assert np.array_equal(result.argmax_graphs.masks, masks)
         assert sum(columns) in measured  # p = 1/2, uniform weights: every bound ties, nothing is pruned
+        assert 0 not in columns  # a chunk with nothing live runs no distance loop
         # a chunk reports its connected masks, measured or not
         assert len(counts) == len(search._chunk_ranges(n)) and sum(counts) == search._count_connected(n)
 
@@ -379,7 +413,7 @@ class TestVerifyLemma:
         def scan(*args, **kwargs):
             raise AssertionError("verify_lemma scanned edge masks or built a graph")
 
-        for name in ("run_chunks", "_connected_stack", "build_graph"):
+        for name in ("run_chunks", "_connectivity", "build_graph"):
             monkeypatch.setattr(search, name, scan)
         for n in range(2, search.LEMMA_MAX_ORDER + 1):
             complete = make_structure("complete", n)
