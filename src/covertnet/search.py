@@ -7,14 +7,19 @@ and the balance measure is invariant under relabeling anyway, so the only
 effect is that maximizer sets list every labeling of a shape.
 
 The mask space is partitioned into fixed-size chunks, and every mask of a
-chunk is evaluated at once by numpy bitset arithmetic, with adjacency read
-from two per-order tables. Two bounds on the balance, proved in ``_scan``,
-keep the masks that cannot reach the result out of the work: a gate on
-the edge count, built once per scan from the sorted edge scores, spares
-most masks their hidden knowledge H, and a bound from each mask's own
-degrees keeps the rest out of the distance loop. A chunk with no mask
-left runs no distance loop, and the number of connected graphs comes from
-a recurrence instead of a count.
+chunk is evaluated at once by numpy bitset arithmetic. A chunk reads
+slices of two per-order tables: the adjacency of every low and every high
+part of a mask, and the connected flag of every low part under each
+partition of the vertices that a high part's edges induce. Three bounds
+on the balance, proved in ``_scan``, keep the masks that cannot reach the
+result out of the work: a gate on the edge count, built once per scan
+from the sorted edge scores, spares most masks their hidden knowledge H;
+a bound from each mask's own degrees drops most of the rest; and a mask
+that is left has its bound as its balance when one radius-2 sweep finds
+its diameter at most 2, and otherwise runs the distance loop only if its
+bound at the next possible total distance still reaches the floor. A
+chunk with no mask to measure runs no distance loop, and the number of
+connected graphs comes from a recurrence instead of a count.
 Maximizers stay int64 edge masks up to the caller, and a ``Graph`` is built
 only for one that is read. Chunks may be processed by parallel workers;
 chunk boundaries never depend on the worker count and results are merged
@@ -140,8 +145,8 @@ def enumerate_connected(n: int, allow_large: bool = False) -> Iterator[Graph]:
 
     def generate() -> Iterator[Graph]:
         for lo, hi in _chunk_ranges(n):
-            masks, _, connected = _connectivity(n, lo, hi)
-            for mask in masks[connected].tolist():
+            _, connected, _ = _connectivity(n, lo, hi)
+            for mask in (lo + np.flatnonzero(connected)).tolist():
                 yield _graph_from_mask(mask, n)
 
     return generate()
@@ -178,26 +183,78 @@ def _adjacency_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     return table(slots[:_LOW_SLOTS]), table(slots[_LOW_SLOTS:])
 
 
-def _adjacency(n: int, masks: np.ndarray) -> np.ndarray:
-    """Row v holds vertex v's neighbours as one uint8 bitset per mask (n <= 8)."""
-    low, high = _adjacency_tables(n)
-    return low.take(masks & (1 << _LOW_SLOTS) - 1, axis=1) | high.take(masks >> _LOW_SLOTS, axis=1)
+def _level_connected(n: int, adj: np.ndarray) -> np.ndarray:
+    """Whether each mask of ``adj`` (uint8, (n, masks)) is connected.
 
-
-def _connectivity(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The masks [lo, hi), their adjacency columns (uint8, (n, masks)) and which are connected.
-
-    Every mask of the chunk is evaluated at once. Vertex 0's ball grows by
-    its members' neighbourhoods, one level at a time, and a mask is
-    connected when the ball holds all n vertices after n-2 levels.
+    Vertex 0's ball grows by its members' neighbourhoods, one level at a
+    time, and a mask is connected when the ball holds all n vertices after
+    n-2 levels. ``_connected_table`` is built with it.
     """
-    masks = np.arange(lo, hi, dtype=np.int64)
-    adj = _adjacency(n, masks)
     shifts = np.arange(n, dtype=np.uint8)[:, None]
     ball = adj[0] | np.uint8(1)
     for _ in range(n - 2):
         ball = ball | np.bitwise_or.reduce((ball >> shifts & 1) * adj, axis=0)
-    return masks, adj, ball == (1 << n) - 1
+    return ball == (1 << n) - 1
+
+
+@functools.cache
+def _connected_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(partition, flags): which n-vertex masks are connected, read by high part and low part.
+
+    Whether a mask is connected depends only on its low part and on the
+    partition of the vertices into the components of its high part's edges.
+    ``partition[h]`` numbers the partition of high part h, and row
+    ``flags[partition[h]]`` holds the connected flag of each low part with
+    it, from ``_level_connected`` on one high part of that partition. There
+    are 5 rows at n = 6, 47 at n = 7 and 406 at n = 8.
+    """
+    low, high = _adjacency_tables(n)
+    # each vertex's component under the high part's edges: its ball after n-2 levels
+    component = high | np.uint8(1) << np.arange(n, dtype=np.uint8)[:, None]
+    for _ in range(n - 2):
+        for v in range(n):
+            component = component | (component >> v & 1) * component[v]
+    _, first, partition = np.unique(component, axis=1, return_index=True, return_inverse=True)
+    flags = np.stack([_level_connected(n, low | high[:, h, None]) for h in first])
+    partition = partition.reshape(-1)
+    partition.setflags(write=False)
+    flags.setflags(write=False)
+    return partition, flags
+
+
+def _connectivity(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Adjacency columns (uint8, (n, masks)), connected flags and edge counts of the masks [lo, hi).
+
+    The window splits into runs of masks that share one high part h, and
+    run [h:a, h:b) reads slices of the per-order tables: its adjacency is
+    ``low[:, a:b] | high[:, h]``, its flags are ``flags[partition[h], a:b]``
+    and its edge counts are the set bits of a..b-1 plus those of h. An
+    aligned chunk is one run.
+    """
+    low, high = _adjacency_tables(n)
+    partition, flags = _connected_table(n)
+    cuts = [lo, *range((lo >> _LOW_SLOTS) + 1 << _LOW_SLOTS, hi, 1 << _LOW_SLOTS), hi]
+    adj, connected, edges = [], [], []
+    for start, stop in zip(cuts, cuts[1:]):
+        h, a = start >> _LOW_SLOTS, start & (1 << _LOW_SLOTS) - 1
+        b = a + stop - start
+        adj.append(low[:, a:b] | high[:, h, None])
+        connected.append(flags[partition[h], a:b])
+        edges.append(_POPCOUNT16[a:b] + _POPCOUNT16[h])
+    return np.concatenate(adj, axis=1), np.concatenate(connected), np.concatenate(edges)
+
+
+def _within_two(n: int, adj: np.ndarray) -> np.ndarray:
+    """Whether each connected mask of ``adj`` has diameter at most 2.
+
+    Row s of ``two`` holds s's closed neighbourhood and those of its
+    neighbours, that is the vertices within 2 of s.
+    """
+    ball = adj | np.uint8(1) << np.arange(n, dtype=np.uint8)[:, None]
+    two = ball
+    for v in range(n):
+        two = two | (adj >> v & 1) * ball[v]
+    return np.bitwise_and.reduce(two, axis=0) == (1 << n) - 1
 
 
 def _total_distances(n: int, adj: np.ndarray) -> np.ndarray:
@@ -240,7 +297,10 @@ def _count_connected(n: int) -> int:
 
 
 def _balance_bound(n: int, degree_sums: np.ndarray, hidden: np.ndarray) -> np.ndarray:
-    """B = N / (2N - 2m) * H, from the degree sums 2m; it equals mu at diameter <= 2."""
+    """B = N / (2N - 2m) * H, from the degree sums 2m; it equals mu at diameter <= 2.
+
+    Given degree sums 2m - 2 it is the bound at T = 2N - 2m + 2, which holds at diameter >= 3.
+    """
     pairs = n * (n - 1)
     return pairs / (2 * pairs - degree_sums) * hidden
 
@@ -279,29 +339,43 @@ def _edge_gate(n: int, p: float, weights: np.ndarray, floor: float) -> np.ndarra
 def _scan_optimal_chunk(args) -> tuple[int, tuple[np.ndarray, np.ndarray]]:
     """Connected masks in [lo, hi), then the chunk's candidates.
 
-    These are (masks within tolerance of the chunk's best measured balance,
-    their mu), empty without a measured mask. H and the bound B are taken
-    only for masks whose edge count the gate leaves open, only masks whose B
-    reaches ``floor`` go on to the distance loop, and each one's mu reads
-    the H its bound used. A chunk with no such mask runs no distance loop.
+    These are (masks within tolerance of the chunk's best scored balance,
+    their mu), empty without a scored mask. H and the bound B are taken only
+    for masks whose edge count the gate leaves open, and only masks whose B
+    reaches ``floor`` are scored. A mask of diameter <= 2 scores its B; any
+    other runs the distance loop only if its bound at T = 2N - 2m + 2 still
+    reaches ``floor``, and each one's mu reads the H its bound used. A chunk
+    with no such mask runs no distance loop.
     """
     n, lo, hi, p, weights, tolerance, floor, gate = args
-    masks, adj, connected = _connectivity(n, lo, hi)
+    adj, connected, edges = _connectivity(n, lo, hi)
     found = int(np.count_nonzero(connected))
-    edges = _POPCOUNT16.take(masks & 0xFFFF) + _POPCOUNT16.take(masks >> 16)
     live = np.flatnonzero(connected & gate.take(edges))
     if len(live):
         adj = adj.take(live, axis=1)
         degrees = _POPCOUNT.take(adj)
         hidden = hidden_from_degrees(n, degrees.T, p, np.asarray(weights))
-        reach = _balance_bound(n, degrees.sum(axis=0, dtype=np.int64), hidden) >= floor
+        sums = degrees.sum(axis=0, dtype=np.int64)
+        mu = _balance_bound(n, sums, hidden)
+        reach = mu >= floor
         if not reach.all():
-            live, adj, hidden = live[reach], np.compress(reach, adj, axis=1), hidden[reach]
+            live, hidden, sums, mu = live[reach], hidden[reach], sums[reach], mu[reach]
+            adj = np.compress(reach, adj, axis=1)
     if not len(live):
-        return found, (masks[live], np.empty(0))
-    mu = n * (n - 1) / _total_distances(n, adj) * hidden
-    keep = mu >= mu.max() - tolerance
-    return found, (masks[live[keep]], mu[keep])
+        return found, (np.empty(0, dtype=np.int64), np.empty(0))
+    # at diameter <= 2 mu is B; otherwise T >= 2N - 2m + 2, and a mask stays unscored (-inf)
+    # unless its bound there reaches the floor
+    far = np.flatnonzero(~_within_two(n, adj))
+    if len(far):
+        mu[far] = -np.inf
+        far = far[_balance_bound(n, sums[far] - 2, hidden[far]) >= floor]
+    if len(far):
+        mu[far] = n * (n - 1) / _total_distances(n, adj.take(far, axis=1)) * hidden[far]
+    best = mu.max()
+    if best == -np.inf:
+        return found, (np.empty(0, dtype=np.int64), np.empty(0))
+    keep = mu >= best - tolerance
+    return found, (lo + live[keep], mu[keep])
 
 
 def _check_tolerance(tolerance: float) -> None:
@@ -345,6 +419,19 @@ def _scan(
     rounding of W itself, so a mask with a closed edge count has a computed
     B below the floor and would be dropped by its own bound. A mask with an
     open edge count still meets that bound, so the gate changes no result.
+
+    Only masks of diameter >= 3 reach the distance loop, and not all of
+    them. T - (2N - 2m) sums d(u, v) - 2 over the non-adjacent ordered
+    pairs, so T = 2N - 2m exactly at diameter <= 2 (Erdos & Renyi 1962),
+    and then mu = N/T * H is B, the same expression with the same bits. At
+    diameter >= 3 some pair is 3 or more apart, in both orders, so
+    T >= 2N - 2m + 2 and mu <= B' = N/(2N - 2m + 2) * H. This holds in
+    floating point: rounding is monotone, so the computed N/T is at most
+    the computed N/(2N - 2m + 2), and a product with H >= 0 keeps the
+    order. A mask whose B' is below the floor is thus below it too, is in
+    no result, and is not measured; a chunk's best among the masks it does
+    score is at most the scan's best, so every mask within tolerance of the
+    latter is still among the chunk's candidates.
 
     Neither H nor L depends on chunking, and the count of connected graphs
     comes from ``_count_connected``, so neither the worker count nor the

@@ -3,6 +3,7 @@ import json
 import math
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -80,6 +81,25 @@ class TestChunkStats:
         assert [t for _, t, _ in expected] == totals.tolist()
         assert [list(d) for _, _, d in expected] == degrees.tolist()
 
+    @settings(max_examples=60, deadline=None)
+    @example((8, (1 << 28) - 64, 1 << 28))  # top window: every high-part slot set
+    @example((7, 4096 - 5, 4096 + 5))  # a window over two high parts
+    @given(mask_windows())
+    def test_window_reads_the_tables_right(self, window):
+        n, lo, hi = window
+        adj, connected, edges = search._connectivity(n, lo, hi)
+        slots = list(itertools.combinations(range(n), 2))
+        expected = np.zeros((n, hi - lo), dtype=np.uint8)
+        for col, mask in enumerate(range(lo, hi)):
+            for k, (i, j) in enumerate(slots):
+                if mask >> k & 1:
+                    expected[i, col] |= 1 << j
+                    expected[j, col] |= 1 << i
+        assert adj.dtype == np.uint8 and np.array_equal(adj, expected)
+        assert edges.tolist() == [bin(mask).count("1") for mask in range(lo, hi)]
+        # the per-order table's flags against the level loop that built it, on this window
+        assert np.array_equal(connected, search._level_connected(n, adj))
+
 
 class TestCountConnected:
     def test_recurrence_matches_enumeration(self):
@@ -90,6 +110,12 @@ class TestCountConnected:
     def test_orders_seven_and_eight(self):
         assert search._count_connected(7) == 1_866_256  # OEIS A001187
         assert search._count_connected(8) == 251_548_592
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_connected_table_counts_every_connected_graph(self, n):
+        partition, flags = search._connected_table(n)
+        assert len(flags) == {6: 5, 7: 47, 8: 406}.get(n, 1)  # partitions the high parts' edges induce
+        assert np.bincount(partition, minlength=len(flags)) @ flags.sum(axis=1) == search._count_connected(n)
 
 
 @st.composite
@@ -105,6 +131,33 @@ def scan_cases(draw):
         weights = tuple(w / sum(raw) for w in raw)
     tolerance = draw(st.one_of(st.sampled_from([0.0, 1e-12]), st.floats(0.0, 0.5)), label="tolerance")
     return n, p, weights, tolerance
+
+
+@st.composite
+def chunked_scan_cases(draw):
+    """(n, p, weights, tolerance, chunk): uniform, random or skewed weights, and a chunk size.
+
+    Skewed weights give one member up to ten times the others' weight. A
+    chunk of 37 masks is ragged and crosses high parts; 2^8 is shorter
+    than a high part's run and 2^13 and 2^16 span several. It is drawn for
+    n <= 6 only, where a scan makes at most 886 of them.
+    """
+    n = draw(st.integers(2, 7), label="n")
+    p = draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)), label="p")
+    kind = draw(st.sampled_from(["uniform", "random", "skewed"]), label="weights")
+    weights = None
+    if kind == "random":
+        raw = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n), label="raw weights")
+        assume(sum(raw) > 0)
+        weights = tuple(w / sum(raw) for w in raw)
+    elif kind == "skewed":
+        raw = [1.0] * n
+        heavy = draw(st.integers(0, n - 1), label="heavy member")
+        raw[heavy] = draw(st.floats(1.0, 10.0), label="heavy weight")
+        weights = tuple(w / sum(raw) for w in raw)
+    tolerance = draw(st.one_of(st.sampled_from([0.0, 1e-12]), st.floats(0.0, 0.5)), label="tolerance")
+    sizes = [37, 1 << 8, 1 << 12, 1 << 13, 1 << 16] if n <= 6 else [1 << 8, 1 << 12, 1 << 13, 1 << 16]
+    return n, p, weights, tolerance, draw(st.sampled_from(sizes), label="chunk")
 
 
 def mask_bounds(n, p, weights, masks):
@@ -176,9 +229,25 @@ class TestPrunedScan:
         tight = bounds >= floor
         assert tight.any() and gate[closed[tight].sum(axis=1).astype(int) // 2].all()
 
-    @pytest.mark.parametrize("n,p,measured", [(7, 0.3, range(1, 1000)), (6, 0.5, [26_704])])
-    def test_distance_loop_sees_only_masks_that_the_bound_keeps(self, monkeypatch, n, p, measured):
-        count, best, masks = reference_scan(n, p, [1 / n] * n, 1e-12)
+    @pytest.mark.parametrize(
+        "n,p,weights",
+        [
+            pytest.param(7, 0.3, None, id="7-0.3-measured-uniform"),  # K7 alone reaches the floor
+            pytest.param(6, 0.5, None, id="6-0.5-measured-uniform"),  # every bound ties the floor
+            pytest.param(6, 0.5, (0.1,) * 5 + (0.5,), id="6-0.5-measured-one-heavy"),
+        ],
+    )
+    def test_distance_loop_sees_only_masks_that_the_bound_keeps(self, monkeypatch, n, p, weights):
+        params = SecrecyParams(p, weights)
+        w = np.asarray(params.weights_for(n))
+        count, best, masks = reference_scan(n, p, w, 1e-12)
+        # a mask of diameter >= 3 has T >= 2N - 2m + 2: it is measured when its bound there reaches the floor
+        floor, pairs, expected = search._floor(n, p, w, 1e-12), n * (n - 1), 0
+        for _, totals, degrees in order_stats(n):
+            sums = degrees.sum(axis=1)
+            bound = pairs / (2 * pairs - sums + 2) * hidden_from_degrees(n, degrees, p, w)
+            expected += int(np.count_nonzero((totals > 2 * pairs - sums) & (bound >= floor)))
+        assert (expected > 0) == (weights is not None)  # uniform weights measure nothing here
         columns, counts = [], []
         real_total, real_run = search._total_distances, search.run_chunks
 
@@ -193,13 +262,27 @@ class TestPrunedScan:
 
         monkeypatch.setattr(search, "_total_distances", total)
         monkeypatch.setattr(search, "run_chunks", run)
-        result = find_optimal(n, SecrecyParams(p))
+        result = find_optimal(n, params)
         assert (result.graphs_enumerated, result.best_mu) == (count, best)
         assert np.array_equal(result.argmax_graphs.masks, masks)
-        assert sum(columns) in measured  # p = 1/2, uniform weights: every bound ties, nothing is pruned
-        assert 0 not in columns  # a chunk with nothing live runs no distance loop
+        assert sum(columns) == expected
+        assert 0 not in columns  # a chunk with nothing to measure runs no distance loop
         # a chunk reports its connected masks, measured or not
         assert len(counts) == len(search._chunk_ranges(n)) and sum(counts) == search._count_connected(n)
+
+    @settings(max_examples=30, deadline=None)
+    @example((6, 0.5, (0.1,) * 5 + (0.5,), 1e-12, 37))  # 670 masks of diameter >= 3 are measured
+    @example((7, 0.45, (0.1,) * 6 + (0.4,), 0.0, 1 << 13))  # 390 measured; a chunk spans two high parts
+    @given(chunked_scan_cases())
+    def test_any_chunking_matches_the_unpruned_scan(self, case):
+        n, p, weights, tolerance, chunk = case
+        params = SecrecyParams(p, weights)
+        with mock.patch.object(search, "_CHUNK_MASKS", chunk):
+            result = find_optimal(n, params, tolerance=tolerance)
+        count, best, masks = reference_scan(n, p, params.weights_for(n), tolerance)
+        assert result.graphs_enumerated == count
+        assert result.best_mu == best
+        assert np.array_equal(result.argmax_graphs.masks, masks)
 
 
 class TestOrderSeven:
