@@ -14,7 +14,10 @@ members keep triggering draws within the period until a fixed point.
 cascading variants, by Monte Carlo. Trial randomness is counter-based:
 trial t owns its own block of the Philox stream derived from the master
 seed and reads the words it uses from that block by position, so reports
-are bit-identical for any worker count or chunk execution order.
+are bit-identical for any worker count or chunk execution order. A period's
+cascade catches the members reachable from its directly caught ones through
+ties whose draw succeeded, whatever order the draws are looked at in, so a
+chunk sweeps the cascades of all its trials at once, one bit per trial.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import run_chunks
-from .graph import Graph, _check_type, _is_int, _is_real, _out_arcs, _real_tuple
+from .graph import Graph, _bits, _check_type, _is_int, _is_real, _out_arcs, _real_tuple
 from .measures import _WEIGHT_SUM_TOL
 
 _TRIALS_PER_CHUNK = 1 << 13
@@ -219,18 +222,16 @@ def _chunk_stream(seed: int, origin: int, shape: tuple[int, int]):
 def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     """Per-member detection counts and detected-count histogram of trials [lo, hi).
 
-    Each (trial, newly detected member) hit expands over that detector's
-    out-arcs (``arcs`` is ``Graph._arcs``, sorted by detector), reads only
-    those arcs' indirect draws, and scatters the still-hidden targets it
-    catches into the next frontier, so work scales with the ties of caught members.
-
     Row i of the chunk's buffer is trial ``lo + i``'s block, and the trial's
     words are read into it by position (``_chunk_stream``) before they are
-    compared. A period reads each row's n direct words. One-hop, it then reads
-    the arc words its round needs. Under cascade, a row that catches a member
-    directly reads the period's whole arc block, since a cascade on a
-    connected network soon needs most of it and a row active in any later
-    round is active in the first.
+    compared. A period reads each row's n direct words, then makes its
+    indirect draws. One-hop, each (trial, newly detected member) hit expands
+    over that detector's out-arcs (``arcs`` is ``Graph._arcs``, sorted by
+    detector), reads only those arcs' words, and marks the still-hidden
+    targets it catches, so work scales with the ties of caught members.
+    Under cascade, a row that catches a member directly reads the period's
+    whole arc block, since a cascade on a connected network soon needs most
+    of it, and :func:`_cascade` closes every row at once, one bit per trial.
     """
     (n, arcs, alphas, gamma, cascade, periods, seed, stride, lo, hi) = args
     _, dst, _, first = arcs
@@ -247,22 +248,71 @@ def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
         detected |= frontier
         if cascade:
             fill(rows_at[frontier.any(axis=1)] + base + n, m)
-        while frontier.any():
+            # a row that caught no one has no frontier, so its unread words go unused
+            with np.errstate(invalid="ignore"):  # and may hold any bits, NaNs too
+                opened = draws[:, base + n : base + n + m] < gamma
+            detected[:] = _cascade(arcs, opened, frontier, detected)
+        else:
             row, det = np.nonzero(frontier)
             k, fanout = _out_arcs(first, det)
             row = np.repeat(row, fanout)
-            if not cascade:
-                fill(rows_at[row] + (base + n) + k, 1)
+            fill(rows_at[row] + (base + n) + k, 1)
             target = dst[k]
             hit = (draws[row, base + n + k] < gamma) & ~detected[row, target]
-            frontier = np.zeros_like(detected)
-            frontier[row[hit], target[hit]] = True
-            detected |= frontier
-            if not cascade:
-                break
+            detected[row[hit], target[hit]] = True
     member_counts = detected.sum(axis=0, dtype=np.int64)
     hist = np.bincount(detected.sum(axis=1), minlength=n + 1).astype(np.int64)
     return member_counts, hist
+
+
+def _cascade(arcs, opened: np.ndarray, frontier: np.ndarray, detected: np.ndarray) -> np.ndarray:
+    """Each trial's (row's) detected members once its period's cascade has run.
+
+    A cascade catches every member reachable from the trial's ``frontier``
+    through arcs whose indirect draw succeeded (``opened``, one column per
+    arc) and whose targets were hidden when the period began. That set does
+    not depend on the order in which arcs are tried, so all trials are swept
+    at once, one bit per trial, as in multi-source bit-parallel BFS (Then et
+    al., PVLDB 8(4), 2014): a member's next frontier word is the OR over its
+    in-arcs of the source's frontier word and the arc's open word, less the
+    trials that have already caught it. With the arcs sorted by target, one
+    ``reduceat`` over each target's run of in-arcs makes the OR.
+    """
+    src, dst, _, _ = arcs
+    order = np.argsort(dst, kind="stable")
+    start = np.flatnonzero(np.diff(dst[order], prepend=-1))
+    sources, targets = src[order], dst[order[start]]
+    gate = _pack_trials(opened)[order]
+    front = _pack_trials(frontier)
+    seen = _pack_trials(detected)
+    while True:
+        reached = np.bitwise_or.reduceat(front[sources] & gate, start, axis=0) & ~seen[targets]
+        if not reached.any():
+            return _bits(seen, len(detected)).T
+        front = np.zeros_like(seen)
+        front[targets] = reached
+        seen[targets] |= reached
+
+
+_OCTET_PLACE = np.arange(8, dtype=np.uint64)[:, None]
+
+
+def _pack_trials(bits: np.ndarray) -> np.ndarray:
+    """A (trials, cols) bool array as (cols, words) 64-bit words, trial 64w + k as bit k of word w.
+
+    Bools are 0/1 bytes, so each 8-byte lane of a row packs 8 columns, and
+    shifting row 8i + k's lanes by k leaves every bit in its own byte: the OR
+    of a group of 8 rows is the bytes of 8 trials, one column a byte.
+    """
+    trials, cols = bits.shape
+    octets = -(-trials // 8)
+    lanes = np.zeros((octets * 8, -(-cols // 8) * 8), dtype=bool)
+    lanes[:trials, :cols] = bits
+    lanes = lanes.view(np.uint64).reshape(octets, 8, -1)
+    lanes <<= _OCTET_PLACE
+    packed = np.zeros((cols, -(-trials // 64) * 8), dtype=np.uint8)
+    packed[:, :octets] = np.bitwise_or.reduce(lanes, axis=1).view(np.uint8)[:, :cols].T
+    return packed.view("<u8")
 
 
 def simulate(

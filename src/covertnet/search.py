@@ -214,9 +214,12 @@ def _connected_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     for _ in range(n - 2):
         for v in range(n):
             component = component | (component >> v & 1) * component[v]
-    _, first, partition = np.unique(component, axis=1, return_index=True, return_inverse=True)
+    # the n <= 8 bytes of a column as one integer, vertex 0 on top, sort as the column does
+    key = np.zeros(component.shape[1], dtype=np.uint64)
+    for row in component:
+        key = key << np.uint64(8) | row
+    _, first, partition = np.unique(key, return_index=True, return_inverse=True)
     flags = np.stack([_level_connected(n, low | high[:, h, None]) for h in first])
-    partition = partition.reshape(-1)
     partition.setflags(write=False)
     flags.setflags(write=False)
     return partition, flags

@@ -354,7 +354,9 @@ class TestSimulate:
         assert doc["expected_detected"] == pytest.approx(0.43, abs=1e-12)
 
     # sha256 of the reports on a fixed 61-member, 282-edge network, recorded when
-    # each trial still drew its whole block; n + arcs = 625 is not a multiple of 4
+    # each trial still drew its whole block; n + arcs = 625 is not a multiple of 4.
+    # The cascade3 and cascade_directed ones were recorded when a cascade round
+    # still expanded every (trial, newly caught member) pair over its arcs.
     BIG_SEED = str(2**127 + 12345)
     GOLDEN = {
         ("onehop", "0"): "1dadc46105b3dffe6394d86f88a43d2cbf3e8b4eee14df89f720c7694cc74ab9",
@@ -366,20 +368,30 @@ class TestSimulate:
         ("cascade", "0"): "62e6297221160619f4255b04048de2515d75d8dbaa44fa93c932328a57a57647",
         ("cascade", "131"): "e3e69921a556c021c2ff0df2e4659a055db83fef0c2610a876c16c5bf9b5e207",
         ("cascade", BIG_SEED): "21ba5a96e0afe01022a696347b3d3d7a4509a5c94fc3f6d70aeec839412df7b7",
+        ("cascade3", "0"): "458a043a5f3215a07a6caafbf91eb5fe17d564468ae65b7c1b9e627f0effac3f",
+        ("cascade3", "131"): "e6371af44e94f3c976567660f9cd2161eccc95836591bcb8e12ab0562d2b1871",
+        ("cascade3", BIG_SEED): "ed535f25c7d6cf959a449df35064c08eac718ece3154d7b97c9a3dc4c2c62e41",
+        ("cascade_directed", "0"): "e3d90533a1e255147063e023095f84b83eae246a1856f2f43c3ffd845926a233",
+        ("cascade_directed", "131"): "a3b8db1d22b79535fd87b38e12a5bff3614b83ab9e99e752fa3c8011f4bcdb16",
+        ("cascade_directed", BIG_SEED): "30db0b15a9824037222e2875c2535116cd59b7daf3be7284e8b637cbb9a5cff7",
     }
 
     @pytest.mark.parametrize("mode, seed", sorted(GOLDEN))
     def test_monte_carlo_report_digest(self, capsys, tmp_path, mode, seed):
         n = 61
+        # directed, each member knows about the members it names: 291 arcs
+        directed = mode == "cascade_directed"
         edges = sorted(
-            {(min(i, j), max(i, j)) for i in range(n)
+            {(i, j) if directed else (min(i, j), max(i, j)) for i in range(n)
              for j in ((i + 1) % n, (i * 7 + 11) % n, (i * 13 + 5) % n, (i * 17 + 29) % n,
                        (i * 23 + 3) % n) if i != j}
         )
         path = tmp_path / "network.json"
-        path.write_text(json.dumps({"n": n, "edges": edges}))
+        path.write_text(json.dumps({"n": n, "directed": directed, "edges": edges}))
         alphas = ",".join(repr((i % 4) * 0.005) for i in range(n))
-        extra = {"onehop": [], "periods3": ["--periods", "3"], "cascade": ["--cascade"]}[mode]
+        extra = {"onehop": [], "periods3": ["--periods", "3"], "cascade": ["--cascade"],
+                 "cascade3": ["--cascade", "--periods", "3"],
+                 "cascade_directed": ["--cascade"]}[mode]
         code, out, err = run(
             capsys, "simulate", str(path), "--alphas", alphas, "--budget", "0.5",
             "--gamma", "0.5", "--cost-k", "1", "--trials", "3000", "--seed", seed, *extra,

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import covertnet.detection as detection
+from covertnet._parallel import run_chunks
 from covertnet.detection import (
     DetectionParams,
     InfeasiblePlanError,
@@ -306,7 +307,9 @@ def chunk_jobs(draw):
 
     Seeds span the whole key range; some chunks start just below the trial
     whose counter ``lo * stride`` passes 2**64; and when n + arcs is not a
-    multiple of 4, later periods start mid-counter.
+    multiple of 4, later periods start mid-counter. Chunks of up to about 200
+    trials, with the sizes around 64 and 128 always among the choices, pack
+    the cascade's trial bits into several 64-bit words that end mid-word.
     """
     g = draw(st.booleans().flatmap(lambda directed: graphs(min_n=1, max_n=6, directed=directed)))
     periods = draw(st.integers(1, 3))
@@ -314,7 +317,7 @@ def chunk_jobs(draw):
     gamma = draw(st.floats(0.0, 1.0, exclude_min=True))
     stride = (periods * (g.n + len(g._arcs[1])) + 3) // 4
     lo = draw(st.integers(0, 500) | st.integers(-64, 0).map(lambda d: (1 << 64) // stride + d))
-    hi = lo + draw(st.integers(1, 64))
+    hi = lo + draw(st.sampled_from([63, 64, 65, 128, 129]) | st.integers(1, 200))
     return (g.n, g._arcs, alphas, gamma, draw(st.booleans()), periods,
             draw(st.integers(0, (1 << 128) - 1)), stride, lo, hi)
 
@@ -398,6 +401,25 @@ class TestSimulateChunk:
         simulate(g, plan, DetectionParams(0.5, 1.0, trials=5, seed=1), periods=400)
         assert 32 * jobs[0][7] > detection._DRAW_BUDGET_BYTES
         assert [(job[8], job[9]) for job in jobs] == [(t, t + 1) for t in range(5)]
+
+    @pytest.mark.parametrize("rows", [1, 63, 65])
+    def test_cascade_chunking_bit_identical(self, monkeypatch, rows):
+        g = random_network(40, 100, seed=7)
+        plan = ScrutinyPlan(tuple(0.02 * (i % 3) for i in range(40)), budget=0.8)
+        params = DetectionParams(gamma=0.4, cost_k=1.0, cascade=True, trials=400, seed=5)
+        baseline = simulate(g, plan, params, periods=2)
+        assert simulate(g, plan, params, periods=2, workers=2) == baseline
+        stride = (2 * (g.n + 2 * g.m) + 3) // 4
+        monkeypatch.setattr(detection, "_DRAW_BUDGET_BYTES", 32 * stride * rows)
+        sizes = []
+
+        def spy(fn, jobs, workers):
+            sizes.extend(hi - lo for *_, lo, hi in jobs)
+            return run_chunks(fn, jobs, workers)
+
+        monkeypatch.setattr(detection, "run_chunks", spy)
+        assert simulate(g, plan, params, periods=2, workers=2) == baseline
+        assert set(sizes[:-1]) == {rows} and sum(sizes) == 400
 
     def test_one_row_jobs_bit_identical(self, monkeypatch):
         g = make_structure("path", 6)
