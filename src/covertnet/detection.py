@@ -229,9 +229,9 @@ def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     over that detector's out-arcs (``arcs`` is ``Graph._arcs``, sorted by
     detector), reads only those arcs' words, and marks the still-hidden
     targets it catches, so work scales with the ties of caught members.
-    Under cascade, a row that catches a member directly reads the period's
-    whole arc block, since a cascade on a connected network soon needs most
-    of it, and :func:`_cascade` closes every row at once, one bit per trial.
+    Under cascade, only a row that catches a member directly reads and
+    compares the period's whole arc block (a cascade on a connected network
+    soon needs most of it), and :func:`_cascade` closes every row at once.
     """
     (n, arcs, alphas, gamma, cascade, periods, seed, stride, lo, hi) = args
     _, dst, _, first = arcs
@@ -247,10 +247,10 @@ def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
         frontier = ~detected & (draws[:, base : base + n] < alphas)
         detected |= frontier
         if cascade:
-            fill(rows_at[frontier.any(axis=1)] + base + n, m)
-            # a row that caught no one has no frontier, so its unread words go unused
-            with np.errstate(invalid="ignore"):  # and may hold any bits, NaNs too
-                opened = draws[:, base + n : base + n + m] < gamma
+            caught = frontier.any(axis=1)
+            fill(rows_at[caught] + base + n, m)
+            opened = np.zeros((rows, m), dtype=bool)
+            np.less(draws[:, base + n : base + n + m], gamma, out=opened, where=caught[:, None])
             detected[:] = _cascade(arcs, opened, frontier, detected)
         else:
             row, det = np.nonzero(frontier)

@@ -106,12 +106,12 @@ def hidden_from_degrees(n: int, degrees: np.ndarray, p: float, weights: np.ndarr
     order, ((t_0 + t_1) + t_2) + ..., so a row has the same bits alone as in
     any stack, whatever the stack's size or memory layout, and the fold's
     rounding error is at most (n - 1) * 2^-53 * sum |t_v| to first order
-    (Higham, SIAM J. Sci. Comput. 14, 1993). A stack costs one vectorized
-    add per vertex.
+    (Higham, SIAM J. Sci. Comput. 14, 1993). C-ordered terms are folded by one
+    ``np.add.accumulate`` along the rows, others by one vectorized add per vertex.
     """
     terms = (1.0 - exposure_from_degrees(n, degrees, p)) * weights
-    if terms.ndim == 1:
-        return np.add.accumulate(terms)[-1]
+    if terms.flags.c_contiguous:
+        return np.add.accumulate(terms, axis=-1)[..., -1]
     total = terms[..., 0]
     for v in range(1, terms.shape[-1]):
         total = total + terms[..., v]

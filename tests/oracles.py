@@ -11,9 +11,10 @@ Everything here deliberately avoids the library's algorithms:
 * weighted distances on graphs too large to enumerate come from a heap
   Dijkstra search from each source in turn (the library relaxes every
   source at once, in buckets of distance),
-* connectivity inside the subset counter uses union-find (the library grows
-  vertex 0's reach level by level with bitsets), and the scan's rows take it
-  from that level loop on each mask (the library reads a per-order table),
+* connectivity inside the subset counter uses union-find (the library takes
+  the reach of every vertex from one Warshall pass over bitsets), and the
+  scan's rows take it from that pass on each mask (the library reads a
+  per-order table),
 * detection probabilities come from enumerating every combination of
   direct and indirect draws (the library uses a closed form),
 * that closed form is replayed by a sequential loop over the (detector,
@@ -284,12 +285,12 @@ def chunk_stats(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.nd
     Returns the masks (int64), T (float64) and the degree rows (float64,
     shape (masks, n)) of the connected masks, in mask order, from the
     search's chunk kernels; ``TestChunkStats`` pins them to the graph
-    distances. Connectivity comes from the level loop on the window's own
+    distances. Connectivity comes from the closure of the window's own
     adjacency, not from the search's per-order table, so that scans judged
     against these rows judge the table too.
     """
     adj, _, _ = search._connectivity(n, lo, hi)
-    connected = search._level_connected(n, adj)
+    connected = search._closure(n, adj)[0] == (1 << n) - 1
     adj = np.compress(connected, adj, axis=1)
     degrees = search._POPCOUNT.take(adj).T.astype(np.float64)
     masks = lo + np.flatnonzero(connected)

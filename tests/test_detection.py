@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -420,6 +421,27 @@ class TestSimulateChunk:
         monkeypatch.setattr(detection, "run_chunks", spy)
         assert simulate(g, plan, params, periods=2, workers=2) == baseline
         assert set(sizes[:-1]) == {rows} and sum(sizes) == 400
+
+    def test_cascade_compares_no_unread_word(self, monkeypatch):
+        # with no read gap, a row that catches no one directly leaves its arc words unread
+        monkeypatch.setattr(detection, "_READ_GAP", 0)
+        g = make_structure("cycle", 40)
+        plan = ScrutinyPlan((0.01,) * 40, budget=0.4)
+        params = DetectionParams(gamma=0.6, cost_k=1.0, cascade=True, trials=500, seed=9)
+        baseline = simulate(g, plan, params, periods=2)
+        buffers = []
+
+        def nan_stream(*args):
+            draws, fill = chunk_stream(*args)
+            draws.fill(np.nan)
+            buffers.append(draws)
+            return draws, fill
+
+        monkeypatch.setattr(detection, "_chunk_stream", nan_stream)
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert simulate(g, plan, params, periods=2) == baseline
+        assert any(np.isnan(draws).any() for draws in buffers)
 
     def test_one_row_jobs_bit_identical(self, monkeypatch):
         g = make_structure("path", 6)

@@ -92,6 +92,7 @@ class TestExposure:
 class TestHiddenKnowledge:
     def test_star_uniform(self):
         h = hidden_knowledge(make_structure("star", 4), SecrecyParams(0.5))
+        assert type(h) is float
         assert h == pytest.approx(0.5625, abs=1e-12)
         assert h == pytest.approx(1 - (2 * 0.5 * 3 + 4) / 16, abs=1e-12)
 
@@ -148,7 +149,11 @@ class TestHiddenFromDegrees:
             return np.asarray(functools.reduce(operator.add, np.moveaxis(terms, -1, 0)))
 
         counts = np.ascontiguousarray(degrees.T)  # the search's (n, masks) layout
-        for stack, grid_p in ((degrees[0], p), (degrees, p), (counts.T, p), (degrees, grid)):
+        lemma = np.stack([degrees[:3]] * 4)  # a small (p, rows, n) stack, as the lemma check makes
+        assert lemma.flags.c_contiguous and np.asfortranarray(lemma).flags.f_contiguous
+        cases = ((degrees[0], p), (degrees, p), (counts.T, p), (degrees, grid),
+                 (degrees[:3], grid), (lemma, p), (np.asfortranarray(lemma), p))
+        for stack, grid_p in cases:
             got = np.asarray(hidden_from_degrees(n, stack, grid_p, weights))
             assert got.shape == fold(stack, grid_p).shape
             assert got.tobytes() == fold(stack, grid_p).tobytes()

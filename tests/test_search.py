@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import covertnet.search as search
 from covertnet.cli import main
-from covertnet.graph import build_graph, diameter, is_connected, total_distance
+from covertnet.graph import build_graph, diameter, geodesic_distances, is_connected, total_distance
 from covertnet.measures import SecrecyParams, balance, hidden_from_degrees, make_structure
 from covertnet.search import enumerate_connected, find_optimal, verify_lemma
 
@@ -97,8 +98,42 @@ class TestChunkStats:
                     expected[j, col] |= 1 << i
         assert adj.dtype == np.uint8 and np.array_equal(adj, expected)
         assert edges.tolist() == [bin(mask).count("1") for mask in range(lo, hi)]
-        # the per-order table's flags against the level loop that built it, on this window
-        assert np.array_equal(connected, search._level_connected(n, adj))
+        # the per-order table's flags against the closure that built it, on this window
+        assert np.array_equal(connected, search._closure(n, adj)[0] == (1 << n) - 1)
+
+
+class TestClosure:
+    @settings(max_examples=100, deadline=None)
+    @example((8, (1 << 28) - 64, 1 << 28))  # top window: bit 7 of every row
+    @given(mask_windows())
+    def test_rows_are_what_each_source_reaches(self, window):
+        n, lo, hi = window
+        adj, _, _ = search._connectivity(n, lo, hi)
+        reach = search._closure(n, adj)
+        assert reach.dtype == np.uint8 and reach.shape == adj.shape
+        for col, mask in enumerate(range(lo, hi)):
+            dist = geodesic_distances(search._graph_from_mask(mask, n)).dist
+            for s in range(n):
+                assert int(reach[s, col]) == sum(1 << w for w in range(n) if dist[s, w] < math.inf)
+
+    # sha256 of each order's partition (as <i8) followed by its flags, recorded
+    # when the flags came from growing vertex 0's ball n - 2 levels at a time
+    GOLDEN = {
+        2: "52807a4607ea5debf0b7d4ccb452f4af03e16b06a8e0aa0dfe177db1ff02123d",
+        3: "01658d8b9b3a8504415f2c6c175a2afa56721a6bff8022f6b22e25269535f04f",
+        4: "1cb6efb04680c7b3abdab895b85f7f21fb5a3fe35f529bfc11faefdaa92015c0",
+        5: "c383fd22bb27202f7b9cabe2074308d58693d92fb9857f39e6b9c036301cbaf8",
+        6: "588d3fce2c1f539ca790f6bc8b56980c5a30ab8d02feaa61f876a84753e33428",
+        7: "79eb66d48e0fd0072a3108575af1c5a7061883e6ce82e7f7fb07d954e01087ad",
+        8: "c573c24766a18d09799080038d98a55fe11291163c09ec04a15889451b209893",
+    }
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_connected_table_is_unchanged(self, n):
+        partition, flags = search._connected_table(n)
+        assert flags.dtype == bool
+        digest = hashlib.sha256(partition.astype("<i8").tobytes() + flags.tobytes()).hexdigest()
+        assert digest == self.GOLDEN[n]
 
 
 class TestCountConnected:
