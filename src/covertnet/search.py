@@ -6,25 +6,26 @@ graphs: correctness is easy to audit against the 2^C(n,2) subset count,
 and the balance measure is invariant under relabeling anyway, so the only
 effect is that maximizer sets list every labeling of a shape.
 
-The mask space is partitioned into fixed-size chunks, and every mask of a
-chunk is evaluated at once by numpy bitset arithmetic. A chunk reads
-slices of two per-order tables: the adjacency of every low and every high
-part of a mask, and the connected flag of every low part under each
-partition of the vertices that a high part's edges induce, both from one
-Warshall pass over bit rows (``_closure``). Three bounds
-on the balance, proved in ``_scan``, keep the masks that cannot reach the
-result out of the work: a gate on the edge count, built once per scan
-from the sorted edge scores, spares most masks their hidden knowledge H;
-a bound from each mask's own degrees drops most of the rest; and a mask
-that is left has its bound as its balance when one radius-2 sweep finds
-its diameter at most 2, and otherwise runs the distance loop only if its
-bound at the next possible total distance still reaches the floor. A
-chunk with no mask to measure runs no distance loop, and the number of
-connected graphs comes from a recurrence instead of a count.
+A chunk is the masks that share one high part, the edge slots above the
+low 12 (one chunk holds every mask when n <= 5), and every mask of a chunk
+is evaluated at once by numpy bitset arithmetic. A chunk reads columns of
+two per-order tables: the adjacency of every low and every high part of a
+mask, and the connected flag of every low part under each partition of
+the vertices that a high part's edges induce, both from one Warshall pass
+over bit rows (``_closure``). Three bounds on the balance, proved in
+``_scan``, keep the masks that cannot reach the result out of the work: a
+gate on the edge count, built once per scan from the sorted edge scores,
+spares most masks their hidden knowledge H; a bound from each mask's own
+degrees drops most of the rest; and a mask that is left has its bound as
+its balance when one radius-2 sweep finds its diameter at most 2, and
+otherwise runs the distance loop only if its bound at the next possible
+total distance still reaches the floor. A chunk with no mask to measure
+runs no distance loop, and the number of connected graphs comes from a
+recurrence instead of a count.
 Maximizers stay int64 edge masks up to the caller, and a ``Graph`` is built
 only for one that is read. Chunks may be processed by parallel workers;
-chunk boundaries never depend on the worker count and results are merged
-in chunk order, so any worker count yields bit-identical results.
+results are merged in chunk order, so any worker count yields
+bit-identical results.
 
 ``find_optimal`` is the scan's only caller. ``verify_lemma`` enumerates
 nothing; its docstring proves that two rivals decide each claim.
@@ -50,8 +51,6 @@ DEFAULT_MAX_ORDER = 7
 HARD_MAX_ORDER = 8
 #: Largest order of a lemma check; it bounds the report's size, as nothing is enumerated.
 LEMMA_MAX_ORDER = 50
-
-_CHUNK_MASKS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -145,9 +144,9 @@ def enumerate_connected(n: int, allow_large: bool = False) -> Iterator[Graph]:
     _check_order(n, _order_cap(allow_large))
 
     def generate() -> Iterator[Graph]:
-        for lo, hi in _chunk_ranges(n):
-            _, connected, _ = _connectivity(n, lo, hi)
-            for mask in (lo + np.flatnonzero(connected)).tolist():
+        for h in range(_adjacency_tables(n)[1].shape[1]):
+            _, connected, _ = _connectivity(n, h)
+            for mask in ((h << _LOW_SLOTS) + np.flatnonzero(connected)).tolist():
                 yield _graph_from_mask(mask, n)
 
     return generate()
@@ -220,26 +219,17 @@ def _connected_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     return partition, flags
 
 
-def _connectivity(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Adjacency columns (uint8, (n, masks)), connected flags and edge counts of the masks [lo, hi).
+def _connectivity(n: int, h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Adjacency columns (uint8, (n, masks)), connected flags and edge counts of high part h's masks.
 
-    The window splits into runs of masks that share one high part h, and
-    run [h:a, h:b) reads slices of the per-order tables: its adjacency is
-    ``low[:, a:b] | high[:, h]``, its flags are ``flags[partition[h], a:b]``
-    and its edge counts are the set bits of a..b-1 plus those of h. An
-    aligned chunk is one run.
+    Those are the masks (h << 12) + a for every low part a, in order. Each
+    is a read of the per-order tables: the adjacency is ``low | high[:, h]``,
+    the flags are row ``partition[h]`` of ``flags``, and the edge counts are
+    the set bits of each a plus those of h.
     """
     low, high = _adjacency_tables(n)
     partition, flags = _connected_table(n)
-    cuts = [lo, *range((lo >> _LOW_SLOTS) + 1 << _LOW_SLOTS, hi, 1 << _LOW_SLOTS), hi]
-    adj, connected, edges = [], [], []
-    for start, stop in zip(cuts, cuts[1:]):
-        h, a = start >> _LOW_SLOTS, start & (1 << _LOW_SLOTS) - 1
-        b = a + stop - start
-        adj.append(low[:, a:b] | high[:, h, None])
-        connected.append(flags[partition[h], a:b])
-        edges.append(_POPCOUNT16[a:b] + _POPCOUNT16[h])
-    return np.concatenate(adj, axis=1), np.concatenate(connected), np.concatenate(edges)
+    return low | high[:, h, None], flags[partition[h]], _POPCOUNT16[: low.shape[1]] + _POPCOUNT16[h]
 
 
 def _within_two(n: int, adj: np.ndarray) -> np.ndarray:
@@ -274,11 +264,6 @@ def _total_distances(n: int, adj: np.ndarray) -> np.ndarray:
         reach = grown
         reached += _POPCOUNT.take(reach)
     return (n - 1) * n * n - reached.sum(axis=0, dtype=np.int64)
-
-
-def _chunk_ranges(n: int) -> list[tuple[int, int]]:
-    space = 1 << len(_edge_slots(n))
-    return [(lo, min(lo + _CHUNK_MASKS, space)) for lo in range(0, space, _CHUNK_MASKS)]
 
 
 @functools.cache
@@ -335,7 +320,7 @@ def _edge_gate(n: int, p: float, weights: np.ndarray, floor: float) -> np.ndarra
 
 
 def _scan_optimal_chunk(args) -> tuple[int, tuple[np.ndarray, np.ndarray]]:
-    """Connected masks in [lo, hi), then the chunk's candidates.
+    """Connected masks of high part h, then the chunk's candidates.
 
     These are (masks within tolerance of the chunk's best scored balance,
     their mu), empty without a scored mask. H and the bound B are taken only
@@ -345,8 +330,8 @@ def _scan_optimal_chunk(args) -> tuple[int, tuple[np.ndarray, np.ndarray]]:
     reaches ``floor``, and each one's mu reads the H its bound used. A chunk
     with no such mask runs no distance loop.
     """
-    n, lo, hi, p, weights, tolerance, floor, gate = args
-    adj, connected, edges = _connectivity(n, lo, hi)
+    n, h, p, weights, tolerance, floor, gate = args
+    adj, connected, edges = _connectivity(n, h)
     found = int(np.count_nonzero(connected))
     live = np.flatnonzero(connected & gate.take(edges))
     if len(live):
@@ -373,7 +358,7 @@ def _scan_optimal_chunk(args) -> tuple[int, tuple[np.ndarray, np.ndarray]]:
     if best == -np.inf:
         return found, (np.empty(0, dtype=np.int64), np.empty(0))
     keep = mu >= best - tolerance
-    return found, (lo + live[keep], mu[keep])
+    return found, ((h << _LOW_SLOTS) + live[keep], mu[keep])
 
 
 def _check_tolerance(tolerance: float) -> None:
@@ -431,14 +416,14 @@ def _scan(
     score is at most the scan's best, so every mask within tolerance of the
     latter is still among the chunk's candidates.
 
-    Neither H nor L depends on chunking, and the count of connected graphs
-    comes from ``_count_connected``, so neither the worker count nor the
-    chunk boundaries change the result.
+    Neither H nor L depends on the chunk, and the count of connected graphs
+    comes from ``_count_connected``, so the worker count does not change the
+    result.
     """
     weights_array = np.asarray(weights)
     floor = _floor(n, p, weights_array, tolerance)
     gate = _edge_gate(n, p, weights_array, floor)
-    jobs = [(n, lo, hi, p, weights, tolerance, floor, gate) for lo, hi in _chunk_ranges(n)]
+    jobs = [(n, h, p, weights, tolerance, floor, gate) for h in range(_adjacency_tables(n)[1].shape[1])]
     results = run_chunks(_scan_optimal_chunk, jobs, workers)
     best = max((float(mu.max()) for _, (_, mu) in results if len(mu)), default=-math.inf)
     # swap each chunk's (masks, mu) for its kept masks as it is filtered, so the peak

@@ -13,8 +13,8 @@ Everything here deliberately avoids the library's algorithms:
   source at once, in buckets of distance),
 * connectivity inside the subset counter uses union-find (the library takes
   the reach of every vertex from one Warshall pass over bitsets), and the
-  scan's rows take it from that pass on each mask (the library reads a
-  per-order table),
+  scan's rows take it from that pass on adjacency built slot by slot from
+  each mask's bits (the library reads both from per-order tables),
 * detection probabilities come from enumerating every combination of
   direct and indirect draws (the library uses a closed form),
 * that closed form is replayed by a sequential loop over the (detector,
@@ -279,40 +279,58 @@ def reference_affiliation_edges(roster, rule) -> tuple[tuple[int, int, float], .
     return tuple(edges)
 
 
+def mask_adjacency(n: int, masks: np.ndarray) -> np.ndarray:
+    """Adjacency rows (uint8, (n, masks)) of int64 edge masks: bit j of row i is set for each edge ij.
+
+    Built slot by slot over the lexicographic pairs, from each mask's own
+    bits, so it judges the search's per-order tables rather than reading them.
+    """
+    adj = np.zeros((n, len(masks)), dtype=np.uint8)
+    for k, (i, j) in enumerate(itertools.combinations(range(n), 2)):
+        edge = (masks >> k & 1).astype(np.uint8)
+        adj[i] |= edge << j
+        adj[j] |= edge << i
+    return adj
+
+
 def chunk_stats(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Connected masks in [lo, hi) with their total distances and degrees.
 
     Returns the masks (int64), T (float64) and the degree rows (float64,
     shape (masks, n)) of the connected masks, in mask order, from the
-    search's chunk kernels; ``TestChunkStats`` pins them to the graph
-    distances. Connectivity comes from the closure of the window's own
-    adjacency, not from the search's per-order table, so that scans judged
-    against these rows judge the table too.
+    search's distance kernel; ``TestChunkStats`` pins them to the graph
+    distances. The adjacency comes from ``mask_adjacency`` and connectivity
+    from its closure, not from the search's per-order tables, so that scans
+    judged against these rows judge the tables too.
     """
-    adj, _, _ = search._connectivity(n, lo, hi)
+    window = np.arange(lo, hi, dtype=np.int64)
+    adj = mask_adjacency(n, window)
     connected = search._closure(n, adj)[0] == (1 << n) - 1
     adj = np.compress(connected, adj, axis=1)
     degrees = search._POPCOUNT.take(adj).T.astype(np.float64)
-    masks = lo + np.flatnonzero(connected)
-    return masks, search._total_distances(n, adj).astype(np.float64), degrees
-
-
-@functools.cache
-def _order_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``chunk_stats`` of every chunk of order n, joined and kept: T as uint16, degree rows as uint8.
-
-    T is at most (n - 1) n^2 and a degree at most n - 1, so both are exact;
-    at n = 7 the tables hold about 32 MB.
-    """
-    parts = [
-        (masks, totals.astype(np.uint16), degrees.astype(np.uint8))
-        for masks, totals, degrees in (chunk_stats(n, lo, hi) for lo, hi in search._chunk_ranges(n))
-    ]
-    return tuple(np.concatenate(column) for column in zip(*parts))
+    return window[connected], search._total_distances(n, adj).astype(np.float64), degrees
 
 
 #: Rows of an order's tables scored at once; bounds an oracle's float64 scratch.
 _ORACLE_ROWS = 1 << 16
+
+
+@functools.cache
+def _order_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``chunk_stats`` of every mask of order n, joined and kept: T as uint16, degree rows as uint8.
+
+    The masks are taken ``_ORACLE_ROWS`` at a time. T is at most (n - 1) n^2
+    and a degree at most n - 1, so both are exact; at n = 7 the tables hold
+    about 32 MB.
+    """
+    space = 1 << math.comb(n, 2)
+    parts = [
+        (masks, totals.astype(np.uint16), degrees.astype(np.uint8))
+        for masks, totals, degrees in (
+            chunk_stats(n, lo, min(lo + _ORACLE_ROWS, space)) for lo in range(0, space, _ORACLE_ROWS)
+        )
+    ]
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def order_stats(n: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:

@@ -4,7 +4,6 @@ import json
 import math
 import tracemalloc
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +16,14 @@ from covertnet.graph import build_graph, diameter, geodesic_distances, is_connec
 from covertnet.measures import SecrecyParams, balance, hidden_from_degrees, make_structure
 from covertnet.search import enumerate_connected, find_optimal, verify_lemma
 
-from oracles import chunk_stats, count_connected_graphs, order_stats, reference_lemma_rows, reference_scan
+from oracles import (
+    chunk_stats,
+    count_connected_graphs,
+    mask_adjacency,
+    order_stats,
+    reference_lemma_rows,
+    reference_scan,
+)
 
 LOW_GRID = [k / 20 for k in range(11)]
 HIGH_GRID = [0.5 + k / 20 for k in range(11)]
@@ -82,24 +88,20 @@ class TestChunkStats:
         assert [t for _, t, _ in expected] == totals.tolist()
         assert [list(d) for _, _, d in expected] == degrees.tolist()
 
-    @settings(max_examples=60, deadline=None)
-    @example((8, (1 << 28) - 64, 1 << 28))  # top window: every high-part slot set
-    @example((7, 4096 - 5, 4096 + 5))  # a window over two high parts
-    @given(mask_windows())
-    def test_window_reads_the_tables_right(self, window):
-        n, lo, hi = window
-        adj, connected, edges = search._connectivity(n, lo, hi)
-        slots = list(itertools.combinations(range(n), 2))
-        expected = np.zeros((n, hi - lo), dtype=np.uint8)
-        for col, mask in enumerate(range(lo, hi)):
-            for k, (i, j) in enumerate(slots):
-                if mask >> k & 1:
-                    expected[i, col] |= 1 << j
-                    expected[j, col] |= 1 << i
-        assert adj.dtype == np.uint8 and np.array_equal(adj, expected)
-        assert edges.tolist() == [bin(mask).count("1") for mask in range(lo, hi)]
-        # the per-order table's flags against the closure that built it, on this window
-        assert np.array_equal(connected, search._closure(n, adj)[0] == (1 << n) - 1)
+    def test_high_part_reads_the_tables_right(self):
+        # every high part for n = 2..7; at n = 8 the first, the last (every high slot set) and 30 drawn
+        drawn = np.random.default_rng(8).integers(1, (1 << 16) - 1, 30).tolist()
+        cases = [(n, h) for n in range(2, 8) for h in range(1 << max(0, math.comb(n, 2) - 12))]
+        cases += [(8, h) for h in [0, (1 << 16) - 1, *drawn]]
+        for n, h in cases:
+            slots = math.comb(n, 2)
+            masks = (h << 12) + np.arange(1 << min(slots, 12), dtype=np.int64)
+            adj, connected, edges = search._connectivity(n, h)
+            expected = mask_adjacency(n, masks)
+            assert adj.dtype == np.uint8 and np.array_equal(adj, expected)
+            assert np.array_equal(edges, sum(masks >> k & 1 for k in range(slots)))
+            # the per-order table's flags against the closure that built it, on this part
+            assert np.array_equal(connected, search._closure(n, expected)[0] == (1 << n) - 1)
 
 
 class TestClosure:
@@ -108,7 +110,7 @@ class TestClosure:
     @given(mask_windows())
     def test_rows_are_what_each_source_reaches(self, window):
         n, lo, hi = window
-        adj, _, _ = search._connectivity(n, lo, hi)
+        adj = mask_adjacency(n, np.arange(lo, hi, dtype=np.int64))
         reach = search._closure(n, adj)
         assert reach.dtype == np.uint8 and reach.shape == adj.shape
         for col, mask in enumerate(range(lo, hi)):
@@ -155,27 +157,9 @@ class TestCountConnected:
 
 @st.composite
 def scan_cases(draw):
-    """(n, p, weights, tolerance): random p including 0, 1/2 and 1, and normalized weights."""
-    n = draw(st.integers(2, 7), label="n")
-    p = draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)), label="p")
-    if draw(st.booleans(), label="uniform"):
-        weights = None
-    else:
-        raw = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n), label="raw weights")
-        assume(sum(raw) > 0)
-        weights = tuple(w / sum(raw) for w in raw)
-    tolerance = draw(st.one_of(st.sampled_from([0.0, 1e-12]), st.floats(0.0, 0.5)), label="tolerance")
-    return n, p, weights, tolerance
+    """(n, p, weights, tolerance): random p including 0, 1/2 and 1, and uniform, random or skewed weights.
 
-
-@st.composite
-def chunked_scan_cases(draw):
-    """(n, p, weights, tolerance, chunk): uniform, random or skewed weights, and a chunk size.
-
-    Skewed weights give one member up to ten times the others' weight. A
-    chunk of 37 masks is ragged and crosses high parts; 2^8 is shorter
-    than a high part's run and 2^13 and 2^16 span several. It is drawn for
-    n <= 6 only, where a scan makes at most 886 of them.
+    Skewed weights give one member up to ten times the others' weight.
     """
     n = draw(st.integers(2, 7), label="n")
     p = draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)), label="p")
@@ -191,8 +175,7 @@ def chunked_scan_cases(draw):
         raw[heavy] = draw(st.floats(1.0, 10.0), label="heavy weight")
         weights = tuple(w / sum(raw) for w in raw)
     tolerance = draw(st.one_of(st.sampled_from([0.0, 1e-12]), st.floats(0.0, 0.5)), label="tolerance")
-    sizes = [37, 1 << 8, 1 << 12, 1 << 13, 1 << 16] if n <= 6 else [1 << 8, 1 << 12, 1 << 13, 1 << 16]
-    return n, p, weights, tolerance, draw(st.sampled_from(sizes), label="chunk")
+    return n, p, weights, tolerance
 
 
 def mask_bounds(n, p, weights, masks):
@@ -226,6 +209,8 @@ class TestPrunedScan:
     @settings(max_examples=30, deadline=None)
     @example((7, 0.5, None, 1e-12))  # p = 1/2: nothing is pruned, 676,456 ties
     @example((2, 0.15, (0.4, 0.6), 1e-3))  # one connected mask: a one-row stack
+    @example((6, 0.5, (0.1,) * 5 + (0.5,), 1e-12))  # 670 masks of diameter >= 3 are measured
+    @example((7, 0.45, (0.1,) * 6 + (0.4,), 0.0))  # 390 measured
     @given(scan_cases())
     def test_same_result_as_the_unpruned_scan(self, case):
         n, p, weights, tolerance = case
@@ -303,21 +288,9 @@ class TestPrunedScan:
         assert sum(columns) == expected
         assert 0 not in columns  # a chunk with nothing to measure runs no distance loop
         # a chunk reports its connected masks, measured or not
-        assert len(counts) == len(search._chunk_ranges(n)) and sum(counts) == search._count_connected(n)
-
-    @settings(max_examples=30, deadline=None)
-    @example((6, 0.5, (0.1,) * 5 + (0.5,), 1e-12, 37))  # 670 masks of diameter >= 3 are measured
-    @example((7, 0.45, (0.1,) * 6 + (0.4,), 0.0, 1 << 13))  # 390 measured; a chunk spans two high parts
-    @given(chunked_scan_cases())
-    def test_any_chunking_matches_the_unpruned_scan(self, case):
-        n, p, weights, tolerance, chunk = case
-        params = SecrecyParams(p, weights)
-        with mock.patch.object(search, "_CHUNK_MASKS", chunk):
-            result = find_optimal(n, params, tolerance=tolerance)
-        count, best, masks = reference_scan(n, p, params.weights_for(n), tolerance)
-        assert result.graphs_enumerated == count
-        assert result.best_mu == best
-        assert np.array_equal(result.argmax_graphs.masks, masks)
+        # one chunk per high part, the edge slots above the low 12
+        assert len(counts) == 1 << max(0, math.comb(n, 2) - 12)
+        assert sum(counts) == search._count_connected(n)
 
 
 class TestOrderSeven:
@@ -416,22 +389,6 @@ class TestFindOptimal:
         two = find_optimal(6, SecrecyParams(0.5), workers=3)
         assert one == two
 
-    def test_partitioning_does_not_change_result(self, monkeypatch):
-        baseline = find_optimal(5, SecrecyParams(0.45))
-        monkeypatch.setattr(search, "_CHUNK_MASKS", 37)  # deliberately ragged chunks
-        ragged = find_optimal(5, SecrecyParams(0.45), workers=2)
-        assert baseline == ragged
-
-    @pytest.mark.parametrize("n,p", [(6, 0.3), (6, 0.5), (7, 0.35), (7, 0.7)])
-    @pytest.mark.parametrize("uniform", [True, False])
-    def test_chunk_size_does_not_change_result(self, monkeypatch, n, p, uniform):
-        weights = None if uniform else tuple(w / sum(range(1, n + 1)) for w in range(1, n + 1))
-        params = SecrecyParams(p, weights)
-        baseline = find_optimal(n, params)
-        for chunk in (1 << 8, 1 << 11, 1 << 13, 1 << 16):
-            monkeypatch.setattr(search, "_CHUNK_MASKS", chunk)
-            result = find_optimal(n, params)
-            assert result == baseline and result.best_mu.hex() == baseline.best_mu.hex()
 
 
 class TestMaskBackedMaximizers:
