@@ -2,26 +2,27 @@
 
 Candidate structures are encoded as bitmasks over the C(n, 2) possible
 edges, enumerated in ascending mask order. Enumeration is over labeled
-graphs: correctness is easy to audit against the 2^C(n,2) subset count,
-and the balance measure is invariant under relabeling anyway, so the only
-effect is that maximizer sets list every labeling of a shape.
+graphs: correctness is easy to audit against the 2^C(n,2) subset count.
+The balance is invariant under relabeling, but H folds in vertex order, so
+labelings of a shape can score an ulp apart: at tolerance 0, n = 6 and
+p = 0.7 list 3 of the 6 stars (hubs 0-2); the default 1e-12 lists all 6.
 
 A chunk is the masks that share one high part, the edge slots above the
 low 12 (one chunk holds every mask when n <= 5), and every mask of a chunk
-is evaluated at once by numpy bitset arithmetic. A chunk reads columns of
-two per-order tables: the adjacency of every low and every high part of a
-mask, and the connected flag of every low part under each partition of
-the vertices that a high part's edges induce, both from one Warshall pass
-over bit rows (``_closure``). Three bounds on the balance, proved in
-``_scan``, keep the masks that cannot reach the result out of the work: a
-gate on the edge count, built once per scan from the sorted edge scores,
-spares most masks their hidden knowledge H; a bound from each mask's own
-degrees drops most of the rest; and a mask that is left has its bound as
-its balance when one radius-2 sweep finds its diameter at most 2, and
-otherwise runs the distance loop only if its bound at the next possible
-total distance still reaches the floor. A chunk with no mask to measure
-runs no distance loop, and the number of connected graphs comes from a
-recurrence instead of a count.
+is evaluated at once by numpy bitset arithmetic. A chunk reads its edge
+counts and a row of a per-order table: the connected flag of every low
+part under each partition of the vertices that a high part's edges
+induce, from one Warshall pass over bit rows (``_closure``). Three bounds
+on the balance, proved in ``_scan``, keep the masks that cannot reach the
+result out of the work: a gate on the edge count, built once per scan
+from the sorted edge scores, closes most masks, and only open ones gather
+their adjacency from a per-order table and take their hidden knowledge H;
+a bound from each mask's own degrees drops most of the rest; and a mask
+that is left has its bound as its balance when one radius-2 sweep finds
+its diameter at most 2, and otherwise runs the distance loop only if its
+bound at the next possible total distance still reaches the floor. A
+chunk with no mask to measure runs no distance loop, and the number of
+connected graphs comes from a recurrence instead of a count.
 Maximizers stay int64 edge masks up to the caller, and a ``Graph`` is built
 only for one that is read. Chunks may be processed by parallel workers;
 results are merged in chunk order, so any worker count yields
@@ -145,7 +146,7 @@ def enumerate_connected(n: int, allow_large: bool = False) -> Iterator[Graph]:
 
     def generate() -> Iterator[Graph]:
         for h in range(_adjacency_tables(n)[1].shape[1]):
-            _, connected, _ = _connectivity(n, h)
+            connected, _ = _connectivity(n, h)
             for mask in ((h << _LOW_SLOTS) + np.flatnonzero(connected)).tolist():
                 yield _graph_from_mask(mask, n)
 
@@ -219,17 +220,15 @@ def _connected_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     return partition, flags
 
 
-def _connectivity(n: int, h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Adjacency columns (uint8, (n, masks)), connected flags and edge counts of high part h's masks.
+def _connectivity(n: int, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """Connected flags and edge counts (uint8) of high part h's masks.
 
-    Those are the masks (h << 12) + a for every low part a, in order. Each
-    is a read of the per-order tables: the adjacency is ``low | high[:, h]``,
-    the flags are row ``partition[h]`` of ``flags``, and the edge counts are
-    the set bits of each a plus those of h.
+    Those are the masks (h << 12) + a for every low part a, in order. The
+    flags are row ``partition[h]`` of the per-order ``flags`` table, and the
+    edge counts are the set bits of each a plus those of h.
     """
-    low, high = _adjacency_tables(n)
     partition, flags = _connected_table(n)
-    return low | high[:, h, None], flags[partition[h]], _POPCOUNT16[: low.shape[1]] + _POPCOUNT16[h]
+    return flags[partition[h]], _POPCOUNT16[: flags.shape[1]] + _POPCOUNT16[h]
 
 
 def _within_two(n: int, adj: np.ndarray) -> np.ndarray:
@@ -322,23 +321,23 @@ def _edge_gate(n: int, p: float, weights: np.ndarray, floor: float) -> np.ndarra
 def _scan_optimal_chunk(args) -> tuple[int, tuple[np.ndarray, np.ndarray]]:
     """Connected masks of high part h, then the chunk's candidates.
 
-    These are (masks within tolerance of the chunk's best scored balance,
-    their mu), empty without a scored mask. H and the bound B are taken only
-    for masks whose edge count the gate leaves open, and only masks whose B
-    reaches ``floor`` are scored. A mask of diameter <= 2 scores its B; any
-    other runs the distance loop only if its bound at T = 2N - 2m + 2 still
-    reaches ``floor``, and each one's mu reads the H its bound used. A chunk
-    with no such mask runs no distance loop.
+    These are (masks within tolerance of the larger of the chunk's best
+    scored balance and ``floor``, their mu). Only masks whose edge count the
+    gate leaves open gather adjacency columns and take H and the bound B,
+    and only masks whose B reaches ``floor`` are scored. A mask of diameter
+    <= 2 scores its B; any other runs the distance loop only if its bound at
+    T = 2N - 2m + 2 still reaches ``floor``, and each one's mu reads the H
+    its bound used. A chunk with no such mask runs no distance loop.
     """
     n, h, p, weights, tolerance, floor, gate = args
-    adj, connected, edges = _connectivity(n, h)
+    connected, edges = _connectivity(n, h)
     found = int(np.count_nonzero(connected))
     live = np.flatnonzero(connected & gate.take(edges))
     if len(live):
-        adj = adj.take(live, axis=1)
-        degrees = _POPCOUNT.take(adj)
-        hidden = hidden_from_degrees(n, degrees.T, p, np.asarray(weights))
-        sums = degrees.sum(axis=0, dtype=np.int64)
+        low, high = _adjacency_tables(n)
+        adj = low.take(live, axis=1) | high[:, h, None]
+        hidden = hidden_from_degrees(n, _POPCOUNT.take(adj).T, p, weights)
+        sums = 2 * edges.take(live).astype(np.int64)
         mu = _balance_bound(n, sums, hidden)
         reach = mu >= floor
         if not reach.all():
@@ -354,10 +353,8 @@ def _scan_optimal_chunk(args) -> tuple[int, tuple[np.ndarray, np.ndarray]]:
         far = far[_balance_bound(n, sums[far] - 2, hidden[far]) >= floor]
     if len(far):
         mu[far] = n * (n - 1) / _total_distances(n, adj.take(far, axis=1)) * hidden[far]
-    best = mu.max()
-    if best == -np.inf:
-        return found, (np.empty(0, dtype=np.int64), np.empty(0))
-    keep = mu >= best - tolerance
+    # the scan's best is at least floor + tolerance, so this keeps every mask its filter keeps
+    keep = mu >= max(mu.max(), floor) - tolerance
     return found, ((h << _LOW_SLOTS) + live[keep], mu[keep])
 
 
@@ -367,7 +364,7 @@ def _check_tolerance(tolerance: float) -> None:
 
 
 def _scan(
-    n: int, p: float, weights: tuple[float, ...], tolerance: float, workers: int
+    n: int, p: float, weights: np.ndarray, tolerance: float, workers: int
 ) -> tuple[int, float, np.ndarray]:
     """Connected-graph count, the best mu and the masks within tolerance of it.
 
@@ -412,17 +409,17 @@ def _scan(
     floating point: rounding is monotone, so the computed N/T is at most
     the computed N/(2N - 2m + 2), and a product with H >= 0 keeps the
     order. A mask whose B' is below the floor is thus below it too, is in
-    no result, and is not measured; a chunk's best among the masks it does
-    score is at most the scan's best, so every mask within tolerance of the
-    latter is still among the chunk's candidates.
+    no result, and is not measured. A chunk keeps the masks within
+    tolerance of the larger of its best scored mu and the floor L -
+    tolerance; both are at most the scan's best, so every mask within
+    tolerance of the latter is still among the chunk's candidates.
 
     Neither H nor L depends on the chunk, and the count of connected graphs
     comes from ``_count_connected``, so the worker count does not change the
     result.
     """
-    weights_array = np.asarray(weights)
-    floor = _floor(n, p, weights_array, tolerance)
-    gate = _edge_gate(n, p, weights_array, floor)
+    floor = _floor(n, p, weights, tolerance)
+    gate = _edge_gate(n, p, weights, floor)
     jobs = [(n, h, p, weights, tolerance, floor, gate) for h in range(_adjacency_tables(n)[1].shape[1])]
     results = run_chunks(_scan_optimal_chunk, jobs, workers)
     best = max((float(mu.max()) for _, (_, mu) in results if len(mu)), default=-math.inf)
@@ -448,12 +445,12 @@ def find_optimal(
     of it; ties are reported, not broken, because at p = 1/2 the tie
     between the complete graph and the star is genuine. ``argmax_graphs`` holds
     the maximizers' edge masks in mask order and builds a graph only when one is read.
+    At ``tolerance=0`` it may list only some labelings of a shape (see the module docstring).
     """
     _check_order(n, _order_cap(allow_large))
     _check_tolerance(tolerance)
     _check_type(params, SecrecyParams, "params")
-    weights = tuple(params.weights_for(n))
-    enumerated, best, masks = _scan(n, params.p, weights, tolerance, workers)
+    enumerated, best, masks = _scan(n, params.p, params.weights_for(n), tolerance, workers)
     return SearchResult(
         n=n,
         p=params.p,

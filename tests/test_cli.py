@@ -236,6 +236,59 @@ class TestOptimal:
         code, _, err = run(capsys, "optimal", "--n", "8", "--p", "0.2")
         assert code == 2 and "allow_large" in err
 
+    # sha256 of the documents for n = 2..7 across both regimes and the p = 1/2 tie,
+    # recorded when each chunk built the adjacency of every one of its masks
+    GOLDEN = {
+        ("2", "0"): "34363a91f4b52997d1c2b05ca095ed27f1191a061b0bced4f74b0cea3827211a",
+        ("2", "0.2"): "8a2cb28ba45bafdc6e527688c329b77ff52e674ee463d6fa32b17094ec0e5e22",
+        ("2", "0.3"): "6dc973e81757a84dcd728ae0e1b68cb6fa3b930d75496b6bb4809d1a19efd13e",
+        ("2", "0.5"): "8f7463dad3428878e5a84309916c858ac2129a4caef102910082fdae92f27469",
+        ("2", "0.7"): "59e6630634fd797336a414df7ac3260a2c934e0ede1dcd8d1530b1fb74294976",
+        ("2", "0.8"): "27be18ef1d5b8aff4c875a2a650702cda9201842ae0ecd3f84597659a1f3dc50",
+        ("2", "1"): "20b7a19192feb96406a3571f7c886e76f361e5e4aa98891606783ebe76010f44",
+        ("3", "0"): "38d169ec9116fdce6d03fbaa9b75e1dffd25e605e8674a46a7bd16eced0097c4",
+        ("3", "0.2"): "50f0c7e9c375cb3c13ca09be0fa423cbbff478ea4de12fe062442615bd1115b0",
+        ("3", "0.3"): "693806ede39ebd2eb45026c4ff4946cb0e5f038c2056995c709b99944021b9ec",
+        ("3", "0.5"): "5b6b29de09f918feeca9caec3998919c150cc5a23f15658718460c9e03ab2dba",
+        ("3", "0.7"): "8180fb7160f02bcdab8467419efea12ca027caa9e9c19fdeee06623e3f85498a",
+        ("3", "0.8"): "16837f954bce1bfc683643f3fa0539eb7f1ac5882876fb748e94db844321bfe2",
+        ("3", "1"): "f3fc898e6edaef6aa0e1e1940303fc584f28a12b876bfbe8082c4a97e4140a15",
+        ("4", "0"): "6a6f3b0ca6127c7b626b9580f2e6a7f91525fd08f5a939bc2baa9ac5a9e3d569",
+        ("4", "0.2"): "9e8df6b8be925a64718ba76731a948188b7f9aeab12a05b97cc1d9a63b374463",
+        ("4", "0.3"): "494127a2445d9078fa0517f9b9f06839dc2a7d95244c463be0f72d16e7c3a415",
+        ("4", "0.5"): "756b27ea0fdfbe4351f5b15d350606f6637388bf1fc2dfff8b02f7a9dd40cc11",
+        ("4", "0.7"): "ec161e12cec37187a47e896132e596533e2314ff9e34b630bb4ab36f852dd0cc",
+        ("4", "0.8"): "d3fba5a1aa08096a8cbc3be74939e6116404e3595e34df24b0564a34ed0001a4",
+        ("4", "1"): "7ed1f02e36e0f3dc9251034ac87ef2cd6e40cff4ea49bbf0f0b374f56a1bee40",
+        ("5", "0"): "bfbefb250857fc0120c5ee537eb1b1551531845285f812ba11ca83bf85bf280c",
+        ("5", "0.2"): "15f925838979323b79b3041403d20b9a9e724ea0cff76475ac3cd815dcfbf87c",
+        ("5", "0.3"): "cb556491f977345a0f39fe8ab7c9d7472a4e9ea767f993cc2ff06b2d41b7ee81",
+        ("5", "0.5"): "7b7e909a292cbb618f59ffcac50740fb5d69b85d97c966db1698b41a1a51f137",
+        ("5", "0.7"): "14b6a2314ea159f0025372f126e2766f4a2cba1214514856c4b9b6cb6739977a",
+        ("5", "0.8"): "b446b18e6143567997f5e1de86a6f6a04c7d5e15bf224b32734516935129e751",
+        ("5", "1"): "1614a18a0ec257894764efe88c0311fead8fbdd33cf89caa07524f3c4287ec02",
+        ("6", "0"): "9fa6e82e83f847dabc313ca35725d79bdac8484e6c6c0c38ea1c6ff41aa12bde",
+        ("6", "0.2"): "19c2a769e3841161170c012ce53abada74075a649c0e6152fadc075baabad3c9",
+        ("6", "0.3"): "55cdfaf360331e7607b8b430948e92e41df8a9498755b55d8e24b53745d7622f",
+        ("6", "0.5"): "ebe0bb6af454f741c9fed29b28df7ce813314d0e0f62138ec7726b47b480c639",
+        ("6", "0.7"): "c53a9f01895b36d808158958cca1e44efc965b3b7e7f5d04e8051dbfd3c8ebd2",
+        ("6", "0.8"): "5c27d385a458fcea8b3679e2e080eb8183908f4da8a91e75df38203b10ebcda2",
+        ("6", "1"): "e8b170179fdf350cd85208bcaf6d6c46f0efcb5e7beb0ae8c8b3584e54a14069",
+        ("7", "0"): "64185cf38f4a25ab7b4be70b3e02d3a111dc535bc4a86a822a4515ac7334ce6a",
+        ("7", "0.2"): "ccfc6ed0f7f641dd683c429573a56690631877ee206d10ec629ed530422be23c",
+        ("7", "0.3"): "3f591cdda6bd03e6a631f78f3cf69b191d15dd460874800eeb37d8babf084058",
+        ("7", "0.5"): "2cbe87f5939ee80d5bd7ae1457cf222a537284f6bcc0d593b5eb63569ec8201d",
+        ("7", "0.7"): "efac7a236ebda280f7d25ccae11bea9f77e1b7619581bf6ee059a455839c21d5",
+        ("7", "0.8"): "30daf6db0ce09a88cd2f2b59855b75fdc5d1970f3ba986a0e8d553ae475ec759",
+        ("7", "1"): "f14ade64f369b83860b7b83592337d8f26a4dffafe11b45c7fc54fb1b0bb9995",
+    }
+
+    @pytest.mark.parametrize("n, p", sorted(GOLDEN))
+    def test_document_digest(self, capsys, n, p):
+        code, out, err = run(capsys, "optimal", "--n", n, "--p", p)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[n, p]
+
 
 class TestVerifyLemmas:
     def test_small_sweep_passes(self, capsys):

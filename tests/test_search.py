@@ -96,9 +96,11 @@ class TestChunkStats:
         for n, h in cases:
             slots = math.comb(n, 2)
             masks = (h << 12) + np.arange(1 << min(slots, 12), dtype=np.int64)
-            adj, connected, edges = search._connectivity(n, h)
+            low, high = search._adjacency_tables(n)
+            adj = low | high[:, h, None]  # a chunk gathers the columns of its live masks from this
             expected = mask_adjacency(n, masks)
             assert adj.dtype == np.uint8 and np.array_equal(adj, expected)
+            connected, edges = search._connectivity(n, h)
             assert np.array_equal(edges, sum(masks >> k & 1 for k in range(slots)))
             # the per-order table's flags against the closure that built it, on this part
             assert np.array_equal(connected, search._closure(n, expected)[0] == (1 << n) - 1)
@@ -211,6 +213,7 @@ class TestPrunedScan:
     @example((2, 0.15, (0.4, 0.6), 1e-3))  # one connected mask: a one-row stack
     @example((6, 0.5, (0.1,) * 5 + (0.5,), 1e-12))  # 670 masks of diameter >= 3 are measured
     @example((7, 0.45, (0.1,) * 6 + (0.4,), 0.0))  # 390 measured
+    @example((6, 0.7, None, 1e-12))  # high parts 1, 2 and 4 each keep 216 masks, all unscored
     @given(scan_cases())
     def test_same_result_as_the_unpruned_scan(self, case):
         n, p, weights, tolerance = case
