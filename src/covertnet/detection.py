@@ -17,7 +17,8 @@ seed and reads the words it uses from that block by position, so reports
 are bit-identical for any worker count or chunk execution order. A period's
 cascade catches the members reachable from its directly caught ones through
 ties whose draw succeeded, whatever order the draws are looked at in, so a
-chunk sweeps the cascades of all its trials at once, one bit per trial.
+chunk sweeps the cascades of all its trials at once, one bit per trial, with
+the breadth-first sweep that counts hop distances (``graph._sweep``).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import run_chunks
-from .graph import Graph, _bits, _check_type, _is_int, _is_real, _out_arcs, _real_tuple
+from .graph import Graph, _bits, _check_type, _is_int, _is_real, _out_arcs, _real_tuple, _sweep
 from .measures import _WEIGHT_SUM_TOL
 
 _TRIALS_PER_CHUNK = 1 << 13
@@ -231,16 +232,25 @@ def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     targets it catches, so work scales with the ties of caught members.
     Under cascade, only a row that catches a member directly reads and
     compares the period's whole arc block (a cascade on a connected network
-    soon needs most of it), and :func:`_cascade` closes every row at once.
+    soon needs most of it). A cascade catches the members reachable from the
+    direct catches through arcs whose draw succeeded, in any order, so the
+    hop distances' sweep (``graph._sweep``) closes every row at once, one
+    bit per trial, over the arcs sorted by target and gated by their draws.
     """
     (n, arcs, alphas, gamma, cascade, periods, seed, stride, lo, hi) = args
-    _, dst, _, first = arcs
+    src, dst, _, first = arcs
     m = len(dst)
     rows = hi - lo
     rows_at = np.arange(0, rows * 4 * stride, 4 * stride)
-    draws, fill = _chunk_stream(seed, lo * stride, (rows, 4 * stride))
+    try:
+        draws, fill = _chunk_stream(seed, lo * stride, (rows, 4 * stride))
+    except MemoryError:
+        raise ValueError(f"periods={periods} needs {rows * 4 * stride} draw words, too many to allocate") from None
     alphas = np.asarray(alphas)
     detected = np.zeros((rows, n), dtype=bool)
+    if cascade:  # the arcs by target: member v's in-arcs are heads[into[v] : into[v + 1]]
+        order = np.argsort(dst, kind="stable")
+        heads, into = src[order], np.searchsorted(dst[order], np.arange(n + 1))
     for period in range(periods):
         base = period * (n + m)
         fill(rows_at + base, n)
@@ -251,7 +261,10 @@ def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
             fill(rows_at[caught] + base + n, m)
             opened = np.zeros((rows, m), dtype=bool)
             np.less(draws[:, base + n : base + n + m], gamma, out=opened, where=caught[:, None])
-            detected[:] = _cascade(arcs, opened, frontier, detected)
+            hidden = _pack_trials(~detected)
+            for _ in _sweep(_pack_trials(frontier), hidden, into, heads, _pack_trials(opened)[order]):
+                pass
+            detected[:] = _bits(hidden, rows).T == 0
         else:
             row, det = np.nonzero(frontier)
             k, fanout = _out_arcs(first, det)
@@ -263,35 +276,6 @@ def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     member_counts = detected.sum(axis=0, dtype=np.int64)
     hist = np.bincount(detected.sum(axis=1), minlength=n + 1).astype(np.int64)
     return member_counts, hist
-
-
-def _cascade(arcs, opened: np.ndarray, frontier: np.ndarray, detected: np.ndarray) -> np.ndarray:
-    """Each trial's (row's) detected members once its period's cascade has run.
-
-    A cascade catches every member reachable from the trial's ``frontier``
-    through arcs whose indirect draw succeeded (``opened``, one column per
-    arc) and whose targets were hidden when the period began. That set does
-    not depend on the order in which arcs are tried, so all trials are swept
-    at once, one bit per trial, as in multi-source bit-parallel BFS (Then et
-    al., PVLDB 8(4), 2014): a member's next frontier word is the OR over its
-    in-arcs of the source's frontier word and the arc's open word, less the
-    trials that have already caught it. With the arcs sorted by target, one
-    ``reduceat`` over each target's run of in-arcs makes the OR.
-    """
-    src, dst, _, _ = arcs
-    order = np.argsort(dst, kind="stable")
-    start = np.flatnonzero(np.diff(dst[order], prepend=-1))
-    sources, targets = src[order], dst[order[start]]
-    gate = _pack_trials(opened)[order]
-    front = _pack_trials(frontier)
-    seen = _pack_trials(detected)
-    while True:
-        reached = np.bitwise_or.reduceat(front[sources] & gate, start, axis=0) & ~seen[targets]
-        if not reached.any():
-            return _bits(seen, len(detected)).T
-        front = np.zeros_like(seen)
-        front[targets] = reached
-        seen[targets] |= reached
 
 
 _OCTET_PLACE = np.arange(8, dtype=np.uint64)[:, None]
@@ -333,9 +317,10 @@ def simulate(
     Trial t derives its randomness from ``(params.seed, t)`` alone: its
     block starts at Philox counter ``t * stride``, and it reads the words it
     uses from that block by position. Chunks are sized so that a buffer of
-    their whole blocks fits a fixed budget (``_DRAW_BUDGET_BYTES``, one trial
-    at least) whatever the trial count or horizon, and the report is
-    bit-identical for any ``workers`` value, chunking and across runs.
+    their whole blocks fits a fixed budget (``_DRAW_BUDGET_BYTES``) whatever
+    the trial count, or holds one trial whose block alone is larger; a
+    ValueError names ``periods`` when that block cannot be allocated. The
+    report is bit-identical for any ``workers`` value, chunking and run.
     """
     _require_runnable(g, plan, params)
     if not (_is_int(periods) and periods >= 1):

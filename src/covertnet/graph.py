@@ -15,8 +15,9 @@ are marked with ``UNREACHABLE`` (infinity) rather than a large finite
 number, so a disconnected pair can never silently corrupt a distance sum.
 Each graph computes its distance matrix once per flavour, each flavour with
 one kernel: hop counts from a breadth-first sweep over bit rows, 64 targets
-to a machine word, and weighted lengths from a relaxation of float sums,
-which bits cannot hold. Every distance-derived quantity reads that matrix.
+to a machine word (``_sweep``, which also runs the detection cascade), and
+weighted lengths from a relaxation of float sums, which bits cannot hold.
+Every distance-derived quantity reads that matrix.
 
 The weighted relaxation is Delta-stepping (Meyer and Sanders, 2003) run
 from every source at once: a (source, vertex) cell whose distance fell is
@@ -43,7 +44,7 @@ UNREACHABLE = math.inf
 # Most arcs one relaxation slice of _all_pairs expands, and most pending cells it reads at once;
 # bounds its scratch memory.
 _RELAX_BUDGET = 1 << 14
-# Most 64-bit words one level slice of _hop_pairs gathers (1 MiB); bounds its scratch memory.
+# Most 64-bit words one level slice of _sweep gathers (1 MiB); bounds its scratch memory.
 _SWEEP_BUDGET = 1 << 17
 
 
@@ -348,47 +349,60 @@ def _out_arcs(first: np.ndarray, vertices: np.ndarray) -> tuple[np.ndarray, np.n
     return _ranges(start, fanout), fanout
 
 
-def _hop_pairs(g: Graph) -> np.ndarray:
-    """All-pairs hop counts, by a breadth-first sweep of every source at once.
+def _sweep(front, unseen, first, heads, gate=None) -> Iterator[np.ndarray]:
+    """Levels of a multi-source bit-parallel breadth-first sweep (Then et al., PVLDB 8(4), 2014).
 
-    Row u of ``front`` holds, one bit per target, the targets exactly ``level``
-    hops from u: since dist(u, t) = 1 + min over u's out-neighbours w of
-    dist(w, t), u's next row is the OR of its out-neighbours' rows less the
-    targets u has already reached. Arcs are sorted by source, so one
-    ``reduceat`` per slice of at most ``_SWEEP_BUDGET`` words (or one source's
-    arcs) makes the OR. Every level reads every arc: picking out the arcs into
-    non-empty rows cost more numpy calls than the rows it skipped. Each level
-    is ORed into the bit planes of its binary digits, so the matrix is read
-    out once per plane, not once per level.
+    ``front`` and ``unseen`` hold rows of 64-bit words, one bit per search.
+    Row v's next level ORs the ``front`` rows of the ``heads`` of its arcs
+    ``first[v]:first[v + 1]`` (each ANDed with the arc's ``gate`` row, if
+    given), less what ``unseen`` has cleared; one ``reduceat`` per slice of
+    at most ``_SWEEP_BUDGET`` words (or one row's arcs) makes the OR. Every
+    level reads every arc: picking out the arcs into non-empty rows cost more
+    numpy calls than the rows it skipped. Each level is cleared from
+    ``unseen`` in place and yielded, until one is empty.
+    """
+    tail = np.flatnonzero(np.diff(first))  # the rows with arcs
+    slices = []
+    for lo, hi in _blocks(np.diff(first)[tail] * front.shape[1], _SWEEP_BUDGET):
+        a, b = first[tail[lo]], first[tail[hi - 1] + 1]
+        slices.append((tail[lo:hi], slice(a, b), first[tail[lo:hi]] - a))
+    while True:
+        reached = np.zeros_like(front)
+        for rows, arcs, offsets in slices:
+            words = np.take(front, heads[arcs], axis=0)
+            if gate is not None:
+                words &= gate[arcs]
+            reached[rows] = np.bitwise_or.reduceat(words, offsets, axis=0)
+        reached &= unseen
+        if not reached.any():
+            return
+        unseen ^= reached
+        yield reached
+        front = reached
+
+
+def _hop_pairs(g: Graph) -> np.ndarray:
+    """All-pairs hop counts, by one :func:`_sweep` from every source at once.
+
+    Row u of level k holds the targets exactly k hops from u, one bit each:
+    dist(u, t) = 1 + min over u's out-neighbours w of dist(w, t), so u's next
+    row ORs its out-neighbours' rows, less the targets u has reached. Each
+    level is ORed into the bit planes of its binary digits, so the matrix is
+    read out once per plane, not once per level.
     """
     n = g.n
     _, dst, _, first = g._arcs
-    words = -(-n // 64)
-    tail = np.flatnonzero(np.diff(first))  # the sources of arcs
-    slices = []
-    for lo, hi in _blocks(np.diff(first)[tail] * words, _SWEEP_BUDGET):
-        a, b = first[tail[lo]], first[tail[hi - 1] + 1]
-        slices.append((tail[lo:hi], dst[a:b], first[tail[lo:hi]] - a))
     vertex = np.arange(n)
-    front = np.zeros((n, words), dtype=np.uint64)
+    front = np.zeros((n, -(-n // 64)), dtype=np.uint64)
     front[vertex, vertex >> 6] = np.left_shift(np.uint64(1), (vertex & 63).astype(np.uint64))
     unseen = ~front
-    planes, level = [], 0
-    while True:
-        reached = np.zeros_like(front)
-        for rows, heads, offsets in slices:
-            reached[rows] = np.bitwise_or.reduceat(np.take(front, heads, axis=0), offsets, axis=0)
-        reached &= unseen
-        if not reached.any():
-            break
-        level += 1
-        unseen ^= reached
+    planes = []
+    for level, reached in enumerate(_sweep(front, unseen, first, dst), 1):
         if level.bit_length() > len(planes):
             planes.append(np.zeros_like(front))
         for j, plane in enumerate(planes):
             if level >> j & 1:
                 plane |= reached
-        front = reached
     hops = np.zeros((n, n), dtype=np.min_scalar_type((1 << len(planes)) - 1))
     for j, plane in enumerate(planes):
         hops |= _bits(plane, n).astype(hops.dtype) << j

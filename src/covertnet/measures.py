@@ -125,6 +125,11 @@ def information_measure(g: Graph) -> float:
     (where the total distance diverges).
     """
     _require_measurable(g)
+    return _information(g)
+
+
+def _information(g: Graph) -> float:
+    """:func:`information_measure` of a graph already checked measurable."""
     try:
         return g.n * (g.n - 1) / total_distance(g)
     except DisconnectedGraphError:
@@ -141,8 +146,12 @@ def exposure_fractions(g: Graph, params: SecrecyParams) -> np.ndarray:
     if g.directed:
         raise GraphError("exposure fractions are defined for undirected graphs")
     _check_type(params, SecrecyParams, "params")
-    degrees = np.asarray(g.degree_sequence())
-    exposure = exposure_from_degrees(g.n, degrees, params.p)
+    return _exposure(g.n, np.asarray(g.degree_sequence()), params.p)
+
+
+def _exposure(n: int, degrees: np.ndarray, p: float) -> np.ndarray:
+    """:func:`exposure_from_degrees` of one degree vector, checked to lie in [0, 1]."""
+    exposure = exposure_from_degrees(n, degrees, p)
     # d_i <= n-1 and p <= 1 keep exposure inside [0, 1]; violation means a bug
     assert np.all(exposure >= 0.0) and np.all(exposure <= 1.0)
     return exposure
@@ -168,17 +177,21 @@ def balance(g: Graph, params: SecrecyParams) -> MeasureReport:
 
     The balance is the product of the information measure and the
     hidden-knowledge measure; it is 0 for disconnected graphs, whose
-    information measure vanishes.
+    information measure vanishes. The graph and the params are checked, and
+    the degree sequence read, once for all three measures.
     """
     _require_measurable(g)
-    hidden = hidden_knowledge(g, params)
-    info = information_measure(g)
+    _check_type(params, SecrecyParams, "params")
+    degrees = g.degree_sequence()
+    vector = np.asarray(degrees)
+    hidden = float(hidden_from_degrees(g.n, vector, params.p, params.weights_for(g.n)))
+    info = _information(g)
     return MeasureReport(
         K=info,
         H=hidden,
         mu=info * hidden,
-        exposure=tuple(exposure_fractions(g, params).tolist()),
-        degrees=g.degree_sequence(),
+        exposure=tuple(_exposure(g.n, vector, params.p).tolist()),
+        degrees=degrees,
     )
 
 

@@ -397,6 +397,16 @@ class TestSimulate:
         )
         assert code == 2
 
+    def test_periods_past_memory_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "path3.json"
+        path.write_text('{"n": 3, "edges": [[0, 1], [1, 2]]}')
+        code, out, err = run(
+            capsys, "simulate", str(path), "--alphas", "0.1,0.1,0.1", "--budget", "0.3",
+            "--gamma", "0.5", "--cost-k", "1", "--trials", "10", "--periods", str(10**15),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: periods=1000000000000000 needs") and "draw words" in err
+
     def test_alphas_from_file(self, capsys, pair_graph, tmp_path):
         alpha_file = tmp_path / "alphas.txt"
         alpha_file.write_text("0.1\n0.2\n")

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import covertnet.detection as detection
+import covertnet.graph
 from covertnet._parallel import run_chunks
 from covertnet.detection import (
     DetectionParams,
@@ -296,6 +297,12 @@ class TestSimulate:
         with pytest.raises(ValueError, match="periods"):
             simulate(g, plan, params, periods=0)
 
+    def test_periods_past_memory_rejected(self):
+        # one trial's block of 10**15 periods x 7 words is past a 2**47-byte user address space
+        g, plan = make_structure("path", 3), ScrutinyPlan((0.1, 0.1, 0.1), budget=0.3)
+        with pytest.raises(ValueError, match=r"periods=1000000000000000 needs 7000000000000000 draw words"):
+            simulate(g, plan, DetectionParams(0.5, 1.0, trials=10), periods=10**15)
+
     def test_infeasible_plan_rejected(self):
         g = build_graph(2, edges=[(0, 1)])
         with pytest.raises(InfeasiblePlanError):
@@ -340,13 +347,13 @@ def record_jobs(monkeypatch) -> list:
     return jobs
 
 
-def random_network(n: int, m: int, seed: int):
+def random_network(n: int, m: int, seed: int, directed: bool = False):
     rng = random.Random(seed)
     edges = set()
     while len(edges) < m:
         i, j = rng.sample(range(n), 2)
-        edges.add((min(i, j), max(i, j)))
-    return build_graph(n, edges=sorted(edges))
+        edges.add((i, j) if directed else (min(i, j), max(i, j)))
+    return build_graph(n, directed, sorted(edges))
 
 
 def poisoned_stream(*args):
@@ -421,6 +428,17 @@ class TestSimulateChunk:
         monkeypatch.setattr(detection, "run_chunks", spy)
         assert simulate(g, plan, params, periods=2, workers=2) == baseline
         assert set(sizes[:-1]) == {rows} and sum(sizes) == 400
+
+    @pytest.mark.parametrize("budget", [1, 7, 64])
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    def test_cascade_sweep_slices_bit_identical(self, monkeypatch, budget, directed):
+        # 400 trials pack into 7 words a member, so each budget slices a level's 200 or 100 arcs
+        g = random_network(40, 100, seed=7, directed=directed)
+        plan = ScrutinyPlan(tuple(0.02 * (i % 3) for i in range(40)), budget=0.8)
+        params = DetectionParams(gamma=0.4, cost_k=1.0, cascade=True, trials=400, seed=5)
+        baseline = simulate(g, plan, params, periods=2)
+        monkeypatch.setattr(covertnet.graph, "_SWEEP_BUDGET", budget)
+        assert simulate(g, plan, params, periods=2) == baseline
 
     def test_cascade_compares_no_unread_word(self, monkeypatch):
         # with no read gap, a row that catches no one directly leaves its arc words unread

@@ -185,6 +185,35 @@ class TestBalance:
         report = balance(make_structure("cycle", 5), SecrecyParams(0.37))
         assert report.mu == report.K * report.H
 
+    @settings(max_examples=40, deadline=None)
+    @given(graphs(min_n=2, max_n=8, directed=False), st.floats(0.0, 1.0))
+    def test_reads_degrees_once_with_the_bits_of_each_measure(self, g, p):
+        params = SecrecyParams(p)
+        calls = []
+        reads = g.degree_sequence
+
+        def counted():
+            calls.append(1)
+            return reads()
+
+        object.__setattr__(g, "degree_sequence", counted)
+        report = balance(g, params)
+        assert len(calls) == 1
+        object.__delattr__(g, "degree_sequence")
+        assert report == MeasureReport(
+            K=information_measure(g),
+            H=hidden_knowledge(g, params),
+            mu=information_measure(g) * hidden_knowledge(g, params),
+            exposure=tuple(exposure_fractions(g, params).tolist()),
+            degrees=g.degree_sequence(),
+        )
+
+    def test_checks_graph_before_params(self):
+        with pytest.raises(GraphError, match="undirected"):
+            balance(build_graph(3, directed=True, edges=[(0, 1)]), "not params")
+        with pytest.raises(ValueError, match="params must be a SecrecyParams"):
+            balance(make_structure("path", 3), 0.3)
+
 
 class TestMakeStructure:
     def test_complete(self):
