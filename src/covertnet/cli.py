@@ -8,26 +8,19 @@ input file, 2 constraint or range violation, 3 lemma verification
 failure.
 
 The argument parser is built once per process (``_build_parser`` is cached,
-as the encoders are) and every ``main`` call reuses it: parsing reads the
+as io's encoders are) and every ``main`` call reuses it: parsing reads the
 parser and never changes it, so a call that argparse rejects leaves later
 calls' output as it was.
 
-The document is written from calls to the C encoder, which ``indent``
-would bypass for the pure-Python one (about three times slower on a
-graph document): only the containers are walked in Python, and the
-scalars of a container are encoded together in one call. The graph
-documents of ``build`` and ``hierarchy`` are written from the graph's
-edge columns, with no per-edge Python container: each vertex id and each
-distinct weight is encoded once, and the edge rows are those tokens and
-their separators, gathered by index into one list and joined.
+A handler only maps a result to a document; ``io`` writes every document's
+text (``io._dumps``, and ``io._graph_text`` for the graph documents of
+``build`` and ``hierarchy``).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import itertools
-import json
 import sys
 
 import numpy as np
@@ -46,13 +39,15 @@ from .graph import (
 from .io import (
     ActorFileError,
     GraphFileError,
+    _dumps,
+    _graph_text,
     load_actor_file,
     load_graph_file,
     load_vector,
 )
 from .affiliation import WEIGHT_MODES, TieRule, build_from_actors
 from .measures import SecrecyParams, balance, make_hierarchy
-from .search import LEMMA_MAX_ORDER, find_optimal, verify_lemma
+from .search import DEFAULT_MAX_ORDER, HARD_MAX_ORDER, LEMMA_MAX_ORDER, find_optimal, verify_lemma
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -60,98 +55,17 @@ EXIT_CONSTRAINT = 2
 EXIT_LEMMA_FAILED = 3
 
 
-#: Item separator whose encoder output splits back into tokens: strings escape NUL.
-_SEP = "\x00"
-_SCALARS = frozenset({str, int, float, bool, type(None)})
-_ROWS = frozenset({list, tuple})
-
-
-@functools.cache
-def _encoder(separator: str):
-    """The C encoder's ``encode``, with ``separator`` between items and ": " after keys."""
-    return json.JSONEncoder(separators=(separator, ": ")).encode
-
-
-def _tokens(values) -> list[str]:
-    """The JSON text of each scalar in ``values``, from one encoder call."""
-    return _encoder(_SEP)(values)[1:-1].split(_SEP) if values else []
-
-
-def _dumps(value, depth: int = 0) -> str:
-    """``json.dumps(value, indent=2)`` for ``value`` nested ``depth`` containers deep.
-
-    A container of scalars is one encoder call. A list of equal-length rows
-    of scalars is one call over all of their scalars, put in place by one
-    ``%`` template. Any other container encodes its scalars in one call and
-    its keys in another, and recurses into its containers.
-    """
-    if isinstance(value, dict):
-        items, brackets = list(value.values()), "{}"
-    elif isinstance(value, (list, tuple)):
-        items, brackets = value, "[]"
-    else:
-        return _encoder(",")(value)
-    if not items:
-        return brackets
-    pad = "\n" + "  " * (depth + 1)
-    kinds = set(map(type, items))
-    if kinds <= _SCALARS:
-        text = _encoder("," + pad)(value)
-        return brackets[0] + pad + text[1:-1] + pad[:-2] + brackets[1]
-    if brackets == "[]" and kinds <= _ROWS and len(set(map(len, items))) == 1:
-        flat = list(itertools.chain.from_iterable(items))
-        if set(map(type, flat)) <= _SCALARS:
-            inner, width = "\n" + "  " * (depth + 2), len(items[0])
-            row = "[" + inner + ("," + inner).join(["%s"] * width) + pad + "]" if width else "[]"
-            template = "[" + pad + ("," + pad).join([row] * len(items)) + pad[:-2] + "]"
-            return template % tuple(_tokens(flat))
-    nested = [isinstance(v, (list, tuple, dict)) for v in items]
-    scalars = iter(_tokens([v for v, deep in zip(items, nested) if not deep]))
-    texts = [_dumps(v, depth + 1) if deep else next(scalars) for v, deep in zip(items, nested)]
-    if brackets == "{}":
-        # each key token reads '"key": 0'; dropping the 0 leaves the key and its ": "
-        keys = _tokens(dict.fromkeys(value, 0))
-        texts = [key[:-1] + text for key, text in zip(keys, texts)]
-    return brackets[0] + pad + ("," + pad).join(texts) + pad[:-2] + brackets[1]
-
-
-def _emit(doc: dict) -> None:
-    print(_dumps(doc))
-
-
-def _graph_text(g: Graph, labels: tuple[str, ...] | None = None) -> str:
-    """``json.dumps(graph_to_json_dict(g, labels), indent=2)``, written from the columns.
-
-    The head (``directed``, ``n``, ``labels``) goes through ``_dumps``. Every
-    vertex id and each distinct weight is encoded once, weights told apart
-    by bit pattern so that ``-0.0`` keeps its sign. The edge rows are one
-    interleaved list of those tokens and the two separators between them,
-    gathered by index and joined, so no per-edge Python container is made.
-    """
-    head: dict = {"directed": g.directed, "n": g.n}
-    if labels is not None:
-        head["labels"] = list(labels)
-    # the head's text without its closing "\n}", continued by the edges key
-    text = _dumps(head)[:-2] + ',\n  "edges": '
-    if not g.m:
-        return text + "[]\n}"
-    bits, weight_slot = np.unique(g.weight.view(np.uint64), return_inverse=True)
-    tokens = _tokens(list(range(g.n))) + _tokens(bits.view(np.float64).tolist())
-    table = np.array(tokens + ["\n    ],\n    [\n      ", ",\n      "], dtype=object)
-    row_break, comma = table.size - 2, table.size - 1
-    index = np.empty((g.m, 6), dtype=np.intp)
-    index[:, 0], index[:, 2], index[:, 4] = row_break, comma, comma
-    index[:, 1], index[:, 3], index[:, 5] = g.src, g.dst, g.n + weight_slot.reshape(-1)
-    # the first row opens the list instead of following a row
-    rows = "".join(table[index.reshape(-1)[1:]].tolist())
-    return text + "[\n    [\n      " + rows + "\n    ]\n  ]\n}"
-
-
 def _edge_pairs(g: Graph) -> list[list[int]]:
     return np.stack((g.src, g.dst), axis=1).tolist()
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
+    """The distance and secrecy measures of a graph file.
+
+    ``--edge-weighted`` weighs T, D and the ``--community`` rings by the
+    stored edge weights. K, H and mu are the paper's measures, defined on
+    hop counts, and stay so: K reads n(n - 1) / T with T in unit hops.
+    """
     graph, labels = load_graph_file(args.input)
     weights = None if args.sharing_weights is None else load_vector(args.sharing_weights)
     params = SecrecyParams(p=args.p, sharing_weights=weights)
@@ -162,15 +76,15 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         "n": graph.n,
         "m": graph.m,
         "directed": graph.directed,
-        "labels": list(labels) if labels else None,
+        "labels": labels or None,
         "connected": connected,
         "T": total_distance(graph, hop_mode) if connected else None,
         "D": diameter(graph, hop_mode) if connected else None,
         "K": report.K,
         "H": report.H,
         "mu": report.mu,
-        "degrees": list(report.degrees),
-        "exposure": list(report.exposure),
+        "degrees": report.degrees,
+        "exposure": report.exposure,
     }
     if args.community is not None:
         graph._check_vertex(args.community)
@@ -180,7 +94,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             if delta != UNREACHABLE:
                 rings.setdefault(delta, []).append(j)
         doc["communities"] = {_number_key(delta): rings[delta] for delta in sorted(rings)}
-    _emit(doc)
+    print(_dumps(doc))
     return EXIT_OK
 
 
@@ -199,17 +113,16 @@ def _cmd_optimal(args: argparse.Namespace) -> int:
         workers=args.workers,
     )
     shown = result.argmax_graphs[: args.max_maximizers]
-    _emit(
-        {
-            "n": result.n,
-            "p": result.p,
-            "tolerance": result.tolerance,
-            "graphs_enumerated": result.graphs_enumerated,
-            "best_mu": result.best_mu,
-            "maximizer_count": len(result.argmax_graphs),
-            "maximizers": [_edge_pairs(g) for g in shown],
-        }
-    )
+    doc = {
+        "n": result.n,
+        "p": result.p,
+        "tolerance": result.tolerance,
+        "graphs_enumerated": result.graphs_enumerated,
+        "best_mu": result.best_mu,
+        "maximizer_count": len(result.argmax_graphs),
+        "maximizers": [_edge_pairs(g) for g in shown],
+    }
+    print(_dumps(doc))
     return EXIT_OK
 
 
@@ -228,29 +141,14 @@ def _cmd_verify_lemmas(args: argparse.Namespace) -> int:
     for n in range(3, args.n_max + 1):
         for which, grid in (("complete_optimal", low_grid), ("star_optimal", high_grid)):
             report = verify_lemma(which, n, grid)
+            head = {"which": which, "n": n}
             for row in report.rows:
-                rows.append(
-                    {
-                        "which": which,
-                        "n": n,
-                        "p": row.p,
-                        "passed": row.passed,
-                        "mu_claimed": row.mu_claimed,
-                        "max_mu_other": row.max_mu_other,
-                        "counterexample": (
-                            _edge_pairs(row.counterexample) if row.counterexample else None
-                        ),
-                    }
-                )
+                # vars, not dataclasses.asdict, which would deep-copy the counterexample graph
+                doc = head | vars(row)
+                doc["counterexample"] = _edge_pairs(row.counterexample) if row.counterexample else None
+                rows.append(doc)
     all_passed = all(r["passed"] for r in rows)
-    _emit(
-        {
-            "n_max": args.n_max,
-            "grid_step": args.grid_step,
-            "all_passed": all_passed,
-            "rows": rows,
-        }
-    )
+    print(_dumps({"n_max": args.n_max, "grid_step": args.grid_step, "all_passed": all_passed, "rows": rows}))
     if not all_passed:
         print("lemma verification failed; see rows above", file=sys.stderr)
         return EXIT_LEMMA_FAILED
@@ -269,7 +167,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     doc: dict = {
         "n": graph.n,
-        "labels": list(labels) if labels else None,
+        "labels": labels or None,
         "gamma": params.gamma,
         "cost_k": params.cost_k,
     }
@@ -293,15 +191,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         )
     doc.update(
         {
-            "per_member_prob": list(report.per_member_prob),
+            "per_member_prob": report.per_member_prob,
             "expected_detected": report.expected_detected,
             "expected_cost": report.expected_cost,
         }
     )
     if report.stderr is not None:
         doc["stderr"] = report.stderr
-        doc["per_member_stderr"] = list(report.per_member_stderr)
-    _emit(doc)
+        doc["per_member_stderr"] = report.per_member_stderr
+    print(_dumps(doc))
     return EXIT_OK
 
 
@@ -340,16 +238,21 @@ def _build_parser() -> argparse.ArgumentParser:
     metrics.add_argument(
         "--edge-weighted",
         action="store_true",
-        help="measure distances with stored edge weights instead of unit hops",
+        help="measure T, D and communities with stored edge weights instead of unit hops"
+        " (K, H and mu keep unit hops)",
     )
     metrics.add_argument("--community", type=int, help="report communities around this vertex")
     metrics.set_defaults(handler=_cmd_metrics)
 
     optimal = sub.add_parser("optimal", help="exhaustive balance maximization for an order")
-    optimal.add_argument("--n", type=int, required=True, help="graph order (2-7, 8 with --allow-large)")
+    orders = f"2-{DEFAULT_MAX_ORDER}, {HARD_MAX_ORDER} with --allow-large"
+    optimal.add_argument("--n", type=int, required=True, help=f"graph order ({orders})")
     optimal.add_argument("--p", type=float, required=True, help="link-detection probability")
     optimal.add_argument("--tolerance", type=float, default=1e-12, help="tie tolerance")
-    optimal.add_argument("--allow-large", action="store_true", help="permit n=8 (2^28 subsets)")
+    subsets = HARD_MAX_ORDER * (HARD_MAX_ORDER - 1) // 2
+    optimal.add_argument(
+        "--allow-large", action="store_true", help=f"permit n={HARD_MAX_ORDER} (2^{subsets} subsets)"
+    )
     optimal.add_argument("--max-maximizers", type=int, default=10, help="edge lists to emit")
     optimal.add_argument("--workers", type=int, default=1, help="parallel workers")
     optimal.set_defaults(handler=_cmd_optimal)
@@ -404,6 +307,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BAD_INPUT
     except (GraphError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_CONSTRAINT
+    except MemoryError as err:
+        print(f"error: out of memory: {err}", file=sys.stderr)
         return EXIT_CONSTRAINT
 
 

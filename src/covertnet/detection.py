@@ -18,7 +18,8 @@ are bit-identical for any worker count or chunk execution order. A period's
 cascade catches the members reachable from its directly caught ones through
 ties whose draw succeeded, whatever order the draws are looked at in, so a
 chunk sweeps the cascades of all its trials at once, one bit per trial, with
-the breadth-first sweep that counts hop distances (``graph._sweep``).
+the breadth-first sweep that counts hop distances (``graph._sweep``), on
+words packed by ``graph._pack`` and read back by ``graph._bits``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import run_chunks
-from .graph import Graph, _bits, _check_type, _is_int, _is_real, _out_arcs, _real_tuple, _sweep
+from .graph import Graph, _bits, _check_type, _is_int, _is_real, _out_arcs, _pack, _real_tuple, _sweep
 from .measures import _WEIGHT_SUM_TOL
 
 _TRIALS_PER_CHUNK = 1 << 13
@@ -261,8 +262,8 @@ def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
             fill(rows_at[caught] + base + n, m)
             opened = np.zeros((rows, m), dtype=bool)
             np.less(draws[:, base + n : base + n + m], gamma, out=opened, where=caught[:, None])
-            hidden = _pack_trials(~detected)
-            for _ in _sweep(_pack_trials(frontier), hidden, into, heads, _pack_trials(opened)[order]):
+            hidden = _pack(~detected)
+            for _ in _sweep(_pack(frontier), hidden, into, heads, _pack(opened)[order]):
                 pass
             detected[:] = _bits(hidden, rows).T == 0
         else:
@@ -276,27 +277,6 @@ def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     member_counts = detected.sum(axis=0, dtype=np.int64)
     hist = np.bincount(detected.sum(axis=1), minlength=n + 1).astype(np.int64)
     return member_counts, hist
-
-
-_OCTET_PLACE = np.arange(8, dtype=np.uint64)[:, None]
-
-
-def _pack_trials(bits: np.ndarray) -> np.ndarray:
-    """A (trials, cols) bool array as (cols, words) 64-bit words, trial 64w + k as bit k of word w.
-
-    Bools are 0/1 bytes, so each 8-byte lane of a row packs 8 columns, and
-    shifting row 8i + k's lanes by k leaves every bit in its own byte: the OR
-    of a group of 8 rows is the bytes of 8 trials, one column a byte.
-    """
-    trials, cols = bits.shape
-    octets = -(-trials // 8)
-    lanes = np.zeros((octets * 8, -(-cols // 8) * 8), dtype=bool)
-    lanes[:trials, :cols] = bits
-    lanes = lanes.view(np.uint64).reshape(octets, 8, -1)
-    lanes <<= _OCTET_PLACE
-    packed = np.zeros((cols, -(-trials // 64) * 8), dtype=np.uint8)
-    packed[:, :octets] = np.bitwise_or.reduce(lanes, axis=1).view(np.uint8)[:, :cols].T
-    return packed.view("<u8")
 
 
 def simulate(

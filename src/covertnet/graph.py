@@ -17,7 +17,9 @@ Each graph computes its distance matrix once per flavour, each flavour with
 one kernel: hop counts from a breadth-first sweep over bit rows, 64 targets
 to a machine word (``_sweep``, which also runs the detection cascade), and
 weighted lengths from a relaxation of float sums, which bits cannot hold.
-Every distance-derived quantity reads that matrix.
+Every distance-derived quantity reads that matrix. The word layout of the
+bit rows is written and read here only: ``_pack`` packs a bool array into
+words and ``_bits`` unpacks them.
 
 The weighted relaxation is Delta-stepping (Meyer and Sanders, 2003) run
 from every source at once: a (source, vertex) cell whose distance fell is
@@ -46,6 +48,8 @@ UNREACHABLE = math.inf
 _RELAX_BUDGET = 1 << 14
 # Most 64-bit words one level slice of _sweep gathers (1 MiB); bounds its scratch memory.
 _SWEEP_BUDGET = 1 << 17
+# _pack shifts row 8i + k of each octet of rows by k bits
+_OCTET_PLACE = np.arange(8, dtype=np.uint64)[:, None]
 
 
 class GraphError(ValueError):
@@ -414,6 +418,26 @@ def _bits(rows: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(rows.astype("<u8", copy=False).view(np.uint8), axis=1, count=n, bitorder="little")
 
 
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """A (rows, cols) bool array as (cols, words) 64-bit words, row 64w + k as bit k of word w.
+
+    The inverse of :func:`_bits`: ``_bits(_pack(b), rows)`` is ``b.T``, and
+    the padding bits past the last row are 0, so the words can be swept.
+    Bools are 0/1 bytes, so each 8-byte lane of a row packs 8 columns, and
+    shifting row 8i + k's lanes by k leaves every bit in its own byte: the OR
+    of a group of 8 rows is the bytes of 8 rows, one column a byte.
+    """
+    rows, cols = bits.shape
+    octets = -(-rows // 8)
+    lanes = np.zeros((octets * 8, -(-cols // 8) * 8), dtype=bool)
+    lanes[:rows, :cols] = bits
+    lanes = lanes.view(np.uint64).reshape(octets, 8, -1)
+    lanes <<= _OCTET_PLACE
+    packed = np.zeros((cols, -(-rows // 64) * 8), dtype=np.uint8)
+    packed[:, :octets] = np.bitwise_or.reduce(lanes, axis=1).view(np.uint8)[:, :cols].T
+    return packed.view("<u8")
+
+
 def _all_pairs(g: Graph) -> np.ndarray:
     """All-pairs shortest path lengths by edge weight, by Delta-stepping from every source at once.
 
@@ -491,14 +515,21 @@ def geodesic_distances(g: Graph, hop_mode: bool = True) -> DistanceMatrix:
     ------
     GraphError
         If a weighted distance exceeds the float range, naming the first
-        such pair: its infinite sum would read as no path at all.
+        such pair: its infinite sum would read as no path at all; or if
+        the matrix, or the kernel's scratch, cannot be allocated, naming
+        the vertex count and the matrix's bytes.
     """
     _check_type(g, Graph, "g")
     if not isinstance(hop_mode, bool):
         raise GraphError(f"hop_mode must be a bool, got {hop_mode!r}")
     dm = g._distances.get(hop_mode)
     if dm is None:
-        dist = _hop_pairs(g) if hop_mode else _all_pairs(g)
+        try:
+            dist = _hop_pairs(g) if hop_mode else _all_pairs(g)
+        except MemoryError:
+            raise GraphError(
+                f"{g.n} vertices need a {8 * g.n * g.n}-byte distance matrix, too large to allocate"
+            ) from None
         if not hop_mode and np.isinf(dist).any():
             lost = np.isinf(dist) & ~np.isinf(geodesic_distances(g).dist)
             if lost.any():

@@ -9,14 +9,30 @@ appearance order and the label map is preserved so reports stay readable.
 Actor rosters are JSON lists of ``{"id": str, "generators": [str, ...]}``.
 Probability vectors (scrutiny levels, sharing weights) are accepted inline
 as comma-separated values or as a small text file of numbers.
+
+This module also writes every JSON document the command line prints,
+byte for byte the text of ``json.dumps(doc, indent=2)``: ``_dumps`` for
+any document and ``_graph_text`` for a graph document, so the graph
+document is read and written in one place. The text is written from calls
+to the C encoder, which ``indent`` would bypass for the pure-Python one
+(about three times slower on a graph document): only the containers are
+walked in Python, and the scalars of a container are encoded together in
+one call. A graph document is written from the graph's edge columns, with
+no per-edge Python container: each vertex id and each distinct weight is
+encoded once, and the edge rows are those tokens and their separators,
+gathered by index into one list and joined.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import itertools
 import json
 import os
 from pathlib import Path
+
+import numpy as np
 
 from .affiliation import ActorProfile
 from .graph import Graph, GraphError, _is_int, build_graph
@@ -123,6 +139,14 @@ def _graph_from_csv(text: str, source: Path) -> tuple[Graph, tuple[str, ...] | N
     return graph, tuple(index)
 
 
+def _graph_head(g: Graph, labels: tuple[str, ...] | None) -> dict:
+    """The graph document's keys before its edges: ``directed``, ``n`` and, if given, ``labels``."""
+    head: dict = {"directed": g.directed, "n": g.n}
+    if labels is not None:
+        head["labels"] = list(labels)
+    return head
+
+
 def graph_to_json_dict(g: Graph, labels: tuple[str, ...] | None = None) -> dict:
     """JSON-serializable graph document; inverse of the JSON loader.
 
@@ -130,14 +154,92 @@ def graph_to_json_dict(g: Graph, labels: tuple[str, ...] | None = None) -> dict:
     weight]`` list of Python numbers per edge, read from the graph's
     columns (``g.edges`` is not built). The ``build`` and ``hierarchy``
     commands write the same document's text straight from the columns,
-    without this dict; ``json.dumps(graph_to_json_dict(g, labels),
-    indent=2)`` is that text.
+    without this dict (``_graph_text``); ``json.dumps(graph_to_json_dict(g,
+    labels), indent=2)`` is that text.
     """
-    doc: dict = {"directed": g.directed, "n": g.n}
-    if labels is not None:
-        doc["labels"] = list(labels)
+    doc = _graph_head(g, labels)
     doc["edges"] = [list(edge) for edge in zip(g.src.tolist(), g.dst.tolist(), g.weight.tolist())]
     return doc
+
+
+#: Item separator whose encoder output splits back into tokens: strings escape NUL.
+_SEP = "\x00"
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_ROWS = frozenset({list, tuple})
+
+
+@functools.cache
+def _encoder(separator: str):
+    """The C encoder's ``encode``, with ``separator`` between items and ": " after keys."""
+    return json.JSONEncoder(separators=(separator, ": ")).encode
+
+
+def _tokens(values) -> list[str]:
+    """The JSON text of each scalar in ``values``, from one encoder call."""
+    return _encoder(_SEP)(values)[1:-1].split(_SEP) if values else []
+
+
+def _dumps(value, depth: int = 0) -> str:
+    """``json.dumps(value, indent=2)`` for ``value`` nested ``depth`` containers deep.
+
+    A container of scalars is one encoder call. A list of equal-length rows
+    of scalars is one call over all of their scalars, put in place by one
+    ``%`` template. Any other container encodes its scalars in one call and
+    its keys in another, and recurses into its containers.
+    """
+    if isinstance(value, dict):
+        items, brackets = list(value.values()), "{}"
+    elif isinstance(value, (list, tuple)):
+        items, brackets = value, "[]"
+    else:
+        return _encoder(",")(value)
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (depth + 1)
+    kinds = set(map(type, items))
+    if kinds <= _SCALARS:
+        text = _encoder("," + pad)(value)
+        return brackets[0] + pad + text[1:-1] + pad[:-2] + brackets[1]
+    if brackets == "[]" and kinds <= _ROWS and len(set(map(len, items))) == 1:
+        flat = list(itertools.chain.from_iterable(items))
+        if set(map(type, flat)) <= _SCALARS:
+            inner, width = "\n" + "  " * (depth + 2), len(items[0])
+            row = "[" + inner + ("," + inner).join(["%s"] * width) + pad + "]" if width else "[]"
+            template = "[" + pad + ("," + pad).join([row] * len(items)) + pad[:-2] + "]"
+            return template % tuple(_tokens(flat))
+    nested = [isinstance(v, (list, tuple, dict)) for v in items]
+    scalars = iter(_tokens([v for v, deep in zip(items, nested) if not deep]))
+    texts = [_dumps(v, depth + 1) if deep else next(scalars) for v, deep in zip(items, nested)]
+    if brackets == "{}":
+        # each key token reads '"key": 0'; dropping the 0 leaves the key and its ": "
+        keys = _tokens(dict.fromkeys(value, 0))
+        texts = [key[:-1] + text for key, text in zip(keys, texts)]
+    return brackets[0] + pad + ("," + pad).join(texts) + pad[:-2] + brackets[1]
+
+
+def _graph_text(g: Graph, labels: tuple[str, ...] | None = None) -> str:
+    """``json.dumps(graph_to_json_dict(g, labels), indent=2)``, written from the columns.
+
+    The head (``directed``, ``n``, ``labels``) goes through ``_dumps``. Every
+    vertex id and each distinct weight is encoded once, weights told apart
+    by bit pattern so that ``-0.0`` keeps its sign. The edge rows are one
+    interleaved list of those tokens and the two separators between them,
+    gathered by index and joined, so no per-edge Python container is made.
+    """
+    # the head's text without its closing "\n}", continued by the edges key
+    text = _dumps(_graph_head(g, labels))[:-2] + ',\n  "edges": '
+    if not g.m:
+        return text + "[]\n}"
+    bits, weight_slot = np.unique(g.weight.view(np.uint64), return_inverse=True)
+    tokens = _tokens(list(range(g.n))) + _tokens(bits.view(np.float64).tolist())
+    table = np.array(tokens + ["\n    ],\n    [\n      ", ",\n      "], dtype=object)
+    row_break, comma = table.size - 2, table.size - 1
+    index = np.empty((g.m, 6), dtype=np.intp)
+    index[:, 0], index[:, 2], index[:, 4] = row_break, comma, comma
+    index[:, 1], index[:, 3], index[:, 5] = g.src, g.dst, g.n + weight_slot.reshape(-1)
+    # the first row opens the list instead of following a row
+    rows = "".join(table[index.reshape(-1)[1:]].tolist())
+    return text + "[\n    [\n      " + rows + "\n    ]\n  ]\n}"
 
 
 def load_actor_file(path: str | os.PathLike) -> list[ActorProfile]:

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 import covertnet.graph
 from covertnet import cli
-from covertnet.cli import _dumps, main
-from covertnet.io import graph_to_json_dict, load_graph_file
+from covertnet.cli import main
+from covertnet.io import _dumps, _graph_text, graph_to_json_dict, load_graph_file
+from covertnet.search import LemmaCheckRow, LemmaReport
 
 from strategies import graphs
 
@@ -127,6 +128,27 @@ class TestMetrics:
         assert code == 2 and out == "" and err.startswith(f"error: {message}")
         assert "disconnected" not in err
 
+    def test_edge_weighted_keeps_hop_measures(self, capsys, tmp_path):
+        # T and D take the weights; K, H and mu are the hop measures, so K = n(n - 1) / T_hop
+        path = tmp_path / "path3.json"
+        path.write_text('{"n": 3, "edges": [[0, 1, 2.0], [1, 2, 2.0]]}')
+        weighted = run_json(capsys, "metrics", str(path), "--p", "0.3", "--edge-weighted")
+        hops = run_json(capsys, "metrics", str(path), "--p", "0.3")
+        assert (weighted["T"], weighted["D"]) == (16.0, 4.0) and (hops["T"], hops["D"]) == (8.0, 2.0)
+        assert weighted["K"] == 3 * 2 / hops["T"] == 0.75
+        assert (weighted["H"], weighted["mu"]) == (hops["H"], hops["mu"])
+
+    def test_distance_matrix_past_memory_exits_2(self, capsys, tmp_path, monkeypatch):
+        def exhausted(g):
+            raise MemoryError("Unable to allocate 298. GiB")
+
+        monkeypatch.setattr(covertnet.graph, "_hop_pairs", exhausted)
+        path = tmp_path / "wide.json"
+        path.write_text('{"n": 200000, "edges": [[0, 1]]}')
+        code, out, err = run(capsys, "metrics", str(path), "--p", "0.3")
+        assert code == 2 and out == ""
+        assert err == "error: 200000 vertices need a 320000000000-byte distance matrix, too large to allocate\n"
+
     def test_non_finite_csv_weight_exits_1(self, capsys, tmp_path):
         path = tmp_path / "inf.csv"
         path.write_text("source,target,weight\na,b,1\nb,c,inf\n")
@@ -220,6 +242,15 @@ class TestOptimal:
         code, _, _ = run(capsys, "optimal", "--n", "9", "--p", "0.2")
         assert code == 2
 
+    def test_out_of_memory_exits_2(self, capsys, monkeypatch):
+        # an order-8 search holds about 2 GB; the search fails at once instead of allocating it
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.00 GiB")
+
+        monkeypatch.setattr(cli, "find_optimal", exhausted)
+        code, out, err = run(capsys, "optimal", "--n", "8", "--p", "0.5", "--allow-large")
+        assert (code, out, err) == (2, "", "error: out of memory: Unable to allocate 2.00 GiB\n")
+
     def test_nan_tolerance_exits_2(self, capsys):
         code, out, err = run(capsys, "optimal", "--n", "4", "--p", "0.3", "--tolerance", "nan")
         assert code == 2 and out == "" and "tolerance" in err
@@ -311,6 +342,26 @@ class TestVerifyLemmas:
         doc = json.loads(out)
         assert code == 0 and doc["all_passed"] is True
         assert {row["n"] for row in doc["rows"]} == set(range(3, 13))
+
+    def test_failed_row_writes_its_counterexample_and_exits_3(self, capsys, monkeypatch):
+        rival = covertnet.graph.build_graph(3, edges=[(0, 1), (1, 2)])
+
+        def refuted(which, n, grid):
+            holds = which == "star_optimal"
+            rows = [LemmaCheckRow(p, holds, 0.5, 0.75, None if holds else rival) for p in grid]
+            return LemmaReport(which, n, 1e-12, tuple(rows))
+
+        monkeypatch.setattr(cli, "verify_lemma", refuted)
+        code, out, err = run(capsys, "verify-lemmas", "--n-max", "3", "--grid-step", "0.5")
+        assert code == 3 and err == "lemma verification failed; see rows above\n"
+        doc = json.loads(out)
+        assert doc["all_passed"] is False
+        assert doc["rows"][0] == {
+            "which": "complete_optimal", "n": 3, "p": 0.0, "passed": False,
+            "mu_claimed": 0.5, "max_mu_other": 0.75, "counterexample": [[0, 1], [1, 2]],
+        }
+        assert list(doc["rows"][0]) == ["which", "n", "p", "passed", "mu_claimed", "max_mu_other", "counterexample"]
+        assert doc["rows"][-1]["counterexample"] is None and doc["rows"][-1]["passed"] is True
 
     def test_n_max_below_range_exits_2(self, capsys):
         code, _, _ = run(capsys, "verify-lemmas", "--n-max", "2")
@@ -737,7 +788,7 @@ def _labelled(g):
 )
 def test_graph_writer_matches_the_dict_document(graph_and_labels):
     g, labels = graph_and_labels
-    assert cli._graph_text(g, labels) == json.dumps(graph_to_json_dict(g, labels), indent=2)
+    assert _graph_text(g, labels) == json.dumps(graph_to_json_dict(g, labels), indent=2)
 
 
 SUBCOMMANDS = {

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import covertnet.cli
 import covertnet.graph
 from covertnet.affiliation import ActorProfile, build_from_actors
 from covertnet.graph import (
@@ -28,7 +27,7 @@ from covertnet.graph import (
     is_connected,
     total_distance,
 )
-from covertnet.io import graph_to_json_dict
+from covertnet.io import _graph_text, graph_to_json_dict
 from covertnet.measures import make_structure
 
 from oracles import bfs_hops, brute_force_apsp, dijkstra_apsp, random_connected_graph
@@ -373,7 +372,7 @@ class TestGraphContract:
     def test_negative_zero_weight_equals_zero_and_still_prints_its_sign(self):
         negative, positive = (build_graph(3, edges=[(0, 1, w), (1, 2, 1.0)]) for w in (-0.0, 0.0))
         assert negative == positive and hash(negative) == hash(positive)
-        text = covertnet.cli._graph_text(negative)
+        text = _graph_text(negative)
         assert text == json.dumps(graph_to_json_dict(negative), indent=2)
         assert json.loads(text)["edges"][0] == [0, 1, -0.0] and "-0.0" in text
 
@@ -421,7 +420,7 @@ class TestGraphContract:
     def test_build_op_does_not_materialize_the_edge_tuple(self):
         roster = [ActorProfile(id=f"a{i}", generators={"x", f"t{i % 3}"}) for i in range(6)]
         g, labels = build_from_actors(roster)
-        covertnet.cli._graph_text(g, labels)
+        _graph_text(g, labels)
         assert "edges" not in g.__dict__ and g.m == 15
         assert g.edges[0] == (0, 1, 1.0) and "edges" in g.__dict__
 
@@ -504,6 +503,20 @@ class TestGeodesicDistances:
         assert np.array_equal(geodesic_distances(g, hop_mode=False).dist, gap)
 
 
+    @pytest.mark.parametrize("kernel, hop_mode", [("_hop_pairs", True), ("_all_pairs", False)])
+    def test_matrix_past_memory_is_a_graph_error(self, monkeypatch, kernel, hop_mode):
+        # a real 320 GB allocation can succeed under overcommit and then be killed, so the kernel fails instead
+        def exhausted(g):
+            raise MemoryError("Unable to allocate 298. GiB")
+
+        monkeypatch.setattr(covertnet.graph, kernel, exhausted)
+        g = build_graph(200_000, edges=[(0, 1)])
+        message = "200000 vertices need a 320000000000-byte distance matrix, too large to allocate"
+        with pytest.raises(GraphError, match=f"^{message}$"):
+            geodesic_distances(g, hop_mode)
+        assert g._distances == {}
+
+
 def gap_matrix(n: int) -> np.ndarray:
     """|i - j| for every pair: the hop distances of the path 0-1-...-(n-1)."""
     return np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)
@@ -561,6 +574,25 @@ class TestHopSweep:
                 arcs = {(min(a, b), max(a, b)) for a, b in arcs}
             g = build_graph(n, directed, sorted((a, b) for a, b in arcs if a != b))
             assert np.array_equal(geodesic_distances(g).dist, bfs_hops(g))
+
+
+class TestPack:
+    """``_pack`` writes the word layout that ``_bits`` reads."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from((1, 7, 8, 63, 64, 65)) | st.integers(1, 317),
+        st.sampled_from((0, 1, 7, 8, 9)) | st.integers(0, 300),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_bits_inverts_pack_and_padding_is_zero(self, rows, cols, density, seed):
+        b = np.random.default_rng(seed).random((rows, cols)) < density
+        packed = covertnet.graph._pack(b)
+        words = -(-rows // 64)
+        assert packed.dtype == np.dtype("<u8") and packed.shape == (cols, words)
+        assert np.array_equal(covertnet.graph._bits(packed, rows), b.T)
+        assert not covertnet.graph._bits(packed, 64 * words)[:, rows:].any()
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:

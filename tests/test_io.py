@@ -1,16 +1,17 @@
-import json
-
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from covertnet.graph import build_graph
 from covertnet.io import (
     ActorFileError,
     GraphFileError,
-    graph_to_json_dict,
+    _graph_text,
     load_actor_file,
     load_graph_file,
     load_vector,
 )
+
+from strategies import graphs
 
 
 def write(tmp_path, name, text):
@@ -19,14 +20,29 @@ def write(tmp_path, name, text):
     return path
 
 
+# Signed zero, a subnormal and the edge of the float range, beside plain weights.
+_WEIGHTS = (-0.0, 5e-324, 1.7e308, 1.0, 2.5)
+# Label text the writer must escape: quotes, backslashes, non-ASCII and NUL, the writer's token separator.
+_LABEL = st.text() | st.lists(st.sampled_from(['"', "\\", "\x00", "é", "中", "😀", ",", "\n"])).map("".join)
+
+
+def _labelled(g):
+    return st.tuples(st.just(g), st.none() | st.lists(_LABEL, min_size=g.n, max_size=g.n).map(tuple))
+
+
 class TestGraphJson:
-    def test_round_trip(self, tmp_path):
-        g = build_graph(3, edges=[(0, 1, 2.0), (1, 2)])
-        doc = graph_to_json_dict(g, labels=("a", "b", "c"))
-        path = write(tmp_path, "g.json", json.dumps(doc))
-        loaded, labels = load_graph_file(path)
-        assert loaded == g
-        assert labels == ("a", "b", "c")
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.booleans()
+        .flatmap(lambda directed: graphs(min_n=1, max_n=10, weighted=True, directed=directed, weights=_WEIGHTS))
+        .flatmap(_labelled)
+    )
+    def test_round_trip(self, tmp_path, graph_and_labels):
+        g, labels = graph_and_labels
+        path = write(tmp_path, "g.json", _graph_text(g, labels))
+        loaded, loaded_labels = load_graph_file(path)
+        assert loaded == g and loaded.weight.tobytes() == g.weight.tobytes()  # -0.0 keeps its sign
+        assert loaded_labels == labels
 
     def test_minimal_document(self, tmp_path):
         path = write(tmp_path, "g.json", '{"n": 2, "edges": [[0, 1]]}')
