@@ -4,7 +4,16 @@ Each actor carries a finite set of generator tokens, the units of
 knowledge that trigger their thinking. Two actors are tied when their
 token sets overlap enough: an edge appears once the intersection reaches
 the rule's threshold, weighted either by the overlap count or by 1.
-Tokens are canonicalized (trimmed, case-folded) so comparison is exact.
+Tokens are canonicalized (trimmed, case-folded, by ``_canonical``) so
+comparison is exact.
+
+There is one pair builder, ``_tie_graph``, which takes the roster as two
+columns: the actor ids and each actor's raw tokens. ``build_from_actors``
+passes it its profiles' ids and token sets; the ``build`` command passes
+it the columns ``io._read_roster`` reads from a roster file, so no
+``ActorProfile`` is made there. Each distinct raw token is canonicalized
+once, empty tokens are dropped, and a token an actor holds in several
+spellings counts once, as it would in the actor's profile.
 
 Overlaps are counted from a token index rather than by intersecting every
 pair of sets: each (token, actor) membership is paired with the later
@@ -22,8 +31,9 @@ constructor, which checks them as whole arrays.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,8 +70,12 @@ class ActorProfile:
                 raise ValueError(
                     f"tokens of actor {self.id!r} must be strings, got {t!r} in its generators"
                 )
-        tokens = frozenset(canon for canon in (t.strip().casefold() for t in raw) if canon)
-        object.__setattr__(self, "generators", tokens)
+        object.__setattr__(self, "generators", frozenset(filter(None, _canonical(raw))))
+
+
+def _canonical(tokens: Iterable[str]) -> list[str]:
+    """Each token trimmed and case-folded, in order: the form in which tokens are compared."""
+    return list(map(str.casefold, map(str.strip, tokens)))
 
 
 @dataclass(frozen=True)
@@ -97,31 +111,59 @@ def build_from_actors(
     if isinstance(roster, str) or not isinstance(roster, Iterable):
         raise ValueError(f"roster must be an iterable of ActorProfile, got {roster!r}")
     roster = list(roster)
-    if not roster:
-        raise ValueError("roster must contain at least one actor")
     for actor in roster:
         if not isinstance(actor, ActorProfile):
             raise ValueError(f"roster must hold only ActorProfile items, got {actor!r}")
-    ids = [actor.id for actor in roster]
-    dupes = sorted(i for i, count in Counter(ids).items() if count > 1)
-    if dupes:
+    return _tie_graph([actor.id for actor in roster], [actor.generators for actor in roster], rule)
+
+
+def _tie_graph(
+    ids: list[str], generators: Sequence[Collection[str]], rule: TieRule
+) -> tuple[Graph, tuple[str, ...]]:
+    """The tie network of actors ``ids`` holding the raw tokens ``generators``.
+
+    The one pair builder, behind ``build_from_actors`` and the ``build``
+    command, which reads a roster file as these two columns. Ids must be
+    strings and tokens must be strings, as ``ActorProfile`` checks; an
+    empty roster and duplicate ids raise ValueError. Each distinct raw
+    token is canonicalized once, empty tokens are dropped, and an actor
+    that holds one canonical token more than once holds it once.
+    """
+    n = len(ids)
+    if not n:
+        raise ValueError("roster must contain at least one actor")
+    if len(set(ids)) < n:
+        dupes = sorted(i for i, count in Counter(ids).items() if count > 1)
         raise ValueError(f"duplicate actor ids: {', '.join(dupes)}")
-    n = len(roster)
-    vocab: dict[str, int] = {}
-    token = np.array(
-        [vocab.setdefault(t, len(vocab)) for actor in roster for t in actor.generators],
-        dtype=np.int64,
+    sizes = np.fromiter(map(len, generators), dtype=np.int64, count=n)
+    size = int(sizes.sum())
+    # A membership's token code is the place, in the roster's list of raw tokens,
+    # where its canonical form first appears; the empty token's code is -1.
+    raw: dict[str, int] = {}  # raw token -> its first place
+    flat = itertools.chain.from_iterable(generators)
+    place = np.fromiter(map(raw.setdefault, flat, itertools.count()), dtype=np.int64, count=size)
+    forms = {"": -1}  # canonical token -> the first place of its first raw token
+    canon = np.empty(size, dtype=np.int64)
+    canon[np.fromiter(raw.values(), dtype=np.int64, count=len(raw))] = np.fromiter(
+        map(forms.setdefault, _canonical(raw), raw.values()), dtype=np.int64, count=len(raw)
     )
-    sizes = np.array([len(actor.generators) for actor in roster], dtype=np.int64)
+    token = canon[place]
     member = np.repeat(np.arange(n, dtype=np.int64), sizes)
-    # Memberships stay in actor order; ``rank`` is each one's place in (token, actor)
-    # order, where its partners are the later memberships of the same token.
+    # ``rank`` is each membership's place in (token, actor) order, where its partners
+    # are the later memberships of the same token. Empty tokens and the repeats of a
+    # (token, actor) membership are dropped from that order, and memberships stay in
+    # actor order.
     order = np.lexsort((member, token))
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     group, mate = token[order], member[order]
+    keep = group >= 0
+    keep[1:] &= (group[1:] != group[:-1]) | (mate[1:] != mate[:-1])
+    held = keep[rank]
+    rank = (keep.cumsum() - 1)[rank[held]]
+    member, group, mate = member[held], group[keep], mate[keep]
     partners = np.searchsorted(group, group, side="right")[rank] - rank - 1
-    first = np.concatenate(([0], np.cumsum(sizes)))
+    first = np.concatenate(([0], np.cumsum(np.bincount(member, minlength=n))))
     codes, overlaps = [], []
     for lo, hi in _blocks(np.bincount(member, weights=partners, minlength=n), _PAIR_BUDGET):
         block = slice(first[lo], first[hi])

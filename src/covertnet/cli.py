@@ -5,7 +5,8 @@ Subcommands: ``metrics``, ``optimal``, ``verify-lemmas``, ``simulate``,
 stdout, byte for byte the text of ``json.dumps(doc, indent=2)`` and a
 newline; diagnostics go to stderr. Exit codes: 0 success, 1 malformed
 input file, 2 constraint or range violation, 3 lemma verification
-failure.
+failure, 141 (128 + SIGPIPE) stdout closed by its reader, with nothing
+on stderr.
 
 The argument parser is built once per process (``_build_parser`` is cached,
 as io's encoders are) and every ``main`` call reuses it: parsing reads the
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 import numpy as np
@@ -41,11 +43,11 @@ from .io import (
     GraphFileError,
     _dumps,
     _graph_text,
-    load_actor_file,
+    _read_roster,
     load_graph_file,
     load_vector,
 )
-from .affiliation import WEIGHT_MODES, TieRule, build_from_actors
+from .affiliation import WEIGHT_MODES, TieRule, _tie_graph
 from .measures import SecrecyParams, balance, make_hierarchy
 from .search import DEFAULT_MAX_ORDER, HARD_MAX_ORDER, LEMMA_MAX_ORDER, find_optimal, verify_lemma
 
@@ -53,6 +55,7 @@ EXIT_OK = 0
 EXIT_BAD_INPUT = 1
 EXIT_CONSTRAINT = 2
 EXIT_LEMMA_FAILED = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _edge_pairs(g: Graph) -> list[list[int]]:
@@ -204,10 +207,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    roster = load_actor_file(args.actors)
+    ids, generators = _read_roster(args.actors)
     rule = TieRule(threshold=args.threshold, weight_mode=args.weight_mode)
     try:
-        graph, labels = build_from_actors(roster, rule)
+        graph, labels = _tie_graph(ids, generators, rule)
     except ValueError as err:
         # duplicate ids are a document defect, not a parameter problem
         raise ActorFileError(f"{args.actors}: {err}") from err
@@ -301,7 +304,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: what is left goes to devnull, so the flush at exit cannot raise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (GraphFileError, ActorFileError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT

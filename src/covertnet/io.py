@@ -7,6 +7,11 @@ arbitrary string labels; they are mapped to dense vertex indices in first
 appearance order and the label map is preserved so reports stay readable.
 
 Actor rosters are JSON lists of ``{"id": str, "generators": [str, ...]}``.
+``_read_roster`` reads one into two columns, the ids and each actor's raw
+token list, in one pass over the parsed list that runs every check an
+``ActorProfile`` would, in its order, and builds no object: the ``build``
+command hands the columns to the affiliation pair builder, and
+``load_actor_file`` makes its profiles from them.
 Probability vectors (scrutiny levels, sharing weights) are accepted inline
 as comma-separated values or as a small text file of numbers.
 
@@ -17,7 +22,9 @@ document is read and written in one place. The text is written from calls
 to the C encoder, which ``indent`` would bypass for the pure-Python one
 (about three times slower on a graph document): only the containers are
 walked in Python, and the scalars of a container are encoded together in
-one call. A graph document is written from the graph's edge columns, with
+one call; a list of rows of scalars that share one shape (lists of one
+length, or dicts with the same keys in the same order) is one call and one
+``%`` template. A graph document is written from the graph's edge columns, with
 no per-edge Python container: each vertex id and each distinct weight is
 encoded once, and the edge rows are those tokens and their separators,
 gathered by index into one list and joined.
@@ -182,10 +189,11 @@ def _tokens(values) -> list[str]:
 def _dumps(value, depth: int = 0) -> str:
     """``json.dumps(value, indent=2)`` for ``value`` nested ``depth`` containers deep.
 
-    A container of scalars is one encoder call. A list of equal-length rows
-    of scalars is one call over all of their scalars, put in place by one
-    ``%`` template. Any other container encodes its scalars in one call and
-    its keys in another, and recurses into its containers.
+    A container of scalars is one encoder call. A list of rows of scalars
+    that share one shape (lists of one length, or dicts with the same keys
+    in the same order) is one call over all of their scalars, put in place
+    by one ``%`` template. Any other container encodes its scalars in one
+    call and its keys in another, and recurses into its containers.
     """
     if isinstance(value, dict):
         items, brackets = list(value.values()), "{}"
@@ -200,11 +208,18 @@ def _dumps(value, depth: int = 0) -> str:
     if kinds <= _SCALARS:
         text = _encoder("," + pad)(value)
         return brackets[0] + pad + text[1:-1] + pad[:-2] + brackets[1]
-    if brackets == "[]" and kinds <= _ROWS and len(set(map(len, items))) == 1:
-        flat = list(itertools.chain.from_iterable(items))
-        if set(map(type, flat)) <= _SCALARS:
-            inner, width = "\n" + "  " * (depth + 2), len(items[0])
-            row = "[" + inner + ("," + inner).join(["%s"] * width) + pad + "]" if width else "[]"
+    records = kinds == {dict}
+    if brackets == "[]" and (records or kinds <= _ROWS):
+        shapes = set(map(tuple, items)) if records else set(map(len, items))
+        flat = list(itertools.chain.from_iterable(map(dict.values, items) if records else items))
+        if len(shapes) == 1 and set(map(type, flat)) <= _SCALARS:
+            inner, ends = "\n" + "  " * (depth + 2), "{}" if records else "[]"
+            if records:
+                # each key token reads '"key": 0'; its % signs are doubled for the template
+                slots = [key[:-1].replace("%", "%%") + "%s" for key in _tokens(dict.fromkeys(items[0], 0))]
+            else:
+                slots = ["%s"] * len(items[0])
+            row = ends[0] + inner + ("," + inner).join(slots) + pad + ends[1] if slots else ends
             template = "[" + pad + ("," + pad).join([row] * len(items)) + pad[:-2] + "]"
             return template % tuple(_tokens(flat))
     nested = [isinstance(v, (list, tuple, dict)) for v in items]
@@ -244,6 +259,17 @@ def _graph_text(g: Graph, labels: tuple[str, ...] | None = None) -> str:
 
 def load_actor_file(path: str | os.PathLike) -> list[ActorProfile]:
     """Read an actor roster from a JSON file."""
+    return [ActorProfile(id=aid, generators=tokens) for aid, tokens in zip(*_read_roster(path))]
+
+
+def _read_roster(path: str | os.PathLike) -> tuple[list[str], list[list[str]]]:
+    """An actor roster's ids and raw generator lists, read in one pass over the JSON list.
+
+    Each actor is checked in the order ``ActorProfile`` would be: an entry
+    with an ``id``, then ``generators`` a list, then the id a nonempty
+    string, then every token a string. The first fault found is raised
+    as an ActorFileError; no profile is built.
+    """
     p = Path(path)
     try:
         doc = json.loads(p.read_text())
@@ -253,20 +279,21 @@ def load_actor_file(path: str | os.PathLike) -> list[ActorProfile]:
         raise ActorFileError(f"{p}: invalid JSON ({err})") from err
     if not isinstance(doc, list):
         raise ActorFileError(f"{p}: expected a JSON list of actors")
-    roster = []
+    ids, generators = [], []
     for item in doc:
         if not isinstance(item, dict) or "id" not in item:
             raise ActorFileError(f"{p}: actor entries need an 'id', got {item!r}")
-        generators = item.get("generators", [])
-        if not isinstance(generators, list):
-            raise ActorFileError(
-                f"{p}: 'generators' of actor {item.get('id')!r} must be a list of strings"
-            )
-        try:
-            roster.append(ActorProfile(id=item["id"], generators=generators))
-        except ValueError as err:
-            raise ActorFileError(f"{p}: {err}") from err
-    return roster
+        aid, tokens = item["id"], item.get("generators", [])
+        if not isinstance(tokens, list):
+            raise ActorFileError(f"{p}: 'generators' of actor {aid!r} must be a list of strings")
+        if not isinstance(aid, str) or not aid:
+            raise ActorFileError(f"{p}: actor id must be a nonempty string, got {aid!r}")
+        if not {str}.issuperset(map(type, tokens)):
+            token = next(t for t in tokens if type(t) is not str)
+            raise ActorFileError(f"{p}: tokens of actor {aid!r} must be strings, got {token!r} in its generators")
+        ids.append(aid)
+        generators.append(tokens)
+    return ids, generators
 
 
 def load_vector(value: str) -> tuple[float, ...]:

@@ -1,13 +1,17 @@
-"""Hypothesis strategies for random graphs.
+"""Hypothesis strategies for random graphs and actor rosters.
 
 Connectivity is guaranteed structurally (a random spanning tree is
 overlaid on the drawn edge set, in both directions when directed) rather
 than by filtering through the library's own connectivity check.
+
+``BAD_ROSTERS`` lists malformed roster documents with the message each
+one is rejected with, for the loader and the ``build`` command alike.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 
 from hypothesis import strategies as st
 
@@ -96,3 +100,88 @@ def weighted_sparse_graphs(draw, weights: tuple[float, ...], max_n: int = 150) -
         if scheme == "one zero" and count:
             drawn[draw(st.integers(0, count - 1))] = 0.0
     return build_graph(n, directed=directed, edges=[(a, b, w) for (a, b), w in zip(pairs, drawn)])
+
+
+# Tokens whose canonical forms collide or vanish: case folding maps "ß" and "SS" to
+# "ss", "İ" to "i̇" (the same as "i̇") and "ﬁ" to "fi"; spacing trims away, and "" and
+# "  " canonicalize to nothing.
+MESSY_TOKENS = ("ß", "SS", "ss", "İ", "i\u0307", "ﬁ", "fi", "FI", " x ", "x", "X", "", "  ", "a", "A", "b")
+
+
+@st.composite
+def roster_documents(draw, max_actors: int = 12) -> list[dict]:
+    """JSON roster lists with distinct ids and messy tokens.
+
+    An actor may have no ``generators`` key or an empty list, and a list may
+    hold one token in several spellings or the same token twice.
+    """
+    ids = draw(st.lists(st.text(min_size=1), min_size=1, max_size=max_actors, unique=True))
+    actors = []
+    for aid in ids:
+        tokens = draw(st.none() | st.lists(st.sampled_from(MESSY_TOKENS), max_size=8))
+        actors.append({"id": aid} if tokens is None else {"id": aid, "generators": tokens})
+    return actors
+
+
+def hub_roster(n: int = 1800, seed: int = 30) -> list[dict]:
+    """A fixed roster in which ``n`` actors each draw 4 of 60 hub tokens.
+
+    A third of the draws are spelled " Hub<k>" rather than "hub<k>", and
+    neighbours in roster order share two chain tokens, so at threshold 2
+    thousands of pairs tie, some by two or three hubs.
+    """
+    rng = random.Random(seed)
+    actors = []
+    for i in range(n):
+        hubs = [rng.randrange(60) for _ in range(4)]
+        tokens = [f" Hub{k}" if rng.random() < 1 / 3 else f"hub{k}" for k in hubs]
+        tokens += [f"chain{k}.{c}" for k in (i - 1, i) if 0 <= k < n - 1 for c in "ab"]
+        actors.append({"id": f"actor{i:04d}", "generators": tokens})
+    return actors
+
+
+#: case -> (roster file text, message, stage): ``load_actor_file`` rejects a "read"
+#: document with the message after the path; ``build_from_actors`` rejects the
+#: profiles of a "build" document with the message alone. ``build`` prints
+#: "error: <path>: <message>" and exits 1 for every one.
+BAD_ROSTERS = {
+    "not a list": ('{"id": "a"}', "expected a JSON list of actors", "read"),
+    "entry not a dict": ('["a"]', "actor entries need an 'id', got 'a'", "read"),
+    "no id": ('[{"generators": ["x"]}]', "actor entries need an 'id', got {'generators': ['x']}", "read"),
+    "generators a string": (
+        '[{"id": "a", "generators": "xy"}]',
+        "'generators' of actor 'a' must be a list of strings",
+        "read",
+    ),
+    "generators a dict": (
+        '[{"id": "a", "generators": {"x": 1}}]',
+        "'generators' of actor 'a' must be a list of strings",
+        "read",
+    ),
+    "empty id": ('[{"id": ""}]', "actor id must be a nonempty string, got ''", "read"),
+    "id not a string": ('[{"id": 7}]', "actor id must be a nonempty string, got 7", "read"),
+    "token not a string": (
+        '[{"id": "a", "generators": ["x", 1, null]}]',
+        "tokens of actor 'a' must be strings, got 1 in its generators",
+        "read",
+    ),
+    "generators before id": (
+        '[{"id": "", "generators": "x"}]',
+        "'generators' of actor '' must be a list of strings",
+        "read",
+    ),
+    "id before tokens": ('[{"id": 7, "generators": [1]}]', "actor id must be a nonempty string, got 7", "read"),
+    "first actor's fault wins": (
+        '[{"id": "a", "generators": [2]}, {"generators": []}]',
+        "tokens of actor 'a' must be strings, got 2 in its generators",
+        "read",
+    ),
+    "earlier actor's fault wins": (
+        '[{"id": "a", "generators": ["x"]}, {"id": "b", "generators": [2]}, {"generators": []}]',
+        "tokens of actor 'b' must be strings, got 2 in its generators",
+        "read",
+    ),
+    "invalid JSON": ("not json", "invalid JSON (Expecting value: line 1 column 1 (char 0))", "read"),
+    "duplicate ids": ('[{"id": "b"}, {"id": "a"}, {"id": "b"}, {"id": "a"}]', "duplicate actor ids: a, b", "build"),
+    "empty roster": ("[]", "roster must contain at least one actor", "build"),
+}

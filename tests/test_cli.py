@@ -1,20 +1,28 @@
 import hashlib
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+import types
 import warnings
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import covertnet
 import covertnet.graph
 from covertnet import cli
+from covertnet.affiliation import WEIGHT_MODES, ActorProfile, TieRule, build_from_actors
 from covertnet.cli import main
-from covertnet.io import _dumps, _graph_text, graph_to_json_dict, load_graph_file
+from covertnet.io import _dumps, _graph_text, graph_to_json_dict, load_actor_file, load_graph_file
 from covertnet.search import LemmaCheckRow, LemmaReport
 
-from strategies import graphs
+from oracles import reference_affiliation_edges
+from strategies import BAD_ROSTERS, graphs, hub_roster, roster_documents
 
 
 def run(capsys, *argv):
@@ -551,6 +559,41 @@ class TestBuild:
         code, _, err = run(capsys, "build", str(roster))
         assert code == 1 and "duplicate" in err
 
+    @pytest.mark.parametrize("text, message, _", BAD_ROSTERS.values(), ids=list(BAD_ROSTERS))
+    def test_bad_roster_exits_1_with_its_message(self, capsys, tmp_path, text, message, _):
+        roster = tmp_path / "roster.json"
+        roster.write_text(text)
+        assert run(capsys, "build", str(roster)) == (1, "", f"error: {roster}: {message}\n")
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(roster_documents(), st.integers(1, 3), st.sampled_from(WEIGHT_MODES))
+    @example(hub_roster(), 2, "overlap_count")
+    def test_same_graph_as_the_profiles_and_the_pair_loop(self, capsys, tmp_path, actors, threshold, weight_mode):
+        roster = tmp_path / "roster.json"
+        roster.write_text(json.dumps(actors))
+        argv = ["build", str(roster), "--threshold", str(threshold), "--weight-mode", weight_mode]
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        rule = TieRule(threshold, weight_mode)
+        assert out == _graph_text(*build_from_actors(load_actor_file(roster), rule)) + "\n"
+        # the oracle's token sets are canonicalized here, not by the library
+        profiles = [
+            types.SimpleNamespace(generators={t.strip().casefold() for t in actor.get("generators", [])} - {""})
+            for actor in actors
+        ]
+        edges = [tuple(edge) for edge in json.loads(out)["edges"]]
+        assert edges == list(reference_affiliation_edges(profiles, rule))
+
+    def test_makes_no_actor_profile(self, capsys, tmp_path, monkeypatch):
+        def refuse(profile):
+            raise AssertionError(f"build made a profile of {profile.id!r}")
+
+        monkeypatch.setattr(ActorProfile, "__post_init__", refuse)
+        roster = tmp_path / "roster.json"
+        roster.write_text('[{"id": "a", "generators": ["x", "Y"]}, {"id": "b", "generators": ["y"]}]')
+        doc = run_json(capsys, "build", str(roster))
+        assert doc["edges"] == [[0, 1, 1.0]]
+
     # sha256 of the graph documents of a fixed 300-actor roster, recorded when every
     # tie still went through build_graph's per-edge loop
     GOLDEN = {
@@ -597,6 +640,28 @@ class TestBuild:
         doc = run_json(capsys, "metrics", str(graph_file), "--p", "0.2")
         assert doc["n"] == 3 and doc["m"] == 3 and doc["K"] == 1.0
 
+
+@pytest.mark.parametrize("command", ["build", "hierarchy"])
+def test_closed_stdout_exits_141_quietly(tmp_path, command):
+    # build: 400 actors sharing one token tie 79,800 pairs, a document of about 3.5 MB,
+    # far past what a pipe holds, so a write inside print meets the pipe closed after
+    # 10 bytes. hierarchy: its small document stays in stdout's buffer, the pipe is
+    # closed before the process writes, and main's flush meets it; without the devnull
+    # redirect the flush at exit would fail again and print to stderr.
+    roster = tmp_path / "roster.json"
+    roster.write_text(json.dumps([{"id": f"a{i}", "generators": ["hub", f"own{i}"]} for i in range(400)]))
+    argv = {"build": ["build", str(roster)], "hierarchy": ["hierarchy", "--alphas", "0.1,0.2", "--n-linked", "1"]}
+    source = str(Path(covertnet.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, as it is by default
+    command_line = [sys.executable, "-m", "covertnet.cli", *argv[command]]
+    with subprocess.Popen(command_line, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        if command == "build":
+            assert proc.stdout.read(10) == b'{\n  "direc'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (code, err) == (141, b"")
 
 class TestHierarchy:
     def test_two_linked(self, capsys):
@@ -769,6 +834,39 @@ _JSON_VALUES = st.recursive(_SCALARS, _containers, max_leaves=40)
 @given(_JSON_VALUES)
 def test_writer_matches_indent_2(value):
     assert _dumps(value) == json.dumps(value, indent=2)
+
+
+_RECORD_KEYS = st.one_of(_KEYS, st.sampled_from(["%", "%s", "%%", '"', "\x00", "é", "中"]))
+_RECORD_VALUES = st.one_of(_SCALARS, st.sampled_from([-0.0, 5e-324, None, True, False]))
+
+
+@st.composite
+def _records(draw):
+    """Dict rows with one key order and scalar values, the template's case.
+
+    Some draws take the general path instead: one row holds a nested value,
+    or one row lists the keys in reverse.
+    """
+    keys = list(dict.fromkeys(draw(st.lists(_RECORD_KEYS, max_size=5))))
+    rows = [
+        dict(zip(keys, draw(st.lists(_RECORD_VALUES, min_size=len(keys), max_size=len(keys)))))
+        for _ in range(draw(st.integers(1, 8)))
+    ]
+    odd = draw(st.integers(0, len(rows) - 1))
+    change = draw(st.sampled_from(["none", "nested", "reversed"])) if keys else "none"
+    if change == "nested":
+        key = draw(st.sampled_from(keys))
+        rows[odd][key] = [rows[odd][key]]
+    elif change == "reversed":
+        rows[odd] = dict(reversed(rows[odd].items()))
+    return rows
+
+
+@settings(max_examples=250, deadline=None)
+@given(_records())
+def test_writer_matches_indent_2_on_records(rows):
+    assert _dumps(rows) == json.dumps(rows, indent=2)
+    assert _dumps({"rows": rows}) == json.dumps({"rows": rows}, indent=2)
 
 
 # Signed zero, a subnormal, a value with no short decimal form, integral floats and the

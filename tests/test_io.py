@@ -11,7 +11,9 @@ from covertnet.io import (
     load_vector,
 )
 
-from strategies import graphs
+from covertnet.affiliation import build_from_actors
+
+from strategies import BAD_ROSTERS, graphs
 
 
 def write(tmp_path, name, text):
@@ -130,6 +132,19 @@ class TestActorFile:
     def test_bad_generators(self, tmp_path):
         with pytest.raises(ActorFileError, match="generators"):
             load_actor_file(write(tmp_path, "r.json", '[{"id": "a", "generators": [1]}]'))
+
+    @pytest.mark.parametrize("text, message, stage", BAD_ROSTERS.values(), ids=list(BAD_ROSTERS))
+    def test_bad_roster_message(self, tmp_path, text, message, stage):
+        path = write(tmp_path, "r.json", text)
+        if stage == "read":
+            with pytest.raises(ActorFileError) as err:
+                load_actor_file(path)
+            assert str(err.value) == f"{path}: {message}"
+        else:
+            roster = load_actor_file(path)
+            with pytest.raises(ValueError) as err:
+                build_from_actors(roster)
+            assert str(err.value) == message
 
 
 class TestLoadVector:
