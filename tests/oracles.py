@@ -17,6 +17,8 @@ Everything here deliberately avoids the library's algorithms:
   each mask's bits (the library reads both from per-order tables),
 * detection probabilities come from enumerating every combination of
   direct and indirect draws (the library uses a closed form),
+* multi-period and cascade detection probabilities come from an exact
+  Markov chain over detected sets (the library samples them),
 * that closed form is replayed by a sequential loop over the (detector,
   target) pairs (the library multiplies every factor in one scatter),
 * a Monte Carlo chunk is replayed by scanning every (detector, target)
@@ -225,6 +227,102 @@ def reference_detect_exact(g: Graph, alphas: tuple[float, ...], gamma: float) ->
     for i, j in sorted(pairs):
         hidden[j] *= 1.0 - alphas[i] * gamma
     return tuple(1.0 - h for h in hidden)
+
+
+def _directed_pairs(g: Graph) -> list[tuple[int, int]]:
+    """Every (detector, target) pair of ``g``: both ways for an undirected tie, sorted."""
+    pairs = [(s, t) for s, t, _ in g.edges]
+    if not g.directed:
+        pairs += [(t, s) for s, t in pairs]
+    return sorted(pairs)
+
+
+def detection_chain(
+    g: Graph, alphas, gamma: float, periods: int, cascade: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact per-member detection probabilities and detected-count distribution.
+
+    A Markov chain over the detected set S, held as a bitmask with its
+    probability. One period enumerates every outcome D of the hidden members'
+    direct draws. One hop, each hidden target outside D is then caught with
+    1 - (1 - gamma)^k, where k counts the pairs from D into it; given D the
+    targets are independent, so no pair is enumerated. Under cascade, every
+    open subset of the pairs that run from a hidden member to a hidden target
+    outside D is enumerated, and S gains what D reaches through the open
+    pairs. Detected members are never drawn again. Sized for n <= 6 and about
+    10 such pairs; larger instances are refused.
+    """
+    n = g.n
+    if n > 6:
+        raise ValueError(f"the chain enumerates 2**n direct outcomes; n={n} is too many")
+    pairs = _directed_pairs(g)
+    states = {0: 1.0}
+    for _ in range(periods):
+        after: dict[int, float] = collections.defaultdict(float)
+        for seen, p_seen in states.items():
+            hidden = [i for i in range(n) if not seen >> i & 1]
+            for bits in range(1 << len(hidden)):
+                direct, p_direct = 0, p_seen
+                for k, i in enumerate(hidden):
+                    if bits >> k & 1:
+                        direct |= 1 << i
+                        p_direct *= alphas[i]
+                    else:
+                        p_direct *= 1.0 - alphas[i]
+                if p_direct == 0.0:
+                    continue
+                spread = _cascade_spread if cascade else _one_hop_spread
+                for caught, p_caught in spread(pairs, seen, direct, gamma).items():
+                    after[seen | direct | caught] += p_direct * p_caught
+        states = after
+    member = np.zeros(n)
+    count = np.zeros(n + 1)
+    for seen, p in states.items():
+        for i in range(n):
+            if seen >> i & 1:
+                member[i] += p
+        count[bin(seen).count("1")] += p
+    return member, count
+
+
+def _one_hop_spread(pairs, seen, direct, gamma) -> dict[int, float]:
+    """Distribution of the set one hop catches from ``direct``, targets independent."""
+    outcomes = {0: 1.0}
+    for j in sorted({t for s, t in pairs if direct >> s & 1 and not (seen | direct) >> t & 1}):
+        k = sum(1 for s, t in pairs if t == j and direct >> s & 1)
+        q = 1.0 - (1.0 - gamma) ** k
+        split: dict[int, float] = collections.defaultdict(float)
+        for caught, p in outcomes.items():
+            split[caught | 1 << j] += p * q
+            split[caught] += p * (1.0 - q)
+        outcomes = split
+    return outcomes
+
+
+def _cascade_spread(pairs, seen, direct, gamma) -> dict[int, float]:
+    """Distribution of the set a cascade reaches from ``direct`` over open pairs."""
+    closed = seen | direct
+    live = [(s, t) for s, t in pairs if not seen >> s & 1 and not closed >> t & 1]
+    if len(live) > 12:
+        raise ValueError(f"the chain enumerates 2**{len(live)} pair outcomes; too many")
+    outcomes: dict[int, float] = collections.defaultdict(float)
+    for bits in range(1 << len(live)):
+        p = 1.0
+        out = collections.defaultdict(list)
+        for k, (s, t) in enumerate(live):
+            if bits >> k & 1:
+                p *= gamma
+                out[s].append(t)
+            else:
+                p *= 1.0 - gamma
+        reached, queue = 0, [s for s in range(direct.bit_length()) if direct >> s & 1]
+        while queue:
+            for t in out[queue.pop()]:
+                if not (closed | reached) >> t & 1:
+                    reached |= 1 << t
+                    queue.append(t)
+        outcomes[reached] += p
+    return outcomes
 
 
 def reference_simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
