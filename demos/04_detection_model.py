@@ -26,10 +26,14 @@ exact = detect_exact(pair, plan, params)
 print("exact per-member probabilities:", exact.per_member_prob)
 print("expected detections:", exact.expected_detected, " expected cost:", exact.expected_cost)
 
+# The Monte Carlo draws events, not one number per member and per tie: a
+# trial-period finds its direct catches by exponential skips over the
+# members' cumulative hazards (one draw per catch, plus one), and each newly
+# caught member's ties take one draw each.
 mc = simulate(pair, plan, params)
 print(
     f"Monte Carlo estimate: {mc.expected_detected:.4f} "
-    f"(stderr {mc.stderr:.4f}, seed fixed so this number never changes)"
+    f"(stderr {mc.stderr:.4f}; the same seed gives this number on every run and worker count)"
 )
 
 # Same scrutiny, different structures: denser wiring means more indirect

@@ -11,15 +11,27 @@ members keep triggering draws within the period until a fixed point.
 
 ``detect_exact`` evaluates the one-period, one-hop closed form.
 ``simulate`` estimates the same quantities, plus the multi-period and
-cascading variants, by Monte Carlo. Trial randomness is counter-based:
-trial t owns its own block of the Philox stream derived from the master
-seed and reads the words it uses from that block by position, so reports
-are bit-identical for any worker count or chunk execution order. A period's
-cascade catches the members reachable from its directly caught ones through
-ties whose draw succeeded, whatever order the draws are looked at in, so a
-chunk sweeps the cascades of all its trials at once, one bit per trial, with
-the breadth-first sweep that counts hop distances (``graph._sweep``), on
-words packed by ``graph._pack`` and read back by ``graph._bits``.
+cascading variants, by Monte Carlo. Trial randomness is counter-based: each
+trial-period (t, p) consumes one sequence of words of the Philox stream
+derived from the master seed, and the sequence depends on (seed, t, p)
+alone, so reports are bit-identical for any worker count or chunk execution
+order. Its first R words (``_REGION``, or fewer on a small network) lie in a
+dense region stream, trial after trial, so one read fills a whole chunk's
+regions; a sequence that runs past R continues in trial t's block, which is
+read by position.
+
+A period draws its events, not one word per member and per tie. The direct
+catches come by exponential skips over the members' cumulative hazards
+-log1p(-alpha) (sequential inversion, Devroye 1986, ch. 2; the skip form of
+subset sampling, Bringmann & Panagiotou, ICALP 2012): one word per catch,
+plus one. Each member is still caught with probability alpha, independently,
+exact up to the rounding of the cumulative sum. One hop, each newly caught
+member's ties then take one word each. A period's cascade catches the
+members reachable from its directly caught ones through ties whose draw
+succeeded, whatever order the draws are looked at in, so a chunk sweeps the
+cascades of all its trials at once, one bit per trial, with the
+breadth-first sweep that counts hop distances (``graph._sweep``), on words
+packed by ``graph._pack`` and read back by ``graph._bits``.
 """
 
 from __future__ import annotations
@@ -34,10 +46,12 @@ from .graph import Graph, _bits, _check_type, _is_int, _is_real, _out_arcs, _pac
 from .measures import _WEIGHT_SUM_TOL
 
 _TRIALS_PER_CHUNK = 1 << 13
-# Most bytes of one chunk's buffer: each row holds its trial's whole block, 4
-# words (32 B) per Philox counter, though reads fill only the words trials use.
+# Most bytes of one chunk's buffer of blocks: each row holds its trial's whole
+# block, 4 words (32 B) per Philox counter, though reads fill only the words
+# trials use. A trial's regions are never longer than its block but for the
+# rounding of each period's to whole counters.
 _DRAW_BUDGET_BYTES = 8 << 20
-# Word ranges closer than this share one read, and a read ending this close to
+# Block ranges closer than this share one read, and a read ending this close to
 # the chunk's end runs to it, so a chunk whose rows lie closer is read whole by
 # its first read. A read costs about 4 us plus 10 ns a word, but the words read
 # through a gap stay in the buffer, and later periods and cascades use many of
@@ -45,6 +59,14 @@ _DRAW_BUDGET_BYTES = 8 << 20
 # no chunk ran more than 3% slower than a whole-block draw at 2048; 512 and 1024
 # left 61-member ones 1.3-1.4x slower, and 4096 lost the 300-member one-hop gain.
 _READ_GAP = 2048
+# Words of a trial-period's sequence in its region, in whole counters. A one-hop
+# period uses one word more than its direct catches, plus one a newly caught
+# member's arc: on the benchmark's 300-member network about 7, and no row of a
+# one-hop or three-period op passed 64. A cascade's arcs run on into the block.
+_REGION = 64
+# Philox counter of trial 0's block. The regions start at counter 0, so the two
+# streams stay apart while trials * periods * R / 4 < 2**192.
+_BLOCKS = 1 << 192
 _WORD = (1 << 64) - 1
 
 
@@ -180,14 +202,14 @@ def detect_exact(g: Graph, plan: ScrutinyPlan, params: DetectionParams) -> Detec
 
 
 def _chunk_stream(seed: int, origin: int, shape: tuple[int, int]):
-    """A chunk's buffer of trial blocks and ``fill``, which reads words into it.
+    """A chunk's buffer of trial words and ``fill``, which reads words into it.
 
     ``buf`` has the shape of the chunk's whole draw from Philox counter
-    ``origin`` (row i is the chunk's i-th trial block), but holds only the
-    words ``fill`` has read. A read sets the whole 256-bit counter (so a stream
-    past 2**64 carries as it does when drawn) and draws whole counters with
-    ``Generator.random`` into their place, so each word read equals the whole
-    draw's word there.
+    ``origin`` (row i holds the chunk's i-th trial's regions or block), but
+    holds only the words ``fill`` has read. A read sets the whole 256-bit
+    counter (so a stream past 2**64 carries as it does when drawn) and draws
+    whole counters with ``Generator.random`` into their place, so each word
+    read equals the whole draw's word there.
     """
     bitgen = np.random.Philox(key=seed)
     gen = np.random.Generator(bitgen)
@@ -224,55 +246,119 @@ def _chunk_stream(seed: int, origin: int, shape: tuple[int, int]):
 def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     """Per-member detection counts and detected-count histogram of trials [lo, hi).
 
-    Row i of the chunk's buffer is trial ``lo + i``'s block, and the trial's
-    words are read into it by position (``_chunk_stream``) before they are
-    compared. A period reads each row's n direct words, then makes its
-    indirect draws. One-hop, each (trial, newly detected member) hit expands
-    over that detector's out-arcs (``arcs`` is ``Graph._arcs``, sorted by
-    detector), reads only those arcs' words, and marks the still-hidden
-    targets it catches, so work scales with the ties of caught members.
-    Under cascade, only a row that catches a member directly reads and
-    compares the period's whole arc block (a cascade on a connected network
-    soon needs most of it). A cascade catches the members reachable from the
-    direct catches through arcs whose draw succeeded, in any order, so the
-    hop distances' sweep (``graph._sweep``) closes every row at once, one
-    bit per trial, over the arcs sorted by target and gated by their draws.
+    Trial t's period p consumes one sequence of words. Its first R words (the
+    lesser of ``_REGION`` and n + m in whole counters) are words
+    (t * periods + p) * R onwards of the region stream, which starts at Philox
+    counter 0, so one read fills the chunk's regions. Word i >= R is word
+    p * (n + m) + i of trial t's block, which starts at counter
+    ``_BLOCKS + t * stride`` and is read by position (``_chunk_stream``) for
+    the rows that pass R; its buffer is allocated by the first such read.
+
+    A period catches members directly by exponential skips over the
+    cumulative hazards L_j = sum_{i <= j} -log1p(-alpha_i): from pos = 0, a
+    row's next catch is the first j with L_j > pos + E, E = -log1p(-u) for
+    its next word u (``searchsorted``), and then pos = L_j. All rows step
+    together, one round per catch, and a row stops when no L_j exceeds pos. A
+    member with alpha 1 is caught without a word and one with alpha 0 never
+    is, so the direct draws cost at most one word more than the catches, and
+    at most n. From pos = L_i, none of members i + 1..j is caught with
+    probability exp(-(L_j - L_i)), the product of their 1 - alpha, so each
+    member is caught with probability alpha, independently: exact up to the
+    rounding of the cumulative sum L (and of E and the 53-bit u).
+
+    One hop, each newly caught member's out-arcs (``arcs`` is
+    ``Graph._arcs``, sorted by detector) take the row's next words, one an
+    arc, in (member, arc) order, and mark the still-hidden targets they catch.
+    Under cascade, arc k of a row that catches someone new directly takes the
+    word after its direct ones plus k, so a sequence never passes n + m
+    words. A cascade catches the members reachable from the direct catches
+    through arcs whose draw succeeded, in any order, so the hop distances'
+    sweep (``graph._sweep``) closes every row at once, one bit per trial,
+    over the arcs sorted by target and gated by their draws.
     """
     (n, arcs, alphas, gamma, cascade, periods, seed, stride, lo, hi) = args
     src, dst, _, first = arcs
     m = len(dst)
     rows = hi - lo
-    rows_at = np.arange(0, rows * 4 * stride, 4 * stride)
-    try:
-        draws, fill = _chunk_stream(seed, lo * stride, (rows, 4 * stride))
-    except MemoryError:
-        raise ValueError(f"periods={periods} needs {rows * 4 * stride} draw words, too many to allocate") from None
-    alphas = np.asarray(alphas)
+    span = n + m
+    region = min(_REGION, -(-span // 4) * 4)
+
+    def stream(origin: int, width: int):
+        try:
+            return _chunk_stream(seed, origin, (rows, width))
+        except MemoryError:
+            raise ValueError(f"periods={periods} needs {rows * width} draw words, too many to allocate") from None
+
+    regions, fill = stream(lo * periods * region // 4, periods * region)
+    fill(np.zeros(1, dtype=np.intp), regions.size)
+    width, blocks = 4 * stride, None
+
+    def read(period: int, row: np.ndarray, i: np.ndarray, length: int) -> np.ndarray:
+        """The blocks' words of ``period``, (rows, n + m), with [i, i + length) of each ``row`` read.
+
+        (row, i) ascend; the chunk's blocks are allocated by the first read.
+        """
+        nonlocal blocks
+        if blocks is None:
+            blocks = stream(_BLOCKS + lo * stride, width)
+        buf, fill_block = blocks
+        fill_block(row * width + period * span + i, length)
+        return buf[:, period * span : (period + 1) * span]
+
+    def words(period: int, row: np.ndarray, i: np.ndarray) -> np.ndarray:
+        """Word ``i`` of each ``row``'s sequence in ``period``; (row, i) ascend."""
+        u = regions[row, period * region + np.minimum(i, region - 1)]
+        over = np.flatnonzero(i >= region)
+        if over.size:
+            row, i = row[over], i[over]
+            u[over] = read(period, row, i, 1)[row, i]
+        return u
+
+    alphas = np.asarray(alphas, dtype=float)
+    certain = alphas == 1.0
+    level = np.cumsum(-np.log1p(-np.where(certain, 0.0, alphas)))
     detected = np.zeros((rows, n), dtype=bool)
     if cascade:  # the arcs by target: member v's in-arcs are heads[into[v] : into[v + 1]]
         order = np.argsort(dst, kind="stable")
         heads, into = src[order], np.searchsorted(dst[order], np.arange(n + 1))
     for period in range(periods):
-        base = period * (n + m)
-        fill(rows_at + base, n)
-        frontier = ~detected & (draws[:, base : base + n] < alphas)
+        frontier = np.zeros((rows, n), dtype=bool)
+        frontier[:, certain] = True
+        used = np.zeros(rows, dtype=np.intp)
+        row = np.arange(rows if level[-1] > 0 else 0)
+        pos = np.zeros(row.size)
+        while row.size:  # the rows with a hazard left past their last catch
+            j = np.searchsorted(level, pos - np.log1p(-words(period, row, used[row])), side="right")
+            used[row] += 1
+            row, j = row[j < n], j[j < n]
+            frontier[row, j] = True
+            more = level[j] < level[-1]
+            row, pos = row[more], level[j[more]]
+        frontier &= ~detected
         detected |= frontier
         if cascade:
-            caught = frontier.any(axis=1)
-            fill(rows_at[caught] + base + n, m)
+            caught = np.flatnonzero(frontier.any(axis=1))
             opened = np.zeros((rows, m), dtype=bool)
-            np.less(draws[:, base + n : base + n + m], gamma, out=opened, where=caught[:, None])
+            last = used[caught].max() + m if caught.size else 0  # past the last word an arc takes
+            if last > region:
+                block = read(period, caught, region, last - region)
+            for u in np.unique(used[caught]).tolist():
+                r = caught[used[caught] == u]
+                cut = min(max(region - u, 0), m)  # the arcs whose words lie in the region
+                opened[r, :cut] = regions[r, period * region + u : period * region + u + cut] < gamma
+                if cut < m:
+                    opened[r, cut:] = block[r, u + cut : u + m] < gamma
             hidden = _pack(~detected)
             for _ in _sweep(_pack(frontier), hidden, into, heads, _pack(opened)[order]):
                 pass
             detected[:] = _bits(hidden, rows).T == 0
         else:
-            row, det = np.nonzero(frontier)
+            row, det = np.divmod(np.flatnonzero(frontier), n)  # 2-D nonzero is about 8x slower
             k, fanout = _out_arcs(first, det)
             row = np.repeat(row, fanout)
-            fill(rows_at[row] + (base + n) + k, 1)
+            i = used[row] + np.arange(row.size) - np.searchsorted(row, row)
             target = dst[k]
-            hit = (draws[row, base + n + k] < gamma) & ~detected[row, target]
+            hit = (words(period, row, i) < gamma) & ~detected[row, target]
             detected[row[hit], target[hit]] = True
     member_counts = detected.sum(axis=0, dtype=np.int64)
     hist = np.bincount(detected.sum(axis=1), minlength=n + 1).astype(np.int64)
@@ -294,13 +380,25 @@ def simulate(
     periods and detected members are not re-drawn. One indirect draw exists
     per (detector, target) pair per period.
 
-    Trial t derives its randomness from ``(params.seed, t)`` alone: its
-    block starts at Philox counter ``t * stride``, and it reads the words it
-    uses from that block by position. Chunks are sized so that a buffer of
-    their whole blocks fits a fixed budget (``_DRAW_BUDGET_BYTES``) whatever
-    the trial count, or holds one trial whose block alone is larger; a
-    ValueError names ``periods`` when that block cannot be allocated. The
-    report is bit-identical for any ``workers`` value, chunking and run.
+    Trial t derives its randomness from ``(params.seed, t)`` alone. Its
+    period p consumes one sequence of words: word i < R (R = ``_REGION``
+    words, or n + m rounded up to whole counters if fewer, m the arcs) is
+    word (t * periods + p) * R + i of the region stream from Philox counter
+    0, and word i >= R is word p * (n + m) + i of trial t's block, which
+    starts at counter ``_BLOCKS + t * stride`` (``stride`` counters hold the
+    trial's periods * (n + m) words). A period uses at most n + m words: one
+    per direct catch plus one (none once no member with a hazard is left past
+    the last catch; a member with alpha 1 is caught without one), then one
+    per arc of a newly caught member, or under cascade one per arc. A chunk
+    reads its rows' regions in one read and the block words that rows run on
+    into by position (``_chunk_stream``). Direct catches are exact up to the
+    rounding of the cumulative hazards (see ``_simulate_chunk``).
+
+    Chunks are sized so that a buffer of their whole blocks fits a fixed
+    budget (``_DRAW_BUDGET_BYTES``) whatever the trial count, or holds one
+    trial whose block alone is larger; a ValueError names ``periods`` when a
+    chunk's regions or blocks cannot be allocated. The report is
+    bit-identical for any ``workers`` value, chunking and run.
     """
     _require_runnable(g, plan, params)
     if not (_is_int(periods) and periods >= 1):

@@ -21,8 +21,10 @@ Everything here deliberately avoids the library's algorithms:
   Markov chain over detected sets (the library samples them),
 * that closed form is replayed by a sequential loop over the (detector,
   target) pairs (the library multiplies every factor in one scatter),
-* a Monte Carlo chunk is replayed by scanning every (detector, target)
-  pair at each propagation step (the library expands only the frontier),
+* a Monte Carlo chunk is replayed trial by trial, one word at a time, with
+  direct catches found by a scan of the running hazards and cascades by a
+  queue (the library steps every trial at once, by binary search, and sweeps
+  cascades one bit per trial),
 * affiliation ties come from intersecting the token sets of every actor
   pair (the library counts overlaps from a token index),
 * a lemma check's strongest rival comes from scoring every connected graph
@@ -170,6 +172,14 @@ def count_connected_graphs(n: int) -> int:
     return count
 
 
+def _directed_pairs(g: Graph) -> list[tuple[int, int]]:
+    """Every (detector, target) pair of ``g``: both ways for an undirected tie, sorted."""
+    pairs = [(s, t) for s, t, _ in g.edges]
+    if not g.directed:
+        pairs += [(t, s) for s, t in pairs]
+    return sorted(pairs)
+
+
 def detection_joint_enumeration(
     g: Graph, alphas: list[float], gamma: float
 ) -> np.ndarray:
@@ -181,12 +191,7 @@ def detection_joint_enumeration(
     is directly detected and the pair's indirect draw succeeds.
     """
     n = g.n
-    pairs: list[tuple[int, int]] = []
-    for s, t, _ in g.edges:
-        pairs.append((s, t))
-        if not g.directed:
-            pairs.append((t, s))
-    pairs.sort()
+    pairs = _directed_pairs(g)
     npairs = len(pairs)
 
     direct = np.array(
@@ -220,21 +225,10 @@ def reference_detect_exact(g: Graph, alphas: tuple[float, ...], gamma: float) ->
     1 - alpha_i * gamma per (detector i, target j) pair, in ascending pair
     order, the order in which ``detection.detect_exact`` multiplies.
     """
-    pairs = [(s, t) for s, t, _ in g.edges]
-    if not g.directed:
-        pairs += [(t, s) for s, t in pairs]
     hidden = [1.0 - a for a in alphas]
-    for i, j in sorted(pairs):
+    for i, j in _directed_pairs(g):
         hidden[j] *= 1.0 - alphas[i] * gamma
     return tuple(1.0 - h for h in hidden)
-
-
-def _directed_pairs(g: Graph) -> list[tuple[int, int]]:
-    """Every (detector, target) pair of ``g``: both ways for an undirected tie, sorted."""
-    pairs = [(s, t) for s, t, _ in g.edges]
-    if not g.directed:
-        pairs += [(t, s) for s, t in pairs]
-    return sorted(pairs)
 
 
 def detection_chain(
@@ -325,38 +319,79 @@ def _cascade_spread(pairs, seen, direct, gamma) -> dict[int, float]:
     return outcomes
 
 
-def reference_simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pair replay of a ``detection._simulate_chunk`` job.
+def reference_simulate_chunk(args, region_words: int) -> tuple[np.ndarray, np.ndarray]:
+    """Trial-by-trial, period-by-period replay of a ``detection._simulate_chunk`` job.
 
-    Same job tuple and same Philox draws as the library; at every step the
-    indirect draws are applied by looping over all (detector, target)
-    pairs, read from the job's arcs, whether or not the detector was just
-    caught.
+    Same job tuple and same Philox words as the library, consumed one at a
+    time from each trial-period's sequence. With n members and m pairs (the
+    job's arcs), word i < R of trial t's period p, R the lesser of
+    ``region_words`` and n + m rounded up to whole counters, is word
+    (t * periods + p) * R + i of the stream from counter 0; word i >= R is
+    word p * (n + m) + i of the stream from counter 2**192 + t * stride. In a
+    period:
+
+    * a hidden or detected member with alpha 1 is caught without a word;
+    * with L the running sums of -log1p(-alpha) over the members (alpha 1
+      counting 0), and pos = 0, each next word u gives x = pos - log1p(-u), the
+      catch is the first member j whose L_j exceeds x, found by a scan, and
+      pos = L_j; the row draws no word once no L exceeds pos;
+    * one hop, each member caught directly and hidden before, in ascending
+      order, gives each of its pairs, in pair order, the next word, and the
+      pair's hidden target is caught when the word is below gamma;
+    * under cascade, if any member was newly caught directly, pair k takes
+      the word after the direct ones plus k, and the catches spread breadth
+      first along the pairs whose word is below gamma.
     """
     (n, arcs, alphas, gamma, cascade, periods, seed, stride, lo, hi) = args
     pairs = list(zip(arcs[0].tolist(), arcs[1].tolist()))
+    m = len(pairs)
+    region = min(region_words, -(-(n + m) // 4) * 4)
     rows = hi - lo
-    gen = np.random.Generator(np.random.Philox(key=seed, counter=lo * stride))
-    draws = gen.random((rows, stride * 4))
-    alphas = np.asarray(alphas)
-    npairs = len(pairs)
-    detected = np.zeros((rows, n), dtype=bool)
-    for period in range(periods):
-        base = period * (n + npairs)
-        u_direct = draws[:, base : base + n]
-        u_gamma = draws[:, base + n : base + n + npairs]
-        frontier = ~detected & (u_direct < alphas)
-        detected |= frontier
-        while frontier.any():
-            indirect = np.zeros_like(detected)
-            for k, (i, j) in enumerate(pairs):
-                indirect[:, j] |= frontier[:, i] & (u_gamma[:, k] < gamma) & ~detected[:, j]
-            detected |= indirect
-            if not cascade:
-                break
-            frontier = indirect
-    member_counts = detected.sum(axis=0, dtype=np.int64)
-    hist = np.bincount(detected.sum(axis=1), minlength=n + 1).astype(np.int64)
+    regions = np.random.Generator(
+        np.random.Philox(key=seed, counter=lo * periods * region // 4)
+    ).random((rows, periods, region))
+    blocks = np.random.Generator(np.random.Philox(key=seed, counter=(1 << 192) + lo * stride))
+    blocks = blocks.random((rows, 4 * stride)) if n + m > region else None
+    hazard = -np.log1p(-np.array([0.0 if a == 1.0 else a for a in alphas]))
+    level = list(itertools.accumulate(hazard.tolist()))
+    member_counts = np.zeros(n, dtype=np.int64)
+    hist = np.zeros(n + 1, dtype=np.int64)
+    for t in range(rows):
+        detected: set[int] = set()
+        for p in range(periods):
+            sequence = itertools.chain(
+                regions[t, p].tolist(), [] if blocks is None else blocks[t, p * (n + m) + region : (p + 1) * (n + m)].tolist()
+            )
+            direct = {i for i in range(n) if alphas[i] == 1.0}
+            pos = 0.0
+            while any(x > pos for x in level):
+                x = pos - float(np.log1p(-np.float64(next(sequence))))
+                caught = next((j for j in range(n) if level[j] > x), None)
+                if caught is None:
+                    break
+                direct.add(caught)
+                pos = level[caught]
+            frontier = direct - detected
+            detected |= frontier
+            if cascade and frontier:
+                opened = [next(sequence) < gamma for _ in pairs]
+                queue = sorted(frontier)
+                while queue:
+                    i = queue.pop()
+                    for (s, j), gate in zip(pairs, opened):
+                        if s == i and gate and j not in detected:
+                            detected.add(j)
+                            queue.append(j)
+            elif not cascade:
+                found = set()
+                for i in sorted(frontier):
+                    for s, j in pairs:
+                        if s == i and next(sequence) < gamma and j not in detected:
+                            found.add(j)
+                detected |= found
+        for j in detected:
+            member_counts[j] += 1
+        hist[len(detected)] += 1
     return member_counts, hist
 
 

@@ -476,26 +476,26 @@ class TestSimulate:
         assert doc["expected_detected"] == pytest.approx(0.43, abs=1e-12)
 
     # sha256 of the reports on a fixed 61-member, 282-edge network, recorded when
-    # each trial still drew its whole block; n + arcs = 625 is not a multiple of 4.
-    # The cascade3 and cascade_directed ones were recorded when a cascade round
-    # still expanded every (trial, newly caught member) pair over its arcs.
+    # each trial-period took its first 64 words from its chunk's region and the
+    # rest from its block; n + arcs = 625 is not a multiple of 4, so cascades
+    # continue into blocks that start mid-counter.
     BIG_SEED = str(2**127 + 12345)
     GOLDEN = {
-        ("onehop", "0"): "1dadc46105b3dffe6394d86f88a43d2cbf3e8b4eee14df89f720c7694cc74ab9",
-        ("onehop", "131"): "e6cea47639ef8b136842c55b75b935ad824fee9a2d5134b0efe966d6761c4b49",
-        ("onehop", BIG_SEED): "908863e4d79704afc56e6641cccdff9e5bffa659aa4656cef42c8604b0233752",
-        ("periods3", "0"): "c56008ac6a3e2680968280d5d3952ed6f288998431f35b638f014bb02664554f",
-        ("periods3", "131"): "b2a775cbdb0e4184d8c403879e81023b16f43b813ce42e04b707e88cd8058fa1",
-        ("periods3", BIG_SEED): "a058d44300d5d3f95a8e2bc9fe9821ce91f830bd2b789b99c55194792ece734b",
-        ("cascade", "0"): "62e6297221160619f4255b04048de2515d75d8dbaa44fa93c932328a57a57647",
-        ("cascade", "131"): "e3e69921a556c021c2ff0df2e4659a055db83fef0c2610a876c16c5bf9b5e207",
-        ("cascade", BIG_SEED): "21ba5a96e0afe01022a696347b3d3d7a4509a5c94fc3f6d70aeec839412df7b7",
-        ("cascade3", "0"): "458a043a5f3215a07a6caafbf91eb5fe17d564468ae65b7c1b9e627f0effac3f",
-        ("cascade3", "131"): "e6371af44e94f3c976567660f9cd2161eccc95836591bcb8e12ab0562d2b1871",
-        ("cascade3", BIG_SEED): "ed535f25c7d6cf959a449df35064c08eac718ece3154d7b97c9a3dc4c2c62e41",
-        ("cascade_directed", "0"): "e3d90533a1e255147063e023095f84b83eae246a1856f2f43c3ffd845926a233",
-        ("cascade_directed", "131"): "a3b8db1d22b79535fd87b38e12a5bff3614b83ab9e99e752fa3c8011f4bcdb16",
-        ("cascade_directed", BIG_SEED): "30db0b15a9824037222e2875c2535116cd59b7daf3be7284e8b637cbb9a5cff7",
+        ("onehop", "0"): "62d3bea68ac464f04addb1db43137cc22fde98dc5dd174555209f329cf278713",
+        ("onehop", "131"): "760bc292f1a6529e7d2ec4127978ef035439e82a6cc815f897a524ef8ee19010",
+        ("onehop", BIG_SEED): "a61c9f73d679efaaa5f9264400fcf8e4e58c185fb8231883dd5ff38d67c71e13",
+        ("periods3", "0"): "4199fb95ae85c7e3879d1adfb56a605cb74dbb921c7be511da7666c9b37c6238",
+        ("periods3", "131"): "7c1f7d92e9e12a51dccb456a7c8d0ee886b0747439f8247f2ea9a12d850f0291",
+        ("periods3", BIG_SEED): "20ceb8f945bf09c5b31927600130f169ae7d554555efa8283fea0ea21741aebf",
+        ("cascade", "0"): "1e592748d0aa018e9feda3e5b1912f4510687fbbe9d694fd554157ce2891aea9",
+        ("cascade", "131"): "146c9c2e84e91504e462027dda6e6ee4e5bc754f12dbeaaf560f84f1a4a0a6c1",
+        ("cascade", BIG_SEED): "b06dec0c00872840291bd249dd1db57831daa56ecd5b5a591cacdaf58b304787",
+        ("cascade3", "0"): "c239aea5c57b43f21fffe4af258d852b3d83ed02143ec4fd3ca69fb8e7e2d9b7",
+        ("cascade3", "131"): "2155e3c89da9d6c809e041246aa105ca756dd8c475aef19a0ac29dca56980ad8",
+        ("cascade3", BIG_SEED): "1133fd3087fb682ad899903538653c2035c8b9d3669e3f7e2c2b8e059d06f866",
+        ("cascade_directed", "0"): "fd0694a69797517df6dca52386806fc11d9f9f22fe1c22e41dc91cf223cc6609",
+        ("cascade_directed", "131"): "513eea04ae8c74218ff1f9165e904f13aaaa3ef5a3653d2bc9a180ed9d44eda3",
+        ("cascade_directed", BIG_SEED): "8f8b2e360b3e0e801aacc84380f32f18455ce528d1d45ad09d2d5b99aa02d3cb",
     }
 
     @pytest.mark.parametrize("mode, seed", sorted(GOLDEN))

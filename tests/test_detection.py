@@ -304,9 +304,9 @@ class TestSimulate:
             simulate(g, plan, params, periods=0)
 
     def test_periods_past_memory_rejected(self):
-        # one trial's block of 10**15 periods x 7 words is past a 2**47-byte user address space
+        # one trial's 10**15 periods of 7 words, as regions of 8, are past a 2**47-byte user address space
         g, plan = make_structure("path", 3), ScrutinyPlan((0.1, 0.1, 0.1), budget=0.3)
-        with pytest.raises(ValueError, match=r"periods=1000000000000000 needs 7000000000000000 draw words"):
+        with pytest.raises(ValueError, match=r"periods=1000000000000000 needs 8000000000000000 draw words"):
             simulate(g, plan, DetectionParams(0.5, 1.0, trials=10), periods=10**15)
 
     def test_infeasible_plan_rejected(self):
@@ -428,12 +428,13 @@ chunk_stream = detection._chunk_stream
 
 
 class TestSimulateChunk:
-    # the graphs are small, so gaps below their block size also try unmerged reads
+    # the graphs are small, so gaps below their block size also try unmerged reads;
+    # with 4-word regions nearly every row continues into its block, by ones and by ranges
     @settings(max_examples=300, deadline=None)
-    @given(chunk_jobs(), st.sampled_from([0, 3, 8, detection._READ_GAP]))
-    def test_matches_pair_loop_reference(self, job, gap):
-        expected = reference_simulate_chunk(job)
-        with mock.patch.object(detection, "_READ_GAP", gap), \
+    @given(chunk_jobs(), st.sampled_from([0, 3, 8, detection._READ_GAP]), st.sampled_from([detection._REGION, 4]))
+    def test_matches_pair_loop_reference(self, job, gap, region):
+        expected = reference_simulate_chunk(job, region)
+        with mock.patch.object(detection, "_READ_GAP", gap), mock.patch.object(detection, "_REGION", region), \
                 mock.patch.object(detection, "_chunk_stream", poisoned_stream):
             got = detection._simulate_chunk(job)
         assert np.array_equal(got[0], expected[0])

@@ -1,8 +1,11 @@
+import concurrent.futures
 import os
+import subprocess
+import sys
 
 import pytest
 
-import covertnet._parallel as parallel
+import covertnet
 from covertnet._parallel import run_chunks
 
 
@@ -24,7 +27,7 @@ def pool_sizes(monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", PoolRecorder)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PoolRecorder)
     return sizes
 
 
@@ -50,3 +53,14 @@ def test_single_job_runs_inline(monkeypatch, pool_sizes):
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     assert run_chunks(abs, [-5], 10_000) == [5]
     assert pool_sizes == []
+
+
+def test_cli_import_starts_no_pool_machinery():
+    code = (
+        "import sys, covertnet.cli; "
+        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules))"
+    )
+    src = os.path.dirname(os.path.dirname(covertnet.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert done.stdout.strip() == "[]"
