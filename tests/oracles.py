@@ -23,8 +23,8 @@ Everything here deliberately avoids the library's algorithms:
   target) pairs (the library multiplies every factor in one scatter),
 * a Monte Carlo chunk is replayed trial by trial, one word at a time, with
   direct catches found by a scan of the running hazards and cascades by a
-  queue (the library steps every trial at once, by binary search, and sweeps
-  cascades one bit per trial),
+  worklist (the library steps every trial at once, by binary search, and
+  sweeps cascades one bit per trial),
 * affiliation ties come from intersecting the token sets of every actor
   pair (the library counts overlaps from a token index),
 * a lemma check's strongest rival comes from scoring every connected graph
@@ -339,8 +339,8 @@ def reference_simulate_chunk(args, region_words: int) -> tuple[np.ndarray, np.nd
       order, gives each of its pairs, in pair order, the next word, and the
       pair's hidden target is caught when the word is below gamma;
     * under cascade, if any member was newly caught directly, pair k takes
-      the word after the direct ones plus k, and the catches spread breadth
-      first along the pairs whose word is below gamma.
+      the word after the direct ones plus k, and the catches spread along
+      the pairs whose word is below gamma, from a worklist.
     """
     (n, arcs, alphas, gamma, cascade, periods, seed, stride, lo, hi) = args
     pairs = list(zip(arcs[0].tolist(), arcs[1].tolist()))
@@ -359,9 +359,8 @@ def reference_simulate_chunk(args, region_words: int) -> tuple[np.ndarray, np.nd
     for t in range(rows):
         detected: set[int] = set()
         for p in range(periods):
-            sequence = itertools.chain(
-                regions[t, p].tolist(), [] if blocks is None else blocks[t, p * (n + m) + region : (p + 1) * (n + m)].tolist()
-            )
+            rest = [] if blocks is None else blocks[t, p * (n + m) + region : (p + 1) * (n + m)].tolist()
+            sequence = itertools.chain(regions[t, p].tolist(), rest)
             direct = {i for i in range(n) if alphas[i] == 1.0}
             pos = 0.0
             while any(x > pos for x in level):
