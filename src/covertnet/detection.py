@@ -42,14 +42,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import run_chunks
-from .graph import Graph, _bits, _check_type, _is_int, _is_real, _out_arcs, _pack, _real_tuple, _sweep
+from .graph import (
+    _RELAX_BUDGET,
+    Graph,
+    _bits,
+    _blocks,
+    _check_type,
+    _is_int,
+    _is_real,
+    _pack,
+    _ranges,
+    _real_tuple,
+    _sweep,
+)
 from .measures import _WEIGHT_SUM_TOL
 
 _TRIALS_PER_CHUNK = 1 << 13
-# Most bytes of one chunk's buffer of blocks: each row holds its trial's whole
-# block, 4 words (32 B) per Philox counter, though reads fill only the words
-# trials use. A trial's regions are never longer than its block but for the
-# rounding of each period's to whole counters.
+# Most bytes a chunk's rows hold: a one-hop or multi-period row its regions
+# (8 B a word) and its per-row state (about n + m bytes), a cascade row its
+# trial's whole block, 4 words (32 B) per Philox counter, since a row that
+# catches someone reads it and its opened arcs. It also bounds one window of
+# block rows, which is all of a chunk's blocks held at once, though reads fill
+# only the words trials use.
 _DRAW_BUDGET_BYTES = 8 << 20
 # Block ranges closer than this share one read, and a read ending this close to
 # the chunk's end runs to it, so a chunk whose rows lie closer is read whole by
@@ -243,16 +257,24 @@ def _chunk_stream(seed: int, origin: int, shape: tuple[int, int]):
     return buf, fill
 
 
+def _region(span: int) -> int:
+    """Words of a trial-period's region: ``_REGION``, or ``span`` in whole counters if fewer."""
+    return min(_REGION, -(-span // 4) * 4)
+
+
 def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     """Per-member detection counts and detected-count histogram of trials [lo, hi).
 
-    Trial t's period p consumes one sequence of words. Its first R words (the
-    lesser of ``_REGION`` and n + m in whole counters) are words
-    (t * periods + p) * R onwards of the region stream, which starts at Philox
-    counter 0, so one read fills the chunk's regions. Word i >= R is word
-    p * (n + m) + i of trial t's block, which starts at counter
-    ``_BLOCKS + t * stride`` and is read by position (``_chunk_stream``) for
-    the rows that pass R; its buffer is allocated by the first such read.
+    Trial t's period p consumes one sequence of words. Its first R words
+    (``_region(n + m)``) are words (t * periods + p) * R onwards of the region
+    stream, which starts at Philox counter 0, so one read fills the chunk's
+    regions. Word i >= R is word p * (n + m) + i of trial t's block, which
+    starts at counter ``_BLOCKS + t * stride`` and is read by position
+    (``_chunk_stream``) for the rows that pass R. The chunk holds the blocks
+    of one window of rows at a time, as many as a block buffer of
+    ``_DRAW_BUDGET_BYTES`` holds (or one), allocated by the first read that
+    needs it and kept until a read needs another window; a cascade chunk,
+    sized by its blocks, is one window.
 
     A period catches members directly by exponential skips over the
     cumulative hazards L_j = sum_{i <= j} -log1p(-alpha_i): from pos = 0, a
@@ -264,104 +286,128 @@ def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     at most n. From pos = L_i, none of members i + 1..j is caught with
     probability exp(-(L_j - L_i)), the product of their 1 - alpha, so each
     member is caught with probability alpha, independently: exact up to the
-    rounding of the cumulative sum L (and of E and the 53-bit u).
+    rounding of the cumulative sum L (and of E and the 53-bit u). A period's
+    catches are kept as sorted codes row * n + member, and the newly caught
+    ones are those not detected before.
 
     One hop, each newly caught member's out-arcs (``arcs`` is
     ``Graph._arcs``, sorted by detector) take the row's next words, one an
-    arc, in (member, arc) order, and mark the still-hidden targets they catch.
-    Under cascade, arc k of a row that catches someone new directly takes the
-    word after its direct ones plus k, so a sequence never passes n + m
-    words. A cascade catches the members reachable from the direct catches
-    through arcs whose draw succeeded, in any order, so the hop distances'
-    sweep (``graph._sweep``) closes every row at once, one bit per trial,
-    over the arcs sorted by target and gated by their draws.
+    arc, in (member, arc) order, and mark the still-hidden targets they catch;
+    they are expanded in slices of at most ``_RELAX_BUDGET`` arcs (or one
+    member's). Under cascade, arc k of a row that catches someone new directly
+    takes the word after its direct ones plus k, so a sequence never passes
+    n + m words, and the arcs' words are compared in pieces of at most
+    ``_RELAX_BUDGET`` words (or one row). A cascade catches the members
+    reachable from the direct catches through arcs whose draw succeeded, in
+    any order, so the hop distances' sweep (``graph._sweep``) closes every row
+    at once, one bit per trial, over the arcs sorted by target and gated by
+    their draws.
     """
     (n, arcs, alphas, gamma, cascade, periods, seed, stride, lo, hi) = args
     src, dst, _, first = arcs
     m = len(dst)
     rows = hi - lo
     span = n + m
-    region = min(_REGION, -(-span // 4) * 4)
+    region = _region(span)
+    width = 4 * stride
+    window = rows if cascade else max(1, _DRAW_BUDGET_BYTES // (8 * width))
 
-    def stream(origin: int, width: int):
+    def stream(origin: int, height: int, length: int):
         try:
-            return _chunk_stream(seed, origin, (rows, width))
+            return _chunk_stream(seed, origin, (height, length))
         except MemoryError:
-            raise ValueError(f"periods={periods} needs {rows * width} draw words, too many to allocate") from None
+            raise ValueError(f"periods={periods} needs {height * length} draw words, too many to allocate") from None
 
-    regions, fill = stream(lo * periods * region // 4, periods * region)
+    regions, fill = stream(lo * periods * region // 4, rows, periods * region)
     fill(np.zeros(1, dtype=np.intp), regions.size)
-    width, blocks = 4 * stride, None
+    current = None  # (window index, its block buffer, its fill)
 
-    def read(period: int, row: np.ndarray, i: np.ndarray, length: int) -> np.ndarray:
-        """The blocks' words of ``period``, (rows, n + m), with [i, i + length) of each ``row`` read.
-
-        (row, i) ascend; the chunk's blocks are allocated by the first read.
-        """
-        nonlocal blocks
-        if blocks is None:
-            blocks = stream(_BLOCKS + lo * stride, width)
-        buf, fill_block = blocks
-        fill_block(row * width + period * span + i, length)
-        return buf[:, period * span : (period + 1) * span]
+    def blocks(w: int):
+        """Block window ``w``'s buffer and fill: rows [w * window, (w + 1) * window) of the chunk."""
+        nonlocal current
+        if current is None or current[0] != w:
+            current = None  # free the last window before allocating the next
+            top = w * window
+            current = (w, *stream(_BLOCKS + (lo + top) * stride, min(window, rows - top), width))
+        return current[1:]
 
     def words(period: int, row: np.ndarray, i: np.ndarray) -> np.ndarray:
         """Word ``i`` of each ``row``'s sequence in ``period``; (row, i) ascend."""
         u = regions[row, period * region + np.minimum(i, region - 1)]
         over = np.flatnonzero(i >= region)
         if over.size:
-            row, i = row[over], i[over]
-            u[over] = read(period, row, i, 1)[row, i]
+            win, at = np.divmod(row[over], window)
+            i = period * span + i[over]
+            bounds = [0, *(np.flatnonzero(np.diff(win)) + 1).tolist(), over.size]
+            for a, b in zip(bounds, bounds[1:]):
+                buf, fill_block = blocks(int(win[a]))
+                fill_block(at[a:b] * width + i[a:b], 1)
+                u[over[a:b]] = buf[at[a:b], i[a:b]]
         return u
 
     alphas = np.asarray(alphas, dtype=float)
     certain = alphas == 1.0
     level = np.cumsum(-np.log1p(-np.where(certain, 0.0, alphas)))
     detected = np.zeros((rows, n), dtype=bool)
+    flat = detected.reshape(-1)
+    sure = (np.arange(rows)[:, None] * n + np.flatnonzero(certain)).reshape(-1)
     if cascade:  # the arcs by target: member v's in-arcs are heads[into[v] : into[v + 1]]
         order = np.argsort(dst, kind="stable")
         heads, into = src[order], np.searchsorted(dst[order], np.arange(n + 1))
     for period in range(periods):
-        frontier = np.zeros((rows, n), dtype=bool)
-        frontier[:, certain] = True
         used = np.zeros(rows, dtype=np.intp)
+        codes = [sure]
         row = np.arange(rows if level[-1] > 0 else 0)
         pos = np.zeros(row.size)
         while row.size:  # the rows with a hazard left past their last catch
             j = np.searchsorted(level, pos - np.log1p(-words(period, row, used[row])), side="right")
             used[row] += 1
             row, j = row[j < n], j[j < n]
-            frontier[row, j] = True
+            codes.append(row * n + j)
             more = level[j] < level[-1]
             row, pos = row[more], level[j[more]]
-        frontier &= ~detected
-        detected |= frontier
+        code = np.sort(np.concatenate(codes))
+        new = code[~flat[code]]
+        flat[new] = True
         if cascade:
-            caught = np.flatnonzero(frontier.any(axis=1))
+            frontier = np.zeros((rows, n), dtype=bool)
+            frontier.reshape(-1)[new] = True
+            row = new // n
+            caught = row[np.flatnonzero(np.diff(row, prepend=-1))]  # new ascends: its rows, once each
             opened = np.zeros((rows, m), dtype=bool)
             last = used[caught].max() + m if caught.size else 0  # past the last word an arc takes
             if last > region:
-                block = read(period, caught, region, last - region)
+                block, fill_block = blocks(0)
+                fill_block(caught * width + period * span + region, last - region)
+                block = block[:, period * span : (period + 1) * span]
             for u in np.unique(used[caught]).tolist():
                 r = caught[used[caught] == u]
                 cut = min(max(region - u, 0), m)  # the arcs whose words lie in the region
                 opened[r, :cut] = regions[r, period * region + u : period * region + u + cut] < gamma
-                if cut < m:
-                    opened[r, cut:] = block[r, u + cut : u + m] < gamma
+                if cut < m:  # each piece gathers a copy of its rows' block words
+                    step = max(1, _RELAX_BUDGET // (m - cut))
+                    for a in range(0, r.size, step):
+                        opened[r[a : a + step], cut:] = block[r[a : a + step], u + cut : u + m] < gamma
             hidden = _pack(~detected)
             for _ in _sweep(_pack(frontier), hidden, into, heads, _pack(opened)[order]):
                 pass
             detected[:] = _bits(hidden, rows).T == 0
         else:
-            row, det = np.divmod(np.flatnonzero(frontier), n)  # 2-D nonzero is about 8x slower
-            k, fanout = _out_arcs(first, det)
-            row = np.repeat(row, fanout)
-            i = used[row] + np.arange(row.size) - np.searchsorted(row, row)
-            target = dst[k]
-            hit = (words(period, row, i) < gamma) & ~detected[row, target]
-            detected[row[hit], target[hit]] = True
-    member_counts = detected.sum(axis=0, dtype=np.int64)
-    hist = np.bincount(detected.sum(axis=1), minlength=n + 1).astype(np.int64)
+            row, det = np.divmod(new, n)
+            fanout = first[det + 1] - first[det]
+            before = fanout.cumsum() - fanout  # arcs of this period's new catches before each one
+            # word of arc k of member det: used[row] + the row's arcs before det + k - first[det]
+            base = used[row] + before - before[np.searchsorted(row, row)] - first[det]
+            for a, b in _blocks(fanout, _RELAX_BUDGET):
+                k = _ranges(first[det[a:b]], fanout[a:b])
+                r = row[a:b].repeat(fanout[a:b])
+                target = r * n + dst[k]
+                hit = (words(period, r, base[a:b].repeat(fanout[a:b]) + k) < gamma) & ~flat[target]
+                flat[target[hit]] = True
+    # 16-bit sums of bools run about 4x faster than int64 ones, where no count can pass 2**16 - 1
+    total = np.uint16 if max(rows, n) < 1 << 16 else np.int64
+    member_counts = detected.sum(axis=0, dtype=total).astype(np.int64)
+    hist = np.bincount(detected.sum(axis=1, dtype=total), minlength=n + 1).astype(np.int64)
     return member_counts, hist
 
 
@@ -394,20 +440,25 @@ def simulate(
     into by position (``_chunk_stream``). Direct catches are exact up to the
     rounding of the cumulative hazards (see ``_simulate_chunk``).
 
-    Chunks are sized so that a buffer of their whole blocks fits a fixed
-    budget (``_DRAW_BUDGET_BYTES``) whatever the trial count, or holds one
-    trial whose block alone is larger; a ValueError names ``periods`` when a
-    chunk's regions or blocks cannot be allocated. The report is
-    bit-identical for any ``workers`` value, chunking and run.
+    Chunks are sized by the bytes one of their rows holds, so that they fit a
+    fixed budget (``_DRAW_BUDGET_BYTES``) whatever the trial count, or hold
+    one trial when its own is larger: one hop, a row's regions and state,
+    8 * periods * R + n + m bytes; under cascade, its whole block, 32 * stride
+    bytes. A chunk holds the blocks of one window of rows at a time, as many
+    as fit the budget (or one). A ValueError names ``periods`` when a chunk's
+    regions or block window cannot be allocated. The report is bit-identical
+    for any ``workers`` value, chunking and run.
     """
     _require_runnable(g, plan, params)
     if not (_is_int(periods) and periods >= 1):
         raise ValueError(f"periods must be a positive integer, got {periods}")
     trials = params.trials
     # 4 uniforms per Philox counter; pad each trial's block to a counter boundary
-    draws_per_trial = periods * (g.n + len(g._arcs[1]))
-    stride = (draws_per_trial + 3) // 4
-    rows = min(_TRIALS_PER_CHUNK, max(1, _DRAW_BUDGET_BYTES // (32 * stride)))
+    span = g.n + len(g._arcs[1])
+    stride = (periods * span + 3) // 4
+    # a cascade row that catches someone holds its block; any other row its regions and its state
+    held = 32 * stride if params.cascade else 8 * periods * _region(span) + span
+    rows = min(_TRIALS_PER_CHUNK, max(1, _DRAW_BUDGET_BYTES // held))
     jobs = [
         (g.n, g._arcs, plan.alphas, params.gamma, params.cascade, periods,
          params.seed, stride, lo, min(lo + rows, trials))

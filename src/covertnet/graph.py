@@ -346,13 +346,6 @@ def _blocks(load: np.ndarray, budget: int) -> Iterator[tuple[int, int]]:
         lo = hi
 
 
-def _out_arcs(first: np.ndarray, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the out-arcs of ``vertices``, in order, and each vertex's arc count."""
-    start = first[vertices]
-    fanout = first[vertices + 1] - start
-    return _ranges(start, fanout), fanout
-
-
 def _sweep(front, unseen, first, heads, gate=None) -> Iterator[np.ndarray]:
     """Levels of a multi-source bit-parallel breadth-first sweep (Then et al., PVLDB 8(4), 2014).
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -461,16 +462,78 @@ class TestSimulateChunk:
         assert len(jobs) > 1
         assert [job[8] for job in jobs] == [0] + [job[9] for job in jobs[:-1]]
         assert jobs[-1][9] == 2048
+        held = 8 * 3 * detection._REGION + 300 + 3000  # a row's regions and its state
         for *_, stride, lo, hi in jobs:
-            assert (hi - lo) * 32 * stride <= detection._DRAW_BUDGET_BYTES
+            assert (hi - lo) * held <= detection._DRAW_BUDGET_BYTES or hi - lo == 1
+        # with 4-word regions nearly every row runs on into its block, window by window
+        streams = []
+
+        def spy(seed, origin, shape):
+            streams.append((origin, shape))
+            return chunk_stream(seed, origin, shape)
+
+        monkeypatch.setattr(detection, "_REGION", 4)
+        monkeypatch.setattr(detection, "_chunk_stream", spy)
+        detection._simulate_chunk(jobs[-1])
+        windows = [shape for origin, shape in streams if origin >= detection._BLOCKS]
+        assert len(windows) > 1
+        for rows, width in windows:
+            assert rows * width * 8 <= detection._DRAW_BUDGET_BYTES or rows == 1
 
     def test_trial_over_budget_gets_one_row_jobs(self, monkeypatch):
         jobs = record_jobs(monkeypatch)
         g = random_network(300, 1500, seed=4)
         plan = ScrutinyPlan((0.6 / 300,) * 300, budget=0.6)
-        simulate(g, plan, DetectionParams(0.5, 1.0, trials=5, seed=1), periods=400)
-        assert 32 * jobs[0][7] > detection._DRAW_BUDGET_BYTES
+        simulate(g, plan, DetectionParams(0.5, 1.0, trials=5, seed=1), periods=20_000)
+        assert 8 * jobs[0][5] * detection._REGION > detection._DRAW_BUDGET_BYTES
         assert [(job[8], job[9]) for job in jobs] == [(t, t + 1) for t in range(5)]
+
+    @pytest.mark.parametrize("budget", [1, 7])
+    @pytest.mark.parametrize("periods", [1, 3])
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    def test_hop_slices_bit_identical(self, monkeypatch, budget, periods, directed):
+        # a budget of 1 expands one member's arcs a slice; 7 cuts rows between slices
+        g = random_network(40, 100, seed=7, directed=directed)
+        plan = ScrutinyPlan(tuple(0.02 * (i % 3) for i in range(40)), budget=0.8)
+        params = DetectionParams(gamma=0.4, cost_k=1.0, trials=400, seed=5)
+        baseline = simulate(g, plan, params, periods=periods)
+        monkeypatch.setattr(detection, "_RELAX_BUDGET", budget)
+        assert simulate(g, plan, params, periods=periods) == baseline
+
+    def test_block_windows_match_pair_loop_reference(self, monkeypatch):
+        # 4-word regions send nearly every row on into its block, and a budget of
+        # 3 rows of blocks cuts the 20-row chunk into 7 windows
+        g = random_network(12, 30, seed=3)
+        stride = (2 * (12 + 60) + 3) // 4
+        alphas = (1.0, 0.2, 0.0, 0.3, 0.1, 0.2, 0.0, 0.1, 0.4, 0.0, 0.2, 0.1)
+        job = (12, g._arcs, alphas, 0.5, False, 2, 77, stride, 5, 25)
+        expected = reference_simulate_chunk(job, 4)
+        origins = []
+
+        def spy(seed, origin, shape):
+            origins.append(origin)
+            return poisoned_stream(seed, origin, shape)
+
+        monkeypatch.setattr(detection, "_REGION", 4)
+        monkeypatch.setattr(detection, "_DRAW_BUDGET_BYTES", 32 * stride * 3)
+        monkeypatch.setattr(detection, "_chunk_stream", spy)
+        got = detection._simulate_chunk(job)
+        assert np.array_equal(got[0], expected[0])
+        assert np.array_equal(got[1], expected[1])
+        assert len({origin for origin in origins if origin >= detection._BLOCKS}) >= 3
+
+    @pytest.mark.parametrize("periods", [1, 3])
+    def test_certain_hub_star_memory_bounded(self, periods):
+        # every trial catches the hub, and all but 64 of its 1,999 arcs run past the region
+        g = make_structure("star", 2000)
+        plan = ScrutinyPlan((1.0,) + (0.0,) * 1999, budget=1.0)
+        tracemalloc.start()
+        try:
+            simulate(g, plan, DetectionParams(gamma=0.5, cost_k=1.0, trials=8192, seed=3), periods=periods)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * detection._DRAW_BUDGET_BYTES
 
     @pytest.mark.parametrize("rows", [1, 63, 65])
     def test_cascade_chunking_bit_identical(self, monkeypatch, rows):
