@@ -37,6 +37,7 @@ packed by ``graph._pack`` and read back by ``graph._bits``.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +83,12 @@ _REGION = 64
 # streams stay apart while trials * periods * R / 4 < 2**192.
 _BLOCKS = 1 << 192
 _WORD = (1 << 64) - 1
+# Each thread's spare buffer for block streams, kept between chunks and calls:
+# at most _DRAW_BUDGET_BYTES, of which only the pages reads have touched are
+# resident. A buffer of blocks freed and taken afresh for each window lands
+# wherever glibc's heap then has room, so peak memory swung by up to 6 MB with
+# the draws (ROADMAP item 9); reused, it stays put, and its pages stay mapped.
+_spare = threading.local()
 
 
 class InfeasiblePlanError(ValueError):
@@ -224,12 +231,23 @@ def _chunk_stream(seed: int, origin: int, shape: tuple[int, int]):
     counter (so a stream past 2**64 carries as it does when drawn) and draws
     whole counters with ``Generator.random`` into their place, so each word
     read equals the whole draw's word there.
+
+    A block stream (``origin`` at or past ``_BLOCKS``) that fits
+    ``_DRAW_BUDGET_BYTES`` takes its buffer from the calling thread's spare,
+    so its words stay valid only until that thread's next block stream.
     """
     bitgen = np.random.Philox(key=seed)
     gen = np.random.Generator(bitgen)
     state = bitgen.state
     counter = state["state"]["counter"]
-    buf = np.empty(shape)
+    size = shape[0] * shape[1]
+    if origin < _BLOCKS or 8 * size > _DRAW_BUDGET_BYTES:
+        buf = np.empty(shape)
+    else:  # a block stream within the budget reuses the thread's spare buffer
+        spare = getattr(_spare, "blocks", None)
+        if spare is None or spare.size < size:
+            spare = _spare.blocks = np.empty(size)
+        buf = spare[:size].reshape(shape)
     flat = buf.reshape(-1)
     complete = False
 

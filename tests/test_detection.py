@@ -1,8 +1,10 @@
 import itertools
 import math
 import random
+import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -522,9 +524,35 @@ class TestSimulateChunk:
         assert np.array_equal(got[1], expected[1])
         assert len({origin for origin in origins if origin >= detection._BLOCKS}) >= 3
 
+    def test_block_streams_reuse_one_buffer(self):
+        first, _ = detection._chunk_stream(1, detection._BLOCKS, (3, 40))
+        second, _ = detection._chunk_stream(2, detection._BLOCKS + 7, (2, 30))
+        assert np.shares_memory(first, second)
+        regions, _ = detection._chunk_stream(1, 0, (3, 40))
+        assert not np.shares_memory(regions, second)
+        large, _ = detection._chunk_stream(1, detection._BLOCKS, (1, detection._DRAW_BUDGET_BYTES // 8 + 4))
+        assert not np.shares_memory(large, second)
+
+    def test_threads_keep_their_own_block_buffers(self, monkeypatch):
+        # with 4-word regions nearly every row reads its block, so threads that
+        # shared one spare buffer would read each other's words
+        monkeypatch.setattr(detection, "_REGION", 4)
+        g = random_network(60, 200, seed=11)
+        plan = ScrutinyPlan(tuple(0.01 * (i % 4) for i in range(60)), budget=0.9)
+        runs = [
+            (DetectionParams(gamma=0.5, cost_k=1.0, trials=3000, seed=seed, cascade=cascade), periods)
+            for seed, cascade, periods in [(1, False, 1), (2, True, 1), (3, False, 3), (4, True, 2)]
+        ]
+        expected = [simulate(g, plan, params, periods=periods) for params, periods in runs]
+        with ThreadPoolExecutor(max_workers=len(runs)) as pool:
+            got = list(pool.map(lambda run: simulate(g, plan, run[0], periods=run[1]), runs * 3))
+        assert got == expected * 3
+
     @pytest.mark.parametrize("periods", [1, 3])
-    def test_certain_hub_star_memory_bounded(self, periods):
-        # every trial catches the hub, and all but 64 of its 1,999 arcs run past the region
+    def test_certain_hub_star_memory_bounded(self, monkeypatch, periods):
+        # every trial catches the hub, and all but 64 of its 1,999 arcs run past the region;
+        # a fresh spare, so the block buffer is allocated while traced
+        monkeypatch.setattr(detection, "_spare", threading.local())
         g = make_structure("star", 2000)
         plan = ScrutinyPlan((1.0,) + (0.0,) * 1999, budget=1.0)
         tracemalloc.start()
