@@ -11,14 +11,15 @@ members keep triggering draws within the period until a fixed point.
 
 ``detect_exact`` evaluates the one-period, one-hop closed form.
 ``simulate`` estimates the same quantities, plus the multi-period and
-cascading variants, by Monte Carlo. Trial randomness is counter-based: each
-trial-period (t, p) consumes one sequence of words of the Philox stream
-derived from the master seed, and the sequence depends on (seed, t, p)
-alone, so reports are bit-identical for any worker count or chunk execution
-order. Its first R words (``_REGION``, or fewer on a small network) lie in a
-dense region stream, trial after trial, so one read fills a whole chunk's
-regions; a sequence that runs past R continues in trial t's block, which is
-read by position.
+cascading variants, by Monte Carlo. Trial randomness is addressed by
+position: each trial-period (t, p) consumes one sequence of words of the
+PCG64DXSM stream (O'Neill, 2014) seeded by the master seed, which jumps to
+any word with ``advance`` in O(log distance) steps, and the sequence
+depends on (seed, t, p) alone, so reports are bit-identical for any worker
+count or chunk execution order. Its first R words (``_REGION``, or fewer on
+a small network) lie in a dense region stream, trial after trial, so one
+read fills a whole chunk's regions; a sequence that runs past R continues
+in trial t's block, from word ``_BLOCKS`` on, which is read by position.
 
 A period draws its events, not one word per member and per tie. The direct
 catches come by exponential skips over the members' cumulative hazards
@@ -37,7 +38,9 @@ packed by ``graph._pack`` and read back by ``graph._bits``.
 from __future__ import annotations
 
 import math
+import sys
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,28 +64,30 @@ from .measures import _WEIGHT_SUM_TOL
 _TRIALS_PER_CHUNK = 1 << 13
 # Most bytes a chunk's rows hold: a one-hop or multi-period row its regions
 # (8 B a word) and its per-row state (about n + m bytes), a cascade row its
-# trial's whole block, 4 words (32 B) per Philox counter, since a row that
-# catches someone reads it and its opened arcs. It also bounds one window of
-# block rows, which is all of a chunk's blocks held at once, though reads fill
-# only the words trials use.
+# trial's whole block, 8 B a word, since a row that catches someone reads it
+# and its opened arcs. It also bounds one window of block rows, which is all of
+# a chunk's blocks held at once, though reads fill only the words trials use.
 _DRAW_BUDGET_BYTES = 8 << 20
 # Block ranges closer than this share one read, and a read ending this close to
 # the chunk's end runs to it, so a chunk whose rows lie closer is read whole by
-# its first read. A read costs about 4 us plus 10 ns a word, but the words read
-# through a gap stay in the buffer, and later periods and cascades use many of
-# them. In a sweep over networks of 20-500 members with 5n edges (BENCH_11.json)
-# no chunk ran more than 3% slower than a whole-block draw at 2048; 512 and 1024
-# left 61-member ones 1.3-1.4x slower, and 4096 lost the 300-member one-hop gain.
+# its first read. A read costs about 1.7 us (its jump by ``advance`` 0.7-1.6 us)
+# plus 2.6 ns a word, where Philox's counter set cost 3.3 us plus 5.7 ns a word
+# (BENCH_33.json): both near 600 words a read. The words read through a gap stay
+# in the buffer, and later periods and cascades use many of them. In a sweep
+# over networks of 20-500 members with 5n edges (BENCH_11.json) no chunk ran
+# more than 3% slower than a whole-block draw at 2048; 512 and 1024 left
+# 61-member ones 1.3-1.4x slower, and 4096 lost the 300-member one-hop gain.
 _READ_GAP = 2048
-# Words of a trial-period's sequence in its region, in whole counters. A one-hop
-# period uses one word more than its direct catches, plus one a newly caught
-# member's arc: on the benchmark's 300-member network about 7, and no row of a
-# one-hop or three-period op passed 64. A cascade's arcs run on into the block.
+# Words of a trial-period's sequence in its region. A one-hop period uses one
+# word more than its direct catches, plus one a newly caught member's arc: on
+# the benchmark's 300-member network about 7, and no row of a one-hop or
+# three-period op passed 64. A cascade's arcs run on into the block.
 _REGION = 64
-# Philox counter of trial 0's block. The regions start at counter 0, so the two
-# streams stay apart while trials * periods * R / 4 < 2**192.
-_BLOCKS = 1 << 192
-_WORD = (1 << 64) - 1
+# Stream word of trial 0's block. The regions start at word 0 and the blocks
+# end at _BLOCKS + trials * periods * (n + m), so while that product is at most
+# 2**127 (``simulate`` checks it) the two streams stay apart and within the
+# generator's period.
+_BLOCKS = 1 << 127
 # Each thread's spare buffer for block streams, kept between chunks and calls:
 # at most _DRAW_BUDGET_BYTES, of which only the pages reads have touched are
 # resident. A buffer of blocks freed and taken afresh for each window lands
@@ -225,21 +230,21 @@ def detect_exact(g: Graph, plan: ScrutinyPlan, params: DetectionParams) -> Detec
 def _chunk_stream(seed: int, origin: int, shape: tuple[int, int]):
     """A chunk's buffer of trial words and ``fill``, which reads words into it.
 
-    ``buf`` has the shape of the chunk's whole draw from Philox counter
-    ``origin`` (row i holds the chunk's i-th trial's regions or block), but
-    holds only the words ``fill`` has read. A read sets the whole 256-bit
-    counter (so a stream past 2**64 carries as it does when drawn) and draws
-    whole counters with ``Generator.random`` into their place, so each word
-    read equals the whole draw's word there.
+    ``buf`` has the shape of the chunk's whole draw from word ``origin`` of
+    the PCG64DXSM stream seeded by ``seed`` (row i holds the chunk's i-th
+    trial's regions or block), but holds only the words ``fill`` has read. A
+    read advances the generator from the end of the last read to its first
+    word (``advance``, O(log delta) steps), modulo the stream's 2**128-word
+    period, so a read behind the last one wraps round to its place, and draws
+    its words with ``Generator.random`` into their place: each word read
+    equals the whole draw's word there.
 
     A block stream (``origin`` at or past ``_BLOCKS``) that fits
     ``_DRAW_BUDGET_BYTES`` takes its buffer from the calling thread's spare,
     so its words stay valid only until that thread's next block stream.
     """
-    bitgen = np.random.Philox(key=seed)
+    bitgen = np.random.PCG64DXSM(seed)
     gen = np.random.Generator(bitgen)
-    state = bitgen.state
-    counter = state["state"]["counter"]
     size = shape[0] * shape[1]
     if origin < _BLOCKS or 8 * size > _DRAW_BUDGET_BYTES:
         buf = np.empty(shape)
@@ -249,6 +254,7 @@ def _chunk_stream(seed: int, origin: int, shape: tuple[int, int]):
             spare = _spare.blocks = np.empty(size)
         buf = spare[:size].reshape(shape)
     flat = buf.reshape(-1)
+    at = 0  # the stream word the generator stands at
     complete = False
 
     def fill(start: np.ndarray, length: int) -> None:
@@ -257,42 +263,36 @@ def _chunk_stream(seed: int, origin: int, shape: tuple[int, int]):
         Ranges closer than ``_READ_GAP`` words share one read. Once a read has
         covered the whole chunk, nothing more is read.
         """
-        nonlocal complete
+        nonlocal at, complete
         if complete or not start.size:
             return
         cut = np.flatnonzero(np.diff(start) > _READ_GAP + length)
-        begin = start[np.append(0, cut + 1)] & -4  # from a whole counter
+        begin = start[np.append(0, cut + 1)]
         end = start[np.append(cut, -1)] + length
         if flat.size - end[-1] <= _READ_GAP:
             end[-1] = flat.size
         for a, b in zip(begin.tolist(), end.tolist()):
-            at = origin + a // 4
-            counter[:] = (at & _WORD, at >> 64 & _WORD, at >> 128 & _WORD, at >> 192)
-            bitgen.state = state  # with an empty buffer, the next word comes from counter at + 1
+            bitgen.advance((origin + a - at) % (1 << 128))
             gen.random(out=flat[a:b])
+            at = origin + b
         complete = begin[0] == 0 and end[0] == flat.size
 
     return buf, fill
 
 
-def _region(span: int) -> int:
-    """Words of a trial-period's region: ``_REGION``, or ``span`` in whole counters if fewer."""
-    return min(_REGION, -(-span // 4) * 4)
-
-
 def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     """Per-member detection counts and detected-count histogram of trials [lo, hi).
 
-    Trial t's period p consumes one sequence of words. Its first R words
-    (``_region(n + m)``) are words (t * periods + p) * R onwards of the region
-    stream, which starts at Philox counter 0, so one read fills the chunk's
+    Trial t's period p consumes one sequence of words. Its first R words (R
+    = min(``_REGION``, n + m)) are words (t * periods + p) * R onwards of the
+    region stream, which starts at word 0, so one read fills the chunk's
     regions. Word i >= R is word p * (n + m) + i of trial t's block, which
-    starts at counter ``_BLOCKS + t * stride`` and is read by position
-    (``_chunk_stream``) for the rows that pass R. The chunk holds the blocks
-    of one window of rows at a time, as many as a block buffer of
-    ``_DRAW_BUDGET_BYTES`` holds (or one), allocated by the first read that
-    needs it and kept until a read needs another window; a cascade chunk,
-    sized by its blocks, is one window.
+    starts at word ``_BLOCKS + t * stride`` (``stride`` = periods * (n + m))
+    and is read by position (``_chunk_stream``) for the rows that pass R. The
+    chunk holds the blocks of one window of rows at a time, as many as a
+    block buffer of ``_DRAW_BUDGET_BYTES`` holds (or one), allocated by the
+    first read that needs it and kept until a read needs another window; a
+    cascade chunk, sized by its blocks, is one window.
 
     A period catches members directly by exponential skips over the
     cumulative hazards L_j = sum_{i <= j} -log1p(-alpha_i): from pos = 0, a
@@ -317,18 +317,18 @@ def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     n + m words, and the arcs' words are compared in pieces of at most
     ``_RELAX_BUDGET`` words (or one row). A cascade catches the members
     reachable from the direct catches through arcs whose draw succeeded, in
-    any order, so the hop distances' sweep (``graph._sweep``) closes every row
-    at once, one bit per trial, over the arcs sorted by target and gated by
-    their draws.
+    any order, so the hop distances' sweep (``graph._sweep``) closes the rows
+    that catch someone new at once, one bit per trial, over the arcs sorted
+    by target and gated by their draws; the other rows have nothing to
+    spread, and a period with no new catch sweeps nothing.
     """
     (n, arcs, alphas, gamma, cascade, periods, seed, stride, lo, hi) = args
     src, dst, _, first = arcs
     m = len(dst)
     rows = hi - lo
     span = n + m
-    region = _region(span)
-    width = 4 * stride
-    window = rows if cascade else max(1, _DRAW_BUDGET_BYTES // (8 * width))
+    region = min(_REGION, span)
+    window = rows if cascade else max(1, _DRAW_BUDGET_BYTES // (8 * stride))
 
     def stream(origin: int, height: int, length: int):
         try:
@@ -336,7 +336,7 @@ def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
         except MemoryError:
             raise ValueError(f"periods={periods} needs {height * length} draw words, too many to allocate") from None
 
-    regions, fill = stream(lo * periods * region // 4, rows, periods * region)
+    regions, fill = stream(lo * periods * region, rows, periods * region)
     fill(np.zeros(1, dtype=np.intp), regions.size)
     current = None  # (window index, its block buffer, its fill)
 
@@ -346,7 +346,7 @@ def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
         if current is None or current[0] != w:
             current = None  # free the last window before allocating the next
             top = w * window
-            current = (w, *stream(_BLOCKS + (lo + top) * stride, min(window, rows - top), width))
+            current = (w, *stream(_BLOCKS + (lo + top) * stride, min(window, rows - top), stride))
         return current[1:]
 
     def words(period: int, row: np.ndarray, i: np.ndarray) -> np.ndarray:
@@ -359,7 +359,7 @@ def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
             bounds = [0, *(np.flatnonzero(np.diff(win)) + 1).tolist(), over.size]
             for a, b in zip(bounds, bounds[1:]):
                 buf, fill_block = blocks(int(win[a]))
-                fill_block(at[a:b] * width + i[a:b], 1)
+                fill_block(at[a:b] * stride + i[a:b], 1)
                 u[over[a:b]] = buf[at[a:b], i[a:b]]
         return u
 
@@ -388,28 +388,32 @@ def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
         new = code[~flat[code]]
         flat[new] = True
         if cascade:
-            frontier = np.zeros((rows, n), dtype=bool)
-            frontier.reshape(-1)[new] = True
-            row = new // n
+            if not new.size:
+                continue  # nothing to spread, and _pack needs a row
+            row, member = np.divmod(new, n)
             caught = row[np.flatnonzero(np.diff(row, prepend=-1))]  # new ascends: its rows, once each
-            opened = np.zeros((rows, m), dtype=bool)
-            last = used[caught].max() + m if caught.size else 0  # past the last word an arc takes
+            frontier = np.zeros((caught.size, n), dtype=bool)
+            frontier[np.searchsorted(caught, row), member] = True
+            opened = np.zeros((caught.size, m), dtype=bool)
+            spent = used[caught]  # the words each catching row's direct catches took
+            last = spent.max() + m  # past the last word an arc takes
             if last > region:
                 block, fill_block = blocks(0)
-                fill_block(caught * width + period * span + region, last - region)
+                fill_block(caught * stride + period * span + region, last - region)
                 block = block[:, period * span : (period + 1) * span]
-            for u in np.unique(used[caught]).tolist():
-                r = caught[used[caught] == u]
+            for u in np.unique(spent).tolist():
+                k = np.flatnonzero(spent == u)  # these rows' places among the caught ones
+                r = caught[k]
                 cut = min(max(region - u, 0), m)  # the arcs whose words lie in the region
-                opened[r, :cut] = regions[r, period * region + u : period * region + u + cut] < gamma
+                opened[k, :cut] = regions[r, period * region + u : period * region + u + cut] < gamma
                 if cut < m:  # each piece gathers a copy of its rows' block words
                     step = max(1, _RELAX_BUDGET // (m - cut))
                     for a in range(0, r.size, step):
-                        opened[r[a : a + step], cut:] = block[r[a : a + step], u + cut : u + m] < gamma
-            hidden = _pack(~detected)
+                        opened[k[a : a + step], cut:] = block[r[a : a + step], u + cut : u + m] < gamma
+            hidden = _pack(~detected[caught])
             for _ in _sweep(_pack(frontier), hidden, into, heads, _pack(opened)[order]):
                 pass
-            detected[:] = _bits(hidden, rows).T == 0
+            detected[caught] = _bits(hidden, caught.size).T == 0
         else:
             row, det = np.divmod(new, n)
             fanout = first[det + 1] - first[det]
@@ -429,6 +433,20 @@ def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     return member_counts, hist
 
 
+class _Jobs(Sequence):
+    """``simulate``'s chunk jobs, each formed when it is read: ``head`` plus (lo, hi), ``rows`` trials apart."""
+
+    def __init__(self, head: tuple, trials: int, rows: int) -> None:
+        self.head, self.trials, self.rows = head, trials, rows
+
+    def __len__(self) -> int:
+        return -(-self.trials // self.rows)
+
+    def __getitem__(self, k: int) -> tuple:
+        lo = range(0, self.trials, self.rows)[k]
+        return (*self.head, lo, min(lo + self.rows, self.trials))
+
+
 def simulate(
     g: Graph,
     plan: ScrutinyPlan,
@@ -445,50 +463,58 @@ def simulate(
     per (detector, target) pair per period.
 
     Trial t derives its randomness from ``(params.seed, t)`` alone. Its
-    period p consumes one sequence of words: word i < R (R = ``_REGION``
-    words, or n + m rounded up to whole counters if fewer, m the arcs) is
-    word (t * periods + p) * R + i of the region stream from Philox counter
-    0, and word i >= R is word p * (n + m) + i of trial t's block, which
-    starts at counter ``_BLOCKS + t * stride`` (``stride`` counters hold the
-    trial's periods * (n + m) words). A period uses at most n + m words: one
-    per direct catch plus one (none once no member with a hazard is left past
-    the last catch; a member with alpha 1 is caught without one), then one
-    per arc of a newly caught member, or under cascade one per arc. A chunk
-    reads its rows' regions in one read and the block words that rows run on
-    into by position (``_chunk_stream``). Direct catches are exact up to the
-    rounding of the cumulative hazards (see ``_simulate_chunk``).
+    period p consumes one sequence of words of the PCG64DXSM stream seeded by
+    ``params.seed``: word i < R (R = min(``_REGION``, n + m), m the arcs) is
+    word (t * periods + p) * R + i of the region stream from word 0, and word
+    i >= R is word p * (n + m) + i of trial t's block, which starts at word
+    ``_BLOCKS + t * stride``, ``stride`` = periods * (n + m). A period uses at
+    most n + m words: one per direct catch plus one (none once no member with
+    a hazard is left past the last catch; a member with alpha 1 is caught
+    without one), then one per arc of a newly caught member, or under cascade
+    one per arc. A chunk reads its rows' regions in one read and the block
+    words that rows run on into by position (``_chunk_stream``). Direct
+    catches are exact up to the rounding of the cumulative hazards (see
+    ``_simulate_chunk``). Before any chunk is formed, a ValueError names
+    ``trials`` and ``periods`` when trials * periods * (n + m) passes 2**127,
+    where the blocks would run past the stream's 2**128-word period, and
+    ``trials`` when the chunks would outnumber ``sys.maxsize``.
 
     Chunks are sized by the bytes one of their rows holds, so that they fit a
     fixed budget (``_DRAW_BUDGET_BYTES``) whatever the trial count, or hold
     one trial when its own is larger: one hop, a row's regions and state,
-    8 * periods * R + n + m bytes; under cascade, its whole block, 32 * stride
+    8 * periods * R + n + m bytes; under cascade, its whole block, 8 * stride
     bytes. A chunk holds the blocks of one window of rows at a time, as many
     as fit the budget (or one). A ValueError names ``periods`` when a chunk's
-    regions or block window cannot be allocated. The report is bit-identical
+    regions or block window cannot be allocated. The jobs are formed as they
+    are run and each chunk's counts are added as it returns, in job order, so
+    memory does not grow with the trial count. The report is bit-identical
     for any ``workers`` value, chunking and run.
     """
     _require_runnable(g, plan, params)
     if not (_is_int(periods) and periods >= 1):
         raise ValueError(f"periods must be a positive integer, got {periods}")
     trials = params.trials
-    # 4 uniforms per Philox counter; pad each trial's block to a counter boundary
     span = g.n + len(g._arcs[1])
-    stride = (periods * span + 3) // 4
+    stride = periods * span
+    if trials * stride > _BLOCKS:
+        raise ValueError(
+            f"trials={trials} of periods={periods} need {trials * stride} draw words,"
+            f" {span} a period, past the 2**127 the stream holds"
+        )
     # a cascade row that catches someone holds its block; any other row its regions and its state
-    held = 32 * stride if params.cascade else 8 * periods * _region(span) + span
+    held = 8 * stride if params.cascade else 8 * periods * min(_REGION, span) + span
     rows = min(_TRIALS_PER_CHUNK, max(1, _DRAW_BUDGET_BYTES // held))
-    jobs = [
-        (g.n, g._arcs, plan.alphas, params.gamma, params.cascade, periods,
-         params.seed, stride, lo, min(lo + rows, trials))
-        for lo in range(0, trials, rows)
-    ]
-    results = run_chunks(_simulate_chunk, jobs, workers)
-
+    if trials > sys.maxsize * rows:  # the count of chunks must fit an index
+        raise ValueError(f"trials={trials} make more than {sys.maxsize} chunks of {rows}")
+    head = (g.n, g._arcs, plan.alphas, params.gamma, params.cascade, periods, params.seed, stride)
     member_counts = np.zeros(g.n, dtype=np.int64)
     hist = np.zeros(g.n + 1, dtype=np.int64)
-    for counts, h in results:
-        member_counts += counts
-        hist += h
+
+    def add(result: tuple[np.ndarray, np.ndarray]) -> None:
+        member_counts[:] += result[0]
+        hist[:] += result[1]
+
+    run_chunks(_simulate_chunk, _Jobs(head, trials, rows), workers, add)
 
     prob = member_counts / trials
     if trials > 1:

@@ -322,13 +322,13 @@ def _cascade_spread(pairs, seen, direct, gamma) -> dict[int, float]:
 def reference_simulate_chunk(args, region_words: int) -> tuple[np.ndarray, np.ndarray]:
     """Trial-by-trial, period-by-period replay of a ``detection._simulate_chunk`` job.
 
-    Same job tuple and same Philox words as the library, consumed one at a
-    time from each trial-period's sequence. With n members and m pairs (the
-    job's arcs), word i < R of trial t's period p, R the lesser of
-    ``region_words`` and n + m rounded up to whole counters, is word
-    (t * periods + p) * R + i of the stream from counter 0; word i >= R is
-    word p * (n + m) + i of the stream from counter 2**192 + t * stride. In a
-    period:
+    Same job tuple and same words of the PCG64DXSM stream seeded by the
+    job's seed as the library, consumed one at a time from each
+    trial-period's sequence. With n members and m pairs (the job's arcs),
+    word i < R of trial t's period p, R the lesser of ``region_words`` and
+    n + m, is word (t * periods + p) * R + i of the stream; word i >= R is
+    word 2**127 + t * stride + p * (n + m) + i. Both are drawn whole, from a
+    fresh generator advanced to the chunk's first word. In a period:
 
     * a hidden or detected member with alpha 1 is caught without a word;
     * with L the running sums of -log1p(-alpha) over the members (alpha 1
@@ -345,13 +345,16 @@ def reference_simulate_chunk(args, region_words: int) -> tuple[np.ndarray, np.nd
     (n, arcs, alphas, gamma, cascade, periods, seed, stride, lo, hi) = args
     pairs = list(zip(arcs[0].tolist(), arcs[1].tolist()))
     m = len(pairs)
-    region = min(region_words, -(-(n + m) // 4) * 4)
+    region = min(region_words, n + m)
     rows = hi - lo
-    regions = np.random.Generator(
-        np.random.Philox(key=seed, counter=lo * periods * region // 4)
-    ).random((rows, periods, region))
-    blocks = np.random.Generator(np.random.Philox(key=seed, counter=(1 << 192) + lo * stride))
-    blocks = blocks.random((rows, 4 * stride)) if n + m > region else None
+
+    def stream(origin: int) -> np.random.Generator:
+        bitgen = np.random.PCG64DXSM(seed)
+        bitgen.advance(origin)
+        return np.random.Generator(bitgen)
+
+    regions = stream(lo * periods * region).random((rows, periods, region))
+    blocks = stream((1 << 127) + lo * stride).random((rows, stride)) if n + m > region else None
     hazard = -np.log1p(-np.array([0.0 if a == 1.0 else a for a in alphas]))
     level = list(itertools.accumulate(hazard.tolist()))
     member_counts = np.zeros(n, dtype=np.int64)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -307,10 +308,41 @@ class TestSimulate:
             simulate(g, plan, params, periods=0)
 
     def test_periods_past_memory_rejected(self):
-        # one trial's 10**15 periods of 7 words, as regions of 8, are past a 2**47-byte user address space
+        # one trial's 10**15 periods of 7 words, as regions of 7, are past a 2**47-byte user address space
         g, plan = make_structure("path", 3), ScrutinyPlan((0.1, 0.1, 0.1), budget=0.3)
-        with pytest.raises(ValueError, match=r"periods=1000000000000000 needs 8000000000000000 draw words"):
+        with pytest.raises(ValueError, match=r"periods=1000000000000000 needs 7000000000000000 draw words"):
             simulate(g, plan, DetectionParams(0.5, 1.0, trials=10), periods=10**15)
+
+    @pytest.mark.parametrize("trials, periods", [(2**100, 2**30), (2**124 + 1, 7), (2**61, 2**64)])
+    def test_trials_past_stream_rejected(self, monkeypatch, trials, periods):
+        # path 3 takes 7 words a period, and the blocks must end by word 2**128: at
+        # most 2**127 words of trials * periods, checked before any chunk is formed
+        jobs = record_jobs(monkeypatch)
+        g, plan = make_structure("path", 3), ScrutinyPlan((0.1, 0.1, 0.1), budget=0.3)
+        reason = rf"trials={trials} of periods={periods} need \d+ draw words, 7 a period, past the 2\*\*127"
+        with pytest.raises(ValueError, match=reason):
+            simulate(g, plan, DetectionParams(0.5, 1.0, trials=trials), periods=periods)
+        assert jobs == []
+
+    def test_chunks_past_index_rejected(self, monkeypatch):
+        # 2**100 one-period trials fit the stream, but not their 2**87 chunks of 8192
+        jobs = record_jobs(monkeypatch)
+        g, plan = make_structure("path", 3), ScrutinyPlan((0.1, 0.1, 0.1), budget=0.3)
+        with pytest.raises(ValueError, match=rf"trials={2**100} make more than {sys.maxsize} chunks of 8192"):
+            simulate(g, plan, DetectionParams(0.5, 1.0, trials=2**100))
+        assert jobs == []
+
+    def test_stream_bound_admits_its_last_word(self, monkeypatch):
+        # 2**60 trials of 2**64 periods of 8 words end their blocks at word 2**128 exactly;
+        # one trial a chunk, formed as it is read, so the last one is read alone
+        g = build_graph(4, edges=[(0, 1), (2, 3)])
+        plan = ScrutinyPlan((0.1, 0.0, 0.1, 0.0), budget=0.3)
+        last = []
+        monkeypatch.setattr(detection, "run_chunks", lambda fn, jobs, workers, take: last.append(jobs[-1]))
+        simulate(g, plan, DetectionParams(0.5, 1.0, trials=1 << 60), periods=1 << 64)
+        [(*_, stride, lo, hi)] = last
+        assert (stride, lo, hi) == (1 << 67, (1 << 60) - 1, 1 << 60)
+        assert detection._BLOCKS + hi * stride == 1 << 128
 
     def test_infeasible_plan_rejected(self):
         g = build_graph(2, edges=[(0, 1)])
@@ -377,19 +409,24 @@ class TestChain:
 def chunk_jobs(draw):
     """A ``_simulate_chunk`` job on a small graph, carrying the graph's arcs.
 
-    Seeds span the whole key range; some chunks start just below the trial
-    whose counter ``lo * stride`` passes 2**64; and when n + arcs is not a
-    multiple of 4, later periods start mid-counter. Chunks of up to about 200
-    trials, with the sizes around 64 and 128 always among the choices, pack
-    the cascade's trial bits into several 64-bit words that end mid-word.
+    Seeds span the whole seed range; some chunks start just below the trial
+    whose block word ``lo * stride`` passes 2**64, and some end at most 64
+    trials below the last the stream admits (``simulate`` keeps trials *
+    stride at most 2**127, so its blocks end by word 2**128). Chunks of up
+    to about 200 trials, with the sizes around 64 and 128 always among the
+    choices, pack the cascade's trial bits into several 64-bit words that end
+    mid-word.
     """
     g = draw(st.booleans().flatmap(lambda directed: graphs(min_n=1, max_n=6, directed=directed)))
     periods = draw(st.integers(1, 3))
     alphas = tuple(draw(st.lists(st.floats(0.0, 1.0), min_size=g.n, max_size=g.n)))
     gamma = draw(st.floats(0.0, 1.0, exclude_min=True))
-    stride = (periods * (g.n + len(g._arcs[1])) + 3) // 4
-    lo = draw(st.integers(0, 500) | st.integers(-64, 0).map(lambda d: (1 << 64) // stride + d))
-    hi = lo + draw(st.sampled_from([63, 64, 65, 128, 129]) | st.integers(1, 200))
+    stride = periods * (g.n + len(g._arcs[1]))
+    size = draw(st.sampled_from([63, 64, 65, 128, 129]) | st.integers(1, 200))
+    top = (1 << 127) // stride - size  # the last chunk whose blocks end by word 2**128
+    lo = draw(st.integers(0, 500) | st.integers(-64, 0).map(lambda d: (1 << 64) // stride + d)
+              | st.integers(-64, 0).map(lambda d: top + d))
+    hi = lo + size
     return (g.n, g._arcs, alphas, gamma, draw(st.booleans()), periods,
             draw(st.integers(0, (1 << 128) - 1)), stride, lo, hi)
 
@@ -398,14 +435,13 @@ def record_jobs(monkeypatch) -> list:
     """Replace run_chunks with a recorder that returns empty detections."""
     jobs = []
 
-    def record(fn, batch, workers):
+    def record(fn, batch, workers, take):
         jobs.extend(batch)
-        results = []
         for n, *_, lo, hi in batch:
             hist = np.zeros(n + 1, dtype=np.int64)
             hist[0] = hi - lo
-            results.append((np.zeros(n, dtype=np.int64), hist))
-        return results
+            take((np.zeros(n, dtype=np.int64), hist))
+        return []
 
     monkeypatch.setattr(detection, "run_chunks", record)
     return jobs
@@ -445,16 +481,22 @@ class TestSimulateChunk:
 
     @pytest.mark.parametrize("gap", [0, detection._READ_GAP])
     def test_filled_words_match_drawn_stream(self, gap):
-        # a chunk whose stream crosses counter 2**64, filled from every offset mod 4
-        seed, origin = (1 << 128) - 1, (1 << 64) - 3
-        drawn = np.random.Generator(np.random.Philox(key=seed, counter=origin)).random((3, 40))
-        for offset in range(8):
-            with mock.patch.object(detection, "_READ_GAP", gap):
-                buf, fill = detection._chunk_stream(seed, origin, (3, 40))
-                fill(np.arange(3) * 40 + offset, 13)
-            assert np.array_equal(buf[:, offset : offset + 13], drawn[:, offset : offset + 13])
-            if gap:  # rows and the chunk's end closer than a gap: one read of the whole chunk
-                assert np.array_equal(buf, drawn)
+        # chunks from word 0, from the blocks' first word, and across word 2**64 of either
+        # stream; filled from every offset, again from a fill that reads behind the last one
+        seed = (1 << 128) - 1
+        for origin in (0, (1 << 64) - 50, detection._BLOCKS, detection._BLOCKS + (1 << 64) - 50):
+            bitgen = np.random.PCG64DXSM(seed)
+            bitgen.advance(origin)
+            drawn = np.random.Generator(bitgen).random((3, 40))
+            for offset in range(40 - 13):
+                with mock.patch.object(detection, "_READ_GAP", gap):
+                    buf, fill = detection._chunk_stream(seed, origin, (3, 40))
+                    fill(np.arange(3) * 40 + offset, 13)
+                    assert np.array_equal(buf[:, offset : offset + 13], drawn[:, offset : offset + 13])
+                    fill(np.arange(3) * 40 + offset // 2, 1)
+                assert np.array_equal(buf[:, offset // 2], drawn[:, offset // 2])
+                if gap:  # rows and the chunk's end closer than a gap: one read of the whole chunk
+                    assert np.array_equal(buf, drawn)
 
     def test_chunks_fit_draw_budget(self, monkeypatch):
         jobs = record_jobs(monkeypatch)
@@ -482,6 +524,28 @@ class TestSimulateChunk:
         for rows, width in windows:
             assert rows * width * 8 <= detection._DRAW_BUDGET_BYTES or rows == 1
 
+    def test_memory_does_not_grow_with_chunk_count(self, monkeypatch):
+        # 5,000 one-trial chunks of 4.8 kB of counts each, about 24 MB were they all kept,
+        # and as many jobs; each stubbed chunk catches every member of its trials
+        def every_member(job):
+            n, *_, lo, hi = job
+            hist = np.zeros(n + 1, dtype=np.int64)
+            hist[n] = hi - lo
+            return np.full(n, hi - lo, dtype=np.int64), hist
+
+        g = random_network(300, 1500, seed=4)
+        plan = ScrutinyPlan((0.6 / 300,) * 300, budget=0.6)
+        monkeypatch.setattr(detection, "_simulate_chunk", every_member)
+        monkeypatch.setattr(detection, "_TRIALS_PER_CHUNK", 1)
+        tracemalloc.start()
+        try:
+            report = simulate(g, plan, DetectionParams(0.5, 1.0, trials=5000, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.per_member_prob == (1.0,) * 300 and report.stderr == 0.0
+        assert peak < 1 << 20
+
     def test_trial_over_budget_gets_one_row_jobs(self, monkeypatch):
         jobs = record_jobs(monkeypatch)
         g = random_network(300, 1500, seed=4)
@@ -506,7 +570,7 @@ class TestSimulateChunk:
         # 4-word regions send nearly every row on into its block, and a budget of
         # 3 rows of blocks cuts the 20-row chunk into 7 windows
         g = random_network(12, 30, seed=3)
-        stride = (2 * (12 + 60) + 3) // 4
+        stride = 2 * (12 + 60)
         alphas = (1.0, 0.2, 0.0, 0.3, 0.1, 0.2, 0.0, 0.1, 0.4, 0.0, 0.2, 0.1)
         job = (12, g._arcs, alphas, 0.5, False, 2, 77, stride, 5, 25)
         expected = reference_simulate_chunk(job, 4)
@@ -517,7 +581,7 @@ class TestSimulateChunk:
             return poisoned_stream(seed, origin, shape)
 
         monkeypatch.setattr(detection, "_REGION", 4)
-        monkeypatch.setattr(detection, "_DRAW_BUDGET_BYTES", 32 * stride * 3)
+        monkeypatch.setattr(detection, "_DRAW_BUDGET_BYTES", 8 * stride * 3)
         monkeypatch.setattr(detection, "_chunk_stream", spy)
         got = detection._simulate_chunk(job)
         assert np.array_equal(got[0], expected[0])
@@ -570,13 +634,13 @@ class TestSimulateChunk:
         params = DetectionParams(gamma=0.4, cost_k=1.0, cascade=True, trials=400, seed=5)
         baseline = simulate(g, plan, params, periods=2)
         assert simulate(g, plan, params, periods=2, workers=2) == baseline
-        stride = (2 * (g.n + 2 * g.m) + 3) // 4
-        monkeypatch.setattr(detection, "_DRAW_BUDGET_BYTES", 32 * stride * rows)
+        stride = 2 * (g.n + 2 * g.m)
+        monkeypatch.setattr(detection, "_DRAW_BUDGET_BYTES", 8 * stride * rows)
         sizes = []
 
-        def spy(fn, jobs, workers):
+        def spy(fn, jobs, workers, take):
             sizes.extend(hi - lo for *_, lo, hi in jobs)
-            return run_chunks(fn, jobs, workers)
+            return run_chunks(fn, jobs, workers, take)
 
         monkeypatch.setattr(detection, "run_chunks", spy)
         assert simulate(g, plan, params, periods=2, workers=2) == baseline

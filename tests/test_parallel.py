@@ -1,3 +1,4 @@
+import collections.abc
 import concurrent.futures
 import os
 import subprocess
@@ -24,8 +25,10 @@ def pool_sizes(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
-            return map(fn, jobs)
+        def submit(self, fn, job):
+            future = concurrent.futures.Future()
+            future.set_result(fn(job))
+            return future
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PoolRecorder)
     return sizes
@@ -47,6 +50,31 @@ def test_nonpositive_workers_rejected(pool_sizes, workers):
     with pytest.raises(ValueError, match="workers must be a positive integer"):
         run_chunks(ran.append, [1, 2], workers)
     assert ran == [] and pool_sizes == []
+
+
+def test_pool_keeps_two_jobs_a_worker_in_flight(monkeypatch, pool_sizes):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    read = []
+
+    class Jobs(collections.abc.Sequence):
+        def __len__(self):
+            return 1000
+
+        def __getitem__(self, k):
+            if k >= 1000:
+                raise IndexError(k)
+            read.append(k)
+            return -k
+
+    taken, ahead = [], []
+
+    def take(result):
+        taken.append(result)
+        ahead.append(len(read) - result)  # jobs read but not yet taken, this one included
+
+    assert run_chunks(abs, Jobs(), 3, take) == []
+    assert taken == list(range(1000)) and pool_sizes == [3]
+    assert max(ahead) == 6
 
 
 def test_single_job_runs_inline(monkeypatch, pool_sizes):
