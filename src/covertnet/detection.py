@@ -19,7 +19,8 @@ depends on (seed, t, p) alone, so reports are bit-identical for any worker
 count or chunk execution order. Its first R words (``_REGION``, or fewer on
 a small network) lie in a dense region stream, trial after trial, so one
 read fills a whole chunk's regions; a sequence that runs past R continues
-in trial t's block, from word ``_BLOCKS`` on, which is read by position.
+in trial t's block, from word ``_BLOCKS`` on, whose words are drawn where
+they are used.
 
 A period draws its events, not one word per member and per tie. The direct
 catches come by exponential skips over the members' cumulative hazards
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 import math
 import sys
-import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -63,21 +63,9 @@ from .measures import _WEIGHT_SUM_TOL
 
 _TRIALS_PER_CHUNK = 1 << 13
 # Most bytes a chunk's rows hold: a one-hop or multi-period row its regions
-# (8 B a word) and its per-row state (about n + m bytes), a cascade row its
-# trial's whole block, 8 B a word, since a row that catches someone reads it
-# and its opened arcs. It also bounds one window of block rows, which is all of
-# a chunk's blocks held at once, though reads fill only the words trials use.
+# (8 B a word) and its per-row state (about n + m bytes), a cascade row at most
+# its trial's whole block, 8 B a word.
 _DRAW_BUDGET_BYTES = 8 << 20
-# Block ranges closer than this share one read, and a read ending this close to
-# the chunk's end runs to it, so a chunk whose rows lie closer is read whole by
-# its first read. A read costs about 1.7 us (its jump by ``advance`` 0.7-1.6 us)
-# plus 2.6 ns a word, where Philox's counter set cost 3.3 us plus 5.7 ns a word
-# (BENCH_33.json): both near 600 words a read. The words read through a gap stay
-# in the buffer, and later periods and cascades use many of them. In a sweep
-# over networks of 20-500 members with 5n edges (BENCH_11.json) no chunk ran
-# more than 3% slower than a whole-block draw at 2048; 512 and 1024 left
-# 61-member ones 1.3-1.4x slower, and 4096 lost the 300-member one-hop gain.
-_READ_GAP = 2048
 # Words of a trial-period's sequence in its region. A one-hop period uses one
 # word more than its direct catches, plus one a newly caught member's arc: on
 # the benchmark's 300-member network about 7, and no row of a one-hop or
@@ -88,12 +76,6 @@ _REGION = 64
 # 2**127 (``simulate`` checks it) the two streams stay apart and within the
 # generator's period.
 _BLOCKS = 1 << 127
-# Each thread's spare buffer for block streams, kept between chunks and calls:
-# at most _DRAW_BUDGET_BYTES, of which only the pages reads have touched are
-# resident. A buffer of blocks freed and taken afresh for each window lands
-# wherever glibc's heap then has room, so peak memory swung by up to 6 MB with
-# the draws (ROADMAP item 9); reused, it stays put, and its pages stay mapped.
-_spare = threading.local()
 
 
 class InfeasiblePlanError(ValueError):
@@ -227,57 +209,26 @@ def detect_exact(g: Graph, plan: ScrutinyPlan, params: DetectionParams) -> Detec
     return _report(1.0 - hidden, params, "exact")
 
 
-def _chunk_stream(seed: int, origin: int, shape: tuple[int, int]):
-    """A chunk's buffer of trial words and ``fill``, which reads words into it.
+def _draw(gen: np.random.Generator, origin: int, start: np.ndarray, length: int) -> np.ndarray:
+    """Words [origin + s, origin + s + length) of ``gen``'s stream, one row each ascending ``s`` in ``start``.
 
-    ``buf`` has the shape of the chunk's whole draw from word ``origin`` of
-    the PCG64DXSM stream seeded by ``seed`` (row i holds the chunk's i-th
-    trial's regions or block), but holds only the words ``fill`` has read. A
+    ``gen`` draws from a PCG64DXSM stream and stands at its word 0, and is
+    left there. Ranges must not overlap; ranges that touch share one read. A
     read advances the generator from the end of the last read to its first
     word (``advance``, O(log delta) steps), modulo the stream's 2**128-word
-    period, so a read behind the last one wraps round to its place, and draws
-    its words with ``Generator.random`` into their place: each word read
-    equals the whole draw's word there.
-
-    A block stream (``origin`` at or past ``_BLOCKS``) that fits
-    ``_DRAW_BUDGET_BYTES`` takes its buffer from the calling thread's spare,
-    so its words stay valid only until that thread's next block stream.
+    period, and ``Generator.random`` writes its words into their rows.
     """
-    bitgen = np.random.PCG64DXSM(seed)
-    gen = np.random.Generator(bitgen)
-    size = shape[0] * shape[1]
-    if origin < _BLOCKS or 8 * size > _DRAW_BUDGET_BYTES:
-        buf = np.empty(shape)
-    else:  # a block stream within the budget reuses the thread's spare buffer
-        spare = getattr(_spare, "blocks", None)
-        if spare is None or spare.size < size:
-            spare = _spare.blocks = np.empty(size)
-        buf = spare[:size].reshape(shape)
-    flat = buf.reshape(-1)
+    out = np.empty((start.size, length))
+    flat = out.reshape(-1)
+    cut = (np.flatnonzero(np.diff(start) != length) + 1).tolist()
     at = 0  # the stream word the generator stands at
-    complete = False
-
-    def fill(start: np.ndarray, length: int) -> None:
-        """Read the ascending ranges [start, start + length) of ``buf.flat``.
-
-        Ranges closer than ``_READ_GAP`` words share one read. Once a read has
-        covered the whole chunk, nothing more is read.
-        """
-        nonlocal at, complete
-        if complete or not start.size:
-            return
-        cut = np.flatnonzero(np.diff(start) > _READ_GAP + length)
-        begin = start[np.append(0, cut + 1)]
-        end = start[np.append(cut, -1)] + length
-        if flat.size - end[-1] <= _READ_GAP:
-            end[-1] = flat.size
-        for a, b in zip(begin.tolist(), end.tolist()):
-            bitgen.advance((origin + a - at) % (1 << 128))
-            gen.random(out=flat[a:b])
-            at = origin + b
-        complete = begin[0] == 0 and end[0] == flat.size
-
-    return buf, fill
+    for a, b in zip([0, *cut], [*cut, start.size]):
+        word = origin + int(start[a])
+        gen.bit_generator.advance((word - at) % (1 << 128))
+        gen.random(out=flat[a * length : b * length])
+        at = word + (b - a) * length
+    gen.bit_generator.advance(-at % (1 << 128))
+    return out
 
 
 def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
@@ -287,12 +238,10 @@ def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     = min(``_REGION``, n + m)) are words (t * periods + p) * R onwards of the
     region stream, which starts at word 0, so one read fills the chunk's
     regions. Word i >= R is word p * (n + m) + i of trial t's block, which
-    starts at word ``_BLOCKS + t * stride`` (``stride`` = periods * (n + m))
-    and is read by position (``_chunk_stream``) for the rows that pass R. The
-    chunk holds the blocks of one window of rows at a time, as many as a
-    block buffer of ``_DRAW_BUDGET_BYTES`` holds (or one), allocated by the
-    first read that needs it and kept until a read needs another window; a
-    cascade chunk, sized by its blocks, is one window.
+    starts at word ``_BLOCKS + t * stride`` (``stride`` = periods * (n + m)).
+    Block words are drawn where they are used (``_draw``), into fresh arrays:
+    each round of direct catches, one-hop arc slice or cascade piece reads
+    the words its rows take past R.
 
     A period catches members directly by exponential skips over the
     cumulative hazards L_j = sum_{i <= j} -log1p(-alpha_i): from pos = 0, a
@@ -314,8 +263,8 @@ def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     they are expanded in slices of at most ``_RELAX_BUDGET`` arcs (or one
     member's). Under cascade, arc k of a row that catches someone new directly
     takes the word after its direct ones plus k, so a sequence never passes
-    n + m words, and the arcs' words are compared in pieces of at most
-    ``_RELAX_BUDGET`` words (or one row). A cascade catches the members
+    n + m words, and the arcs' words are drawn and compared in pieces of at
+    most ``_RELAX_BUDGET`` words (or one row). A cascade catches the members
     reachable from the direct catches through arcs whose draw succeeded, in
     any order, so the hop distances' sweep (``graph._sweep``) closes the rows
     that catch someone new at once, one bit per trial, over the arcs sorted
@@ -328,39 +277,24 @@ def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     rows = hi - lo
     span = n + m
     region = min(_REGION, span)
-    window = rows if cascade else max(1, _DRAW_BUDGET_BYTES // (8 * stride))
+    gen = np.random.Generator(np.random.PCG64DXSM(seed))
 
-    def stream(origin: int, height: int, length: int):
+    def draw(origin: int, start: np.ndarray, length: int) -> np.ndarray:
         try:
-            return _chunk_stream(seed, origin, (height, length))
+            return _draw(gen, origin, start, length)
         except MemoryError:
-            raise ValueError(f"periods={periods} needs {height * length} draw words, too many to allocate") from None
+            size = start.size * length
+            raise ValueError(f"periods={periods} needs {size} draw words, too many to allocate") from None
 
-    regions, fill = stream(lo * periods * region, rows, periods * region)
-    fill(np.zeros(1, dtype=np.intp), regions.size)
-    current = None  # (window index, its block buffer, its fill)
-
-    def blocks(w: int):
-        """Block window ``w``'s buffer and fill: rows [w * window, (w + 1) * window) of the chunk."""
-        nonlocal current
-        if current is None or current[0] != w:
-            current = None  # free the last window before allocating the next
-            top = w * window
-            current = (w, *stream(_BLOCKS + (lo + top) * stride, min(window, rows - top), stride))
-        return current[1:]
+    regions = draw(lo * periods * region, np.arange(rows) * (periods * region), periods * region)
+    first_block = _BLOCKS + lo * stride  # the stream word the chunk's first block starts at
 
     def words(period: int, row: np.ndarray, i: np.ndarray) -> np.ndarray:
         """Word ``i`` of each ``row``'s sequence in ``period``; (row, i) ascend."""
         u = regions[row, period * region + np.minimum(i, region - 1)]
         over = np.flatnonzero(i >= region)
         if over.size:
-            win, at = np.divmod(row[over], window)
-            i = period * span + i[over]
-            bounds = [0, *(np.flatnonzero(np.diff(win)) + 1).tolist(), over.size]
-            for a, b in zip(bounds, bounds[1:]):
-                buf, fill_block = blocks(int(win[a]))
-                fill_block(at[a:b] * stride + i[a:b], 1)
-                u[over[a:b]] = buf[at[a:b], i[a:b]]
+            u[over] = draw(first_block, row[over] * stride + period * span + i[over], 1)[:, 0]
         return u
 
     alphas = np.asarray(alphas, dtype=float)
@@ -396,20 +330,16 @@ def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
             frontier[np.searchsorted(caught, row), member] = True
             opened = np.zeros((caught.size, m), dtype=bool)
             spent = used[caught]  # the words each catching row's direct catches took
-            last = spent.max() + m  # past the last word an arc takes
-            if last > region:
-                block, fill_block = blocks(0)
-                fill_block(caught * stride + period * span + region, last - region)
-                block = block[:, period * span : (period + 1) * span]
             for u in np.unique(spent).tolist():
                 k = np.flatnonzero(spent == u)  # these rows' places among the caught ones
                 r = caught[k]
                 cut = min(max(region - u, 0), m)  # the arcs whose words lie in the region
                 opened[k, :cut] = regions[r, period * region + u : period * region + u + cut] < gamma
-                if cut < m:  # each piece gathers a copy of its rows' block words
+                if cut < m:  # each piece draws its rows' arc words past the region, from word u + cut
                     step = max(1, _RELAX_BUDGET // (m - cut))
-                    for a in range(0, r.size, step):
-                        opened[k[a : a + step], cut:] = block[r[a : a + step], u + cut : u + m] < gamma
+                    for a in range(0, k.size, step):
+                        start = r[a : a + step] * stride + period * span + u + cut
+                        opened[k[a : a + step], cut:] = draw(first_block, start, m - cut) < gamma
             hidden = _pack(~detected[caught])
             for _ in _sweep(_pack(frontier), hidden, into, heads, _pack(opened)[order]):
                 pass
@@ -472,7 +402,7 @@ def simulate(
     a hazard is left past the last catch; a member with alpha 1 is caught
     without one), then one per arc of a newly caught member, or under cascade
     one per arc. A chunk reads its rows' regions in one read and the block
-    words that rows run on into by position (``_chunk_stream``). Direct
+    words that rows run on into where it uses them (``_draw``). Direct
     catches are exact up to the rounding of the cumulative hazards (see
     ``_simulate_chunk``). Before any chunk is formed, a ValueError names
     ``trials`` and ``periods`` when trials * periods * (n + m) passes 2**127,
@@ -482,13 +412,12 @@ def simulate(
     Chunks are sized by the bytes one of their rows holds, so that they fit a
     fixed budget (``_DRAW_BUDGET_BYTES``) whatever the trial count, or hold
     one trial when its own is larger: one hop, a row's regions and state,
-    8 * periods * R + n + m bytes; under cascade, its whole block, 8 * stride
-    bytes. A chunk holds the blocks of one window of rows at a time, as many
-    as fit the budget (or one). A ValueError names ``periods`` when a chunk's
-    regions or block window cannot be allocated. The jobs are formed as they
-    are run and each chunk's counts are added as it returns, in job order, so
-    memory does not grow with the trial count. The report is bit-identical
-    for any ``workers`` value, chunking and run.
+    8 * periods * R + n + m bytes; under cascade, at most its whole block,
+    8 * stride bytes. A ValueError names ``periods`` when a chunk's draw
+    words cannot be allocated. The jobs are formed as they are run and each
+    chunk's counts are added as it returns, in job order, so memory does not
+    grow with the trial count. The report is bit-identical for any
+    ``workers`` value, chunking and run.
     """
     _require_runnable(g, plan, params)
     if not (_is_int(periods) and periods >= 1):

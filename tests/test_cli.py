@@ -485,8 +485,9 @@ class TestSimulate:
         )
         assert doc["expected_detected"] == pytest.approx(0.43, abs=1e-12)
 
-    # sha256 of the reports on a fixed 61-member, 282-edge network, recorded when
-    # each trial-period took its first 64 words from its chunk's region and the
+    # sha256 of the reports on a fixed 61-member, 282-edge network and on a
+    # 100-member star with a certain hub ("hub", one hop), recorded when each
+    # trial-period took its first 64 words from its chunk's region and the
     # rest from its block, all words of the one PCG64DXSM stream of the seed;
     # the big seed lies in the upper half of the seed range.
     BIG_SEED = str(2**127 + 12345)
@@ -506,26 +507,33 @@ class TestSimulate:
         ("cascade_directed", "0"): "358616642c76c8621b237fbb93e64b9897f5a8122e63e4cd0b572183882dcb68",
         ("cascade_directed", "131"): "7efff8e6a3d5cacdab3a7c6b8dd33f8f951e810c50119639554a0d2836ebc2e5",
         ("cascade_directed", BIG_SEED): "84b783b0433cf9eac9c97e1aa6415a37a8e7bfaac26f337d3cb9ca469621ac78",
+        ("hub", "0"): "1c48cc3bdb5fc455e4da55c182a2eed17d897e9f87a37ffc17987d35494b1fd6",
+        ("hub", BIG_SEED): "9b7c5e74b0e0888acad281ca8b1c918e5af0ef40a2063659d0e4e952d746df17",
+        ("hub3", "0"): "8c3ecb2b1d90b6ae5edf14fef2b83c37ad62929f6184d39fa7a521d90cb1120f",
+        ("hub3", BIG_SEED): "e3e46e81933a1b8a1e997047637895a70131b7f5b8bef116e4c1dd0baeb36f4b",
     }
 
     @pytest.mark.parametrize("mode, seed", sorted(GOLDEN))
     def test_monte_carlo_report_digest(self, capsys, tmp_path, mode, seed):
-        n = 61
-        # directed, each member knows about the members it names: 291 arcs
+        n = 100 if mode.startswith("hub") else 61
         directed = mode == "cascade_directed"
-        edges = sorted(
-            {(i, j) if directed else (min(i, j), max(i, j)) for i in range(n)
-             for j in ((i + 1) % n, (i * 7 + 11) % n, (i * 13 + 5) % n, (i * 17 + 29) % n,
-                       (i * 23 + 3) % n) if i != j}
-        )
+        if mode.startswith("hub"):  # a star whose certain hub takes 35 of its 99 arc words past the region
+            edges = [(0, j) for j in range(1, n)]
+            alphas, budget = ",".join(["1"] + ["0"] * (n - 1)), "1"
+        else:  # directed, each member knows about the members it names: 291 arcs
+            edges = sorted(
+                {(i, j) if directed else (min(i, j), max(i, j)) for i in range(n)
+                 for j in ((i + 1) % n, (i * 7 + 11) % n, (i * 13 + 5) % n, (i * 17 + 29) % n,
+                           (i * 23 + 3) % n) if i != j}
+            )
+            alphas, budget = ",".join(repr((i % 4) * 0.005) for i in range(n)), "0.5"
         path = tmp_path / "network.json"
         path.write_text(json.dumps({"n": n, "directed": directed, "edges": edges}))
-        alphas = ",".join(repr((i % 4) * 0.005) for i in range(n))
         extra = {"onehop": [], "periods3": ["--periods", "3"], "cascade": ["--cascade"],
                  "cascade3": ["--cascade", "--periods", "3"],
-                 "cascade_directed": ["--cascade"]}[mode]
+                 "cascade_directed": ["--cascade"], "hub": [], "hub3": ["--periods", "3"]}[mode]
         code, out, err = run(
-            capsys, "simulate", str(path), "--alphas", alphas, "--budget", "0.5",
+            capsys, "simulate", str(path), "--alphas", alphas, "--budget", budget,
             "--gamma", "0.5", "--cost-k", "1", "--trials", "3000", "--seed", seed, *extra,
         )
         assert code == 0, err

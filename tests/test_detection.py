@@ -2,9 +2,7 @@ import itertools
 import math
 import random
 import sys
-import threading
 import tracemalloc
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -456,47 +454,36 @@ def random_network(n: int, m: int, seed: int, directed: bool = False):
     return build_graph(n, directed, sorted(edges))
 
 
-def poisoned_stream(*args):
-    """``_chunk_stream`` whose unread words catch whatever compares them."""
-    draws, fill = chunk_stream(*args)
-    draws.fill(-1.0)
-    return draws, fill
-
-
-chunk_stream = detection._chunk_stream
-
-
 class TestSimulateChunk:
-    # the graphs are small, so gaps below their block size also try unmerged reads;
     # with 4-word regions nearly every row continues into its block, by ones and by ranges
     @settings(max_examples=300, deadline=None)
-    @given(chunk_jobs(), st.sampled_from([0, 3, 8, detection._READ_GAP]), st.sampled_from([detection._REGION, 4]))
-    def test_matches_pair_loop_reference(self, job, gap, region):
+    @given(chunk_jobs(), st.sampled_from([detection._REGION, 4]))
+    def test_matches_pair_loop_reference(self, job, region):
         expected = reference_simulate_chunk(job, region)
-        with mock.patch.object(detection, "_READ_GAP", gap), mock.patch.object(detection, "_REGION", region), \
-                mock.patch.object(detection, "_chunk_stream", poisoned_stream):
+        with mock.patch.object(detection, "_REGION", region):
             got = detection._simulate_chunk(job)
         assert np.array_equal(got[0], expected[0])
         assert np.array_equal(got[1], expected[1])
 
-    @pytest.mark.parametrize("gap", [0, detection._READ_GAP])
-    def test_filled_words_match_drawn_stream(self, gap):
-        # chunks from word 0, from the blocks' first word, and across word 2**64 of either
-        # stream; filled from every offset, again from a fill that reads behind the last one
+    def test_filled_words_match_drawn_stream(self):
+        # draws from word 0, from the blocks' first word, and across word 2**64 of either
+        # stream: ranges from every offset, ranges that touch, which share a read, and
+        # ranges that touch in part; each draw leaves the generator at word 0
         seed = (1 << 128) - 1
+        gen = np.random.Generator(np.random.PCG64DXSM(seed))
+        first = np.random.Generator(np.random.PCG64DXSM(seed)).random()
         for origin in (0, (1 << 64) - 50, detection._BLOCKS, detection._BLOCKS + (1 << 64) - 50):
             bitgen = np.random.PCG64DXSM(seed)
             bitgen.advance(origin)
-            drawn = np.random.Generator(bitgen).random((3, 40))
-            for offset in range(40 - 13):
-                with mock.patch.object(detection, "_READ_GAP", gap):
-                    buf, fill = detection._chunk_stream(seed, origin, (3, 40))
-                    fill(np.arange(3) * 40 + offset, 13)
-                    assert np.array_equal(buf[:, offset : offset + 13], drawn[:, offset : offset + 13])
-                    fill(np.arange(3) * 40 + offset // 2, 1)
-                assert np.array_equal(buf[:, offset // 2], drawn[:, offset // 2])
-                if gap:  # rows and the chunk's end closer than a gap: one read of the whole chunk
-                    assert np.array_equal(buf, drawn)
+            drawn = np.random.Generator(bitgen).random(120)
+            starts = [np.arange(3) * 40 + offset for offset in range(40 - 13)]
+            starts += [np.array([0, 13, 26]), np.array([5, 18, 60, 73, 86, 100]), np.array([107])]
+            for start in starts:
+                got = detection._draw(gen, origin, start, 13)
+                assert np.array_equal(got, drawn[start[:, None] + np.arange(13)])
+                assert np.array_equal(detection._draw(gen, origin, start, 1)[:, 0], drawn[start])
+                assert gen.random() == first
+                gen.bit_generator.advance((1 << 128) - 1)
 
     def test_chunks_fit_draw_budget(self, monkeypatch):
         jobs = record_jobs(monkeypatch)
@@ -509,20 +496,27 @@ class TestSimulateChunk:
         held = 8 * 3 * detection._REGION + 300 + 3000  # a row's regions and its state
         for *_, stride, lo, hi in jobs:
             assert (hi - lo) * held <= detection._DRAW_BUDGET_BYTES or hi - lo == 1
-        # with 4-word regions nearly every row runs on into its block, window by window
-        streams = []
+        # with 4-word regions nearly every row runs on into its block; a block draw reads
+        # one word a row of the direct catches, an arc slice's words, or a cascade piece's
+        sizes = []
+        draw = detection._draw
 
-        def spy(seed, origin, shape):
-            streams.append((origin, shape))
-            return chunk_stream(seed, origin, shape)
+        def spy(gen, origin, start, length):
+            if origin >= detection._BLOCKS:
+                sizes.append(start.size * length)
+            return draw(gen, origin, start, length)
 
         monkeypatch.setattr(detection, "_REGION", 4)
-        monkeypatch.setattr(detection, "_chunk_stream", spy)
+        monkeypatch.setattr(detection, "_draw", spy)
         detection._simulate_chunk(jobs[-1])
-        windows = [shape for origin, shape in streams if origin >= detection._BLOCKS]
-        assert len(windows) > 1
-        for rows, width in windows:
-            assert rows * width * 8 <= detection._DRAW_BUDGET_BYTES or rows == 1
+        rows = jobs[-1][9] - jobs[-1][8]
+        fanout = int(np.diff(g._arcs[3]).max())
+        assert len(sizes) > 1
+        assert max(sizes) <= max(rows, detection._RELAX_BUDGET, fanout)
+        sizes.clear()
+        detection._simulate_chunk((*jobs[-1][:4], True, *jobs[-1][5:]))  # the same rows under cascade
+        assert len(sizes) > 1
+        assert max(sizes) <= max(rows, detection._RELAX_BUDGET, 3000)
 
     def test_memory_does_not_grow_with_chunk_count(self, monkeypatch):
         # 5,000 one-trial chunks of 4.8 kB of counts each, about 24 MB were they all kept,
@@ -567,39 +561,20 @@ class TestSimulateChunk:
         assert simulate(g, plan, params, periods=periods) == baseline
 
     def test_block_windows_match_pair_loop_reference(self, monkeypatch):
-        # 4-word regions send nearly every row on into its block, and a budget of
-        # 3 rows of blocks cuts the 20-row chunk into 7 windows
+        # 4-word regions send nearly every row of the 20-row chunk on into its block
         g = random_network(12, 30, seed=3)
         stride = 2 * (12 + 60)
         alphas = (1.0, 0.2, 0.0, 0.3, 0.1, 0.2, 0.0, 0.1, 0.4, 0.0, 0.2, 0.1)
         job = (12, g._arcs, alphas, 0.5, False, 2, 77, stride, 5, 25)
         expected = reference_simulate_chunk(job, 4)
-        origins = []
-
-        def spy(seed, origin, shape):
-            origins.append(origin)
-            return poisoned_stream(seed, origin, shape)
-
         monkeypatch.setattr(detection, "_REGION", 4)
-        monkeypatch.setattr(detection, "_DRAW_BUDGET_BYTES", 8 * stride * 3)
-        monkeypatch.setattr(detection, "_chunk_stream", spy)
         got = detection._simulate_chunk(job)
         assert np.array_equal(got[0], expected[0])
         assert np.array_equal(got[1], expected[1])
-        assert len({origin for origin in origins if origin >= detection._BLOCKS}) >= 3
-
-    def test_block_streams_reuse_one_buffer(self):
-        first, _ = detection._chunk_stream(1, detection._BLOCKS, (3, 40))
-        second, _ = detection._chunk_stream(2, detection._BLOCKS + 7, (2, 30))
-        assert np.shares_memory(first, second)
-        regions, _ = detection._chunk_stream(1, 0, (3, 40))
-        assert not np.shares_memory(regions, second)
-        large, _ = detection._chunk_stream(1, detection._BLOCKS, (1, detection._DRAW_BUDGET_BYTES // 8 + 4))
-        assert not np.shares_memory(large, second)
 
     def test_threads_keep_their_own_block_buffers(self, monkeypatch):
         # with 4-word regions nearly every row reads its block, so threads that
-        # shared one spare buffer would read each other's words
+        # shared one generator would read each other's words
         monkeypatch.setattr(detection, "_REGION", 4)
         g = random_network(60, 200, seed=11)
         plan = ScrutinyPlan(tuple(0.01 * (i % 4) for i in range(60)), budget=0.9)
@@ -613,10 +588,8 @@ class TestSimulateChunk:
         assert got == expected * 3
 
     @pytest.mark.parametrize("periods", [1, 3])
-    def test_certain_hub_star_memory_bounded(self, monkeypatch, periods):
-        # every trial catches the hub, and all but 64 of its 1,999 arcs run past the region;
-        # a fresh spare, so the block buffer is allocated while traced
-        monkeypatch.setattr(detection, "_spare", threading.local())
+    def test_certain_hub_star_memory_bounded(self, periods):
+        # every trial catches the hub, and all but 64 of its 1,999 arcs run past the region
         g = make_structure("star", 2000)
         plan = ScrutinyPlan((1.0,) + (0.0,) * 1999, budget=1.0)
         tracemalloc.start()
@@ -656,27 +629,6 @@ class TestSimulateChunk:
         baseline = simulate(g, plan, params, periods=2)
         monkeypatch.setattr(covertnet.graph, "_SWEEP_BUDGET", budget)
         assert simulate(g, plan, params, periods=2) == baseline
-
-    def test_cascade_compares_no_unread_word(self, monkeypatch):
-        # with no read gap, a row that catches no one directly leaves its arc words unread
-        monkeypatch.setattr(detection, "_READ_GAP", 0)
-        g = make_structure("cycle", 40)
-        plan = ScrutinyPlan((0.01,) * 40, budget=0.4)
-        params = DetectionParams(gamma=0.6, cost_k=1.0, cascade=True, trials=500, seed=9)
-        baseline = simulate(g, plan, params, periods=2)
-        buffers = []
-
-        def nan_stream(*args):
-            draws, fill = chunk_stream(*args)
-            draws.fill(np.nan)
-            buffers.append(draws)
-            return draws, fill
-
-        monkeypatch.setattr(detection, "_chunk_stream", nan_stream)
-        with np.errstate(all="raise"), warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert simulate(g, plan, params, periods=2) == baseline
-        assert any(np.isnan(draws).any() for draws in buffers)
 
     def test_one_row_jobs_bit_identical(self, monkeypatch):
         g = make_structure("path", 6)
