@@ -465,18 +465,20 @@ class TestSimulateChunk:
         assert np.array_equal(got[0], expected[0])
         assert np.array_equal(got[1], expected[1])
 
-    def test_filled_words_match_drawn_stream(self):
+    @pytest.mark.parametrize("gap", [0, 2048])
+    def test_filled_words_match_drawn_stream(self, gap):
         # draws from word 0, from the blocks' first word, and across word 2**64 of either
-        # stream: ranges from every offset, ranges that touch, which share a read, and
-        # ranges that touch in part; each draw leaves the generator at word 0
+        # stream: ranges from every offset with rows 40 + gap words apart, ranges that
+        # touch, which share a read, and ranges that touch in part; each draw leaves the
+        # generator at word 0
         seed = (1 << 128) - 1
         gen = np.random.Generator(np.random.PCG64DXSM(seed))
         first = np.random.Generator(np.random.PCG64DXSM(seed)).random()
         for origin in (0, (1 << 64) - 50, detection._BLOCKS, detection._BLOCKS + (1 << 64) - 50):
             bitgen = np.random.PCG64DXSM(seed)
             bitgen.advance(origin)
-            drawn = np.random.Generator(bitgen).random(120)
-            starts = [np.arange(3) * 40 + offset for offset in range(40 - 13)]
+            drawn = np.random.Generator(bitgen).random(3 * (40 + gap))
+            starts = [np.arange(3) * (40 + gap) + offset for offset in range(40 - 13)]
             starts += [np.array([0, 13, 26]), np.array([5, 18, 60, 73, 86, 100]), np.array([107])]
             for start in starts:
                 got = detection._draw(gen, origin, start, 13)
